@@ -22,6 +22,7 @@ from . import driver, generate, oracle
 from .graph import GraphFormatError, load_graph, save_graph
 from .greedy import GreedyConfig
 from .local_search import LocalSearchParams
+from .lp_bias import load_relaxed
 from .relink import RelinkParams
 from .solution import InfeasibleSolutionError, load_solution
 
@@ -84,9 +85,6 @@ def _config_for(args, seed: int) -> driver.RunConfig:
             f0=args.relink_f0, c_n0=args.relink_cn0, c_p0=args.relink_cp0,
             f_decay=args.relink_f_decay, budget_growth=args.relink_budget_growth,
             budget_mode=args.relink_budget_mode),
-        initial_path=args.initial,
-        relaxed_path=args.relaxed,
-        lp_epsilon=args.lp_epsilon,
         check_interstate_every=args.check_interstate_every,
     )
 
@@ -108,15 +106,16 @@ def _cmd_solve(args) -> int:
         except InfeasibleSolutionError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_INFEASIBLE
+    relaxed = load_relaxed(args.relaxed, g, args.lp_epsilon) if args.relaxed else None
     seeds = ([int(t) for t in args.seeds.split(",")] if args.seeds else [args.seed])
     configs = [_config_for(args, seed) for seed in seeds]
 
     results = []
     if len(configs) == 1:
-        results.append(driver.run(g, configs[0], initial=initial))
+        results.append(driver.run(g, configs[0], initial=initial, relaxed=relaxed))
     else:
         with ThreadPoolExecutor(max_workers=len(configs)) as pool:
-            futures = [pool.submit(driver.run, g, cfg, None, initial)
+            futures = [pool.submit(driver.run, g, cfg, None, initial, relaxed)
                        for cfg in configs]
             results = [f.result() for f in futures]
 
@@ -131,7 +130,7 @@ def _cmd_solve(args) -> int:
             best_overall = best
     if args.solution_out:
         with open(args.solution_out, "w", encoding="utf-8") as f:
-            for v in sorted(best_overall.members()):
+            for v in best_overall.members():
                 f.write(f"{v}\n")
     if len(summaries) == 1:
         print(driver.summary_json(summaries[0]), end="")

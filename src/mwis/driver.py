@@ -9,6 +9,7 @@ the real monotonic clock.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import random
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 from .graph import Graph
 from .greedy import GreedyConfig, build_initial, randomized_greedy
 from .local_search import LocalSearchParams, local_search
-from .lp_bias import RelaxedSolution, load_relaxed
+from .lp_bias import RelaxedSolution
 from .relink import RelinkParams, path_relink
-from .solution import Solution, load_solution, solutions_equivalent
+from .solution import Solution, solutions_equivalent
 
 log = logging.getLogger(__name__)
 
@@ -69,14 +70,6 @@ class EliteSet:
         return max(self.entries, key=lambda t: t[0].total_weight)[0]
 
 
-def elite_try_add_and_evict(es: EliteSet, s: Solution) -> bool:
-    return es.try_add_and_evict(s)
-
-
-def elite_random(es: EliteSet, rng: random.Random) -> Solution:
-    return es.random_entry(rng)
-
-
 @dataclass
 class RunConfig:
     time_limit: float = 10.0
@@ -86,10 +79,6 @@ class RunConfig:
     greedy: GreedyConfig = field(default_factory=GreedyConfig)
     ls_params: LocalSearchParams = field(default_factory=LocalSearchParams)
     relink_params: RelinkParams = field(default_factory=RelinkParams)
-    initial_path: str | None = None
-    relaxed_path: str | None = None
-    lp_epsilon: float = 0.005
-    trace_path: str | None = None
     check_interstate_every: int = 0
 
     def __post_init__(self):
@@ -100,17 +89,17 @@ class RunConfig:
 def run(g: Graph, config: RunConfig, clock=None,
         initial: Solution | None = None,
         relaxed: RelaxedSolution | None = None) -> tuple[Solution, list[TraceEvent]]:
-    """Execute one solver run; returns (best solution, trace event stream)."""
+    """Execute one solver run; returns (best solution, trace event stream).
+
+    The relink schedule is adapted on a copy, so config is left as given and
+    can be reused for an identical run.
+    """
     clock = clock or time.monotonic
     rng = random.Random(config.seed)
+    params = copy.copy(config.relink_params)
     trace: list[TraceEvent] = []
     t0 = clock()
     deadline_at = t0 + config.time_limit
-
-    if initial is None and config.initial_path:
-        initial = load_solution(config.initial_path, g)
-    if relaxed is None and config.relaxed_path:
-        relaxed = load_relaxed(config.relaxed_path, g, config.lp_epsilon)
 
     s = initial.copy() if initial is not None else build_initial(g, config.greedy, rng)
     best_w = s.total_weight
@@ -128,7 +117,6 @@ def run(g: Graph, config: RunConfig, clock=None,
     emit("local-search")
     es = EliteSet(config.elite_capacity)
     es.try_add_and_evict(s)
-    params = config.relink_params
 
     while clock() < deadline_at:
         s_g = randomized_greedy(g, config.greedy, rng)
@@ -158,8 +146,6 @@ def run(g: Graph, config: RunConfig, clock=None,
         es.try_add_and_evict(s2)
 
     emit("final")
-    if config.trace_path:
-        write_trace_csv(trace, config.trace_path)
     return best, trace
 
 

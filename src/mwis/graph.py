@@ -3,12 +3,16 @@
 Graphs are stored in compressed adjacency form: one sorted neighbor array per
 node, concatenated (CSR layout). Node IDs are 0..n-1. The structure never
 changes after construction, so it can be shared freely across solver runs.
+The Python search loops read it through two list views (`Graph.w` and
+`Graph.adj`) that are built once per graph on first use.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -51,6 +55,21 @@ class Graph:
     def is_edge(self, u: int, v: int) -> bool:
         return is_edge(self, u, v)
 
+    @cached_property
+    def w(self) -> list[float]:
+        """Weights as a Python list, built on first use; treat as read-only."""
+        return self.weights.tolist()
+
+    @cached_property
+    def adj(self) -> list[list[int]]:
+        """Sorted neighbor list of each node, built on first use; treat as read-only.
+
+        This is the form in which every Python search loop reads the graph.
+        """
+        ptr = self.indptr.tolist()
+        nbrs = self.indices.tolist()
+        return [nbrs[ptr[v]:ptr[v + 1]] for v in range(self.n)]
+
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
@@ -67,18 +86,6 @@ def is_edge(g: Graph, u: int, v: int) -> bool:
     return i < len(adj) and int(adj[i]) == v
 
 
-def degree(g: Graph, v: int) -> int:
-    return g.degree(v)
-
-
-def node_weight(g: Graph, v: int) -> float:
-    return g.node_weight(v)
-
-
-def neighbors(g: Graph, v: int) -> np.ndarray:
-    return g.neighbors(v)
-
-
 def build_graph(n: int, edges, weights, parse_warnings: int = 0) -> Graph:
     """Assemble a Graph from an edge iterable, dropping self-loops/duplicates.
 
@@ -93,38 +100,24 @@ def build_graph(n: int, edges, weights, parse_warnings: int = 0) -> Graph:
     if np.any(w < 0):
         raise GraphFormatError("negative node weight")
 
-    warn = parse_warnings
-    seen: set[tuple[int, int]] = set()
-    us: list[int] = []
-    vs: list[int] = []
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u},{v}) references a node outside 0..{n - 1}")
-        if u == v:
-            warn += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            warn += 1
-            continue
-        seen.add(key)
-        us.append(key[0])
-        vs.append(key[1])
+    e = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+    u, v = e[:, 0], e[:, 1]
+    bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+    if len(bad):
+        i = bad[0]
+        raise GraphFormatError(f"edge ({u[i]},{v[i]}) references a node outside 0..{n - 1}")
+    keep = u != v
+    # lo*n + hi names each undirected edge once; the sorted arcs u*n + v of
+    # both directions are the CSR rows in order
+    keys = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+    m = len(keys)
+    warn = parse_warnings + len(e) - m
 
-    m = len(us)
-    if m:
-        ua = np.asarray(us, dtype=np.int64)
-        va = np.asarray(vs, dtype=np.int64)
-        rows = np.concatenate([ua, va])
-        cols = np.concatenate([va, ua])
-        order = np.lexsort((cols, rows))
-        indices = cols[order].astype(np.int32)
-        counts = np.bincount(rows, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-    else:
-        indices = np.zeros(0, dtype=np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+    lo, hi = np.divmod(keys, n)
+    rows, cols = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+    indices = cols.astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
     w.flags.writeable = False
     indices.flags.writeable = False

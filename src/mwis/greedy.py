@@ -31,9 +31,9 @@ class GreedyConfig:
 
 def _eta_order(g: Graph) -> list[int]:
     """Non-isolated nodes sorted by eta descending, ties by ascending ID."""
-    w = g.weights
-    nodes = [v for v in range(g.n) if g.degree(v) > 0]
-    nodes.sort(key=lambda v: (-(float(w[v]) / g.degree(v)), v))
+    w, adj = g.w, g.adj
+    nodes = [v for v in range(g.n) if adj[v]]
+    nodes.sort(key=lambda v: (-(w[v] / len(adj[v])), v))
     return nodes
 
 
@@ -41,16 +41,16 @@ def greedy(g: Graph) -> Solution:
     """Static-degree greedy scan."""
     s = Solution(g)
     blocked = [False] * g.n
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    adj = g.adj
     for v in range(g.n):
-        if indptr[v + 1] == indptr[v]:
+        if not adj[v]:
             s.add(v)
     for v in _eta_order(g):
         if blocked[v]:
             continue
         s.add(v)
         blocked[v] = True
-        for u in indices[indptr[v]:indptr[v + 1]]:
+        for u in adj[v]:
             blocked[u] = True
     return s
 
@@ -93,9 +93,9 @@ def randomized_greedy(g: Graph, cfg: GreedyConfig | None = None,
     cfg = cfg or GreedyConfig()
     rng = rng or random.Random()
     s = Solution(g)
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    adj = g.adj
     for v in range(g.n):
-        if indptr[v + 1] == indptr[v]:
+        if not adj[v]:
             s.add(v)
     order = _eta_order(g)
     if not order:
@@ -116,7 +116,7 @@ def randomized_greedy(g: Graph, cfg: GreedyConfig | None = None,
         v = order[fen.select(rng.randrange(k))]
         claim(v)
         s.add(v)
-        for u in indices[indptr[v]:indptr[v + 1]]:
+        for u in adj[v]:
             if alive[u]:
                 claim(u)
     return s
@@ -131,9 +131,8 @@ def adaptive_greedy(g: Graph) -> Solution:
     immediately. Deterministic: eta ties break by ascending node ID.
     """
     s = Solution(g)
-    w = g.weights.tolist()
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    rdeg = [indptr[v + 1] - indptr[v] for v in range(g.n)]
+    w, adj = g.w, g.adj
+    rdeg = [len(a) for a in adj]
     alive = [True] * g.n
     heap: list[tuple[float, int, int]] = []
     for v in range(g.n):
@@ -150,12 +149,12 @@ def adaptive_greedy(g: Graph) -> Solution:
             continue
         s.add(v)
         alive[v] = False
-        neighbors = [u for u in indices[indptr[v]:indptr[v + 1]] if alive[u]]
+        neighbors = [u for u in adj[v] if alive[u]]
         for u in neighbors:
             alive[u] = False
         for u in neighbors:
             # u leaves the residual graph together with v
-            for y in indices[indptr[u]:indptr[u + 1]]:
+            for y in adj[u]:
                 if not alive[y]:
                     continue
                 dy = rdeg[y] - 1

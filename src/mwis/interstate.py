@@ -120,13 +120,11 @@ def build(g: Graph, s: Solution) -> InterstateState:
     if not is_independent_fast(g, flags):
         raise ValueError("solution is not an independent set")
 
-    w = g.weights
     in_set = s._in_set
-    st.rho = [0 if in_set[v] else int(rho[v]) for v in range(n)]
-    st.delta = [float(w[v]) if in_set[v] else float(w[v] - blocked[v]) for v in range(n)]
+    st.rho = np.where(flags, 0, rho).tolist()
+    st.delta = np.where(flags, g.weights, g.weights - blocked).tolist()
 
-    indptr, indices = g.indptr, g.indices
-    adj = indices.tolist()
+    adj = g.adj
     for v in range(n):
         if in_set[v]:
             continue
@@ -134,13 +132,11 @@ def build(g: Graph, s: Solution) -> InterstateState:
         if r == 0:
             st.free.add(v)
         elif r == 1:
-            lo, hi = int(indptr[v]), int(indptr[v + 1])
-            u = next(x for x in adj[lo:hi] if in_set[x])
+            u = next(x for x in adj[v] if in_set[x])
             st.one_tight.setdefault(u, set()).add(v)
             st.owner[v] = u
         elif r == 2:
-            lo, hi = int(indptr[v]), int(indptr[v + 1])
-            a, b = (x for x in adj[lo:hi] if in_set[x])
+            a, b = (x for x in adj[v] if in_set[x])
             key = _pair(a, b)
             st.mates.setdefault(a, set()).add(b)
             st.mates.setdefault(b, set()).add(a)
@@ -181,8 +177,7 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
     """Remove member v from S and propagate all structure updates."""
     assert v in s, f"remove_member: {v} not in S"
     s.remove(v)
-    w = g.weights
-    wv = float(w[v])
+    wv = g.w[v]
     in_set = s._in_set
 
     # v's own interstate presence dissolves; owners of its former 1-tight
@@ -200,8 +195,8 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
         st.s_two.discard(key)
 
     # S is independent, so every neighbor of v is a non-member
-    indptr, indices = g.indptr, g.indices
-    for x in indices[int(indptr[v]):int(indptr[v + 1])].tolist():
+    adj = g.adj
+    for x in adj[v]:
         r = st.rho[x] - 1
         st.rho[x] = r
         st.delta[x] += wv
@@ -217,8 +212,7 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
             st.owner[x] = other
             _one_tight_changed(st, other, gained=True)
         elif r == 2:
-            lo, hi = int(indptr[x]), int(indptr[x + 1])
-            a, b = (y for y in indices[lo:hi].tolist() if in_set[y])
+            a, b = (y for y in adj[x] if in_set[y])
             key = _pair(a, b)
             st.mates.setdefault(a, set()).add(b)
             st.mates.setdefault(b, set()).add(a)
@@ -240,11 +234,9 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
     s.add(u)
     st.free.discard(u)
     st.s_plus.discard(u)
-    w = g.weights
-    wu = float(w[u])
+    wu = g.w[u]
 
-    indptr, indices = g.indptr, g.indices
-    for x in indices[int(indptr[u]):int(indptr[u + 1])].tolist():
+    for x in g.adj[u]:
         r = st.rho[x] + 1
         st.rho[x] = r
         st.delta[x] -= wu

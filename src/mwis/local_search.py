@@ -64,9 +64,8 @@ class MoveEngine:
         self.on_commit = on_commit
         self.check_every = check_every
         self._commits = 0
-        self.w = g.weights.tolist()
-        self.ptr = g.indptr.tolist()
-        self.adj = g.indices.tolist()
+        self.w = g.w
+        self.adj = g.adj
         self.state = build(g, s)
         floor = self.params.aap_gain_floor
         if floor is None:
@@ -76,19 +75,17 @@ class MoveEngine:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _nbrs(self, v: int) -> list[int]:
-        return self.adj[self.ptr[v]:self.ptr[v + 1]]
-
     def _adjacent(self, u: int, v: int) -> bool:
-        if self.ptr[u + 1] - self.ptr[u] > self.ptr[v + 1] - self.ptr[v]:
+        adj = self.adj
+        if len(adj[u]) > len(adj[v]):
             u, v = v, u
-        lo, hi = self.ptr[u], self.ptr[u + 1]
-        i = bisect_left(self.adj, v, lo, hi)
-        return i < hi and self.adj[i] == v
+        nbrs = adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def _member_neighbors(self, v: int) -> list[int]:
         in_set = self.s._in_set
-        return [x for x in self._nbrs(v) if in_set[x]]
+        return [x for x in self.adj[v] if in_set[x]]
 
     def _maximalize(self) -> list[int]:
         """Add free nodes in random order until none remain."""
@@ -233,7 +230,7 @@ class MoveEngine:
     def _free_in_trial(self, c: int, removed_pair: tuple[int, int],
                        added_set: set[int]) -> bool:
         in_set = self.s._in_set
-        for nb in self._nbrs(c):
+        for nb in self.adj[c]:
             if nb in added_set:
                 return False
             if in_set[nb] and nb != removed_pair[0] and nb != removed_pair[1]:

@@ -29,7 +29,7 @@ def _neighbor_masks(g: Graph) -> list[int]:
     masks = []
     for v in range(g.n):
         m = 0
-        for u in g.neighbors(v).tolist():
+        for u in g.adj[v]:
             m |= 1 << u
         masks.append(m)
     return masks
@@ -50,7 +50,7 @@ def exact_mwis(g: Graph, method: str = "branch-and-bound") -> ExactResult:
 
 def _branch_and_bound(g: Graph) -> ExactResult:
     n = g.n
-    w = g.weights.tolist()
+    w = g.w
     nmask = _neighbor_masks(g)
     best_w = -1.0
     best_set = 0
@@ -109,7 +109,7 @@ def _enumerate(g: Graph) -> ExactResult:
     weights = bits @ g.weights
     ok = np.ones(1 << n, dtype=bool)
     for u in range(n):
-        for v in g.neighbors(u).tolist():
+        for v in g.adj[u]:
             if u < v:
                 ok &= ~((masks >> u & 1) & (masks >> v & 1)).astype(bool)
     weights[~ok] = -1.0

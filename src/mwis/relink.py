@@ -58,14 +58,6 @@ class RelinkParams:
         self.c_p = self.c_p0
 
 
-def on_stagnation(params: RelinkParams) -> None:
-    params.on_stagnation()
-
-
-def reset(params: RelinkParams) -> None:
-    params.reset()
-
-
 def path_relink(g: Graph, source: Solution, guide: Solution,
                 params: RelinkParams | None = None,
                 rng: random.Random | None = None,
@@ -87,30 +79,25 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
     if not to_add and not to_drop:
         return s
 
-    w = g.weights.tolist()
-    ptr = g.indptr.tolist()
-    adj = g.indices.tolist()
+    w, adj = g.w, g.adj
     w_guide = guide.total_weight
     scale = len(to_add) + len(to_drop) if params.budget_mode == "fraction" else 1.0
     n_limit = params.c_n * scale
     p_limit = params.c_p * scale
     neg = pos = 0
 
-    def nbrs(v: int) -> list[int]:
-        return adj[ptr[v]:ptr[v + 1]]
-
     def eval_pull(v: int) -> float:
-        return w[v] - sum(w[x] for x in nbrs(v) if cur_flags[x])
+        return w[v] - sum(w[x] for x in adj[v] if cur_flags[x])
 
     def eval_drop(v: int) -> tuple[float, list[int]]:
         gain = -w[v]
         added: list[int] = []
         added_set: set[int] = set()
-        for u in nbrs(v):
+        for u in adj[v]:
             if not src_flags[u] or cur_flags[u]:
                 continue
             blocked = False
-            for nb in nbrs(u):
+            for nb in adj[u]:
                 if nb in added_set or (cur_flags[nb] and nb != v):
                     blocked = True
                     break
@@ -135,7 +122,7 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
                 best_step = ("drop", v, added)
         kind, v, added = best_step
         if kind == "pull":
-            for x in nbrs(v):
+            for x in adj[v]:
                 if cur_flags[x]:
                     s.remove(x)
                     to_drop.discard(x)

@@ -1,15 +1,14 @@
 """Independent-set representation, validation, maximalization, equivalence.
 
-A Solution keeps per-node membership flags plus an append-only member array
-with lazy compaction: removal only clears the flag, and stale slots are
-swapped to the tail and dropped when iteration encounters them. Reshuffle
-cost is therefore proportional to the nodes actually examined, which matters
-because the search loops rescan members constantly.
+A Solution is one membership flag per node plus a cached size and total
+weight. add/remove are O(1), copy is one list copy, and members() scans the
+flags, so members always come out in ascending node order.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import compress
 
 from .graph import Graph, GraphFormatError
 
@@ -21,14 +20,12 @@ class InfeasibleSolutionError(GraphFormatError):
 class Solution:
     """A (not necessarily maximal) independent set with cached total weight."""
 
-    __slots__ = ("graph", "_w", "_in_set", "_has_slot", "_order", "size", "total_weight")
+    __slots__ = ("graph", "_w", "_in_set", "size", "total_weight")
 
     def __init__(self, graph: Graph, members=()):
         self.graph = graph
-        self._w = graph.weights.tolist()
+        self._w = graph.w
         self._in_set = [False] * graph.n
-        self._has_slot = [False] * graph.n
-        self._order: list[int] = []
         self.size = 0
         self.total_weight = 0.0
         for v in members:
@@ -43,9 +40,6 @@ class Solution:
     def add(self, v: int) -> None:
         assert not self._in_set[v], f"node {v} already a member"
         self._in_set[v] = True
-        if not self._has_slot[v]:
-            self._has_slot[v] = True
-            self._order.append(v)
         self.size += 1
         self.total_weight += self._w[v]
 
@@ -56,40 +50,8 @@ class Solution:
         self.total_weight -= self._w[v]
 
     def members(self):
-        """Iterate members in slot order, compacting stale slots as found."""
-        order = self._order
-        i = 0
-        while i < len(order):
-            v = order[i]
-            if self._in_set[v]:
-                yield v
-                i += 1
-            else:
-                self._has_slot[v] = False
-                last = order.pop()
-                if i < len(order):
-                    order[i] = last
-
-    def shuffled_members(self, rng: random.Random):
-        """Iterate members in uniformly random order (lazy reshuffle).
-
-        Picks a random live slot from the unexamined suffix each step, so the
-        cost is proportional to the number of members actually consumed.
-        """
-        order = self._order
-        i = 0
-        while i < len(order):
-            j = rng.randrange(i, len(order))
-            order[i], order[j] = order[j], order[i]
-            v = order[i]
-            if self._in_set[v]:
-                yield v
-                i += 1
-            else:
-                self._has_slot[v] = False
-                last = order.pop()
-                if i < len(order):
-                    order[i] = last
+        """Iterate members in ascending node order."""
+        return compress(range(self.graph.n), self._in_set)
 
     def member_list(self) -> list[int]:
         return list(self.members())
@@ -99,17 +61,13 @@ class Solution:
 
     def recomputed_weight(self) -> float:
         """Sum of member weights in ascending node order (order-canonical)."""
-        return sum(self._w[v] for v in sorted(self.members()))
+        return sum(self._w[v] for v in self.members())
 
     def copy(self) -> "Solution":
         out = Solution.__new__(Solution)
         out.graph = self.graph
         out._w = self._w
         out._in_set = self._in_set.copy()
-        out._order = self.member_list()
-        out._has_slot = [False] * self.graph.n
-        for v in out._order:
-            out._has_slot[v] = True
         out.size = self.size
         out.total_weight = self.total_weight
         return out
@@ -118,27 +76,15 @@ class Solution:
 def is_independent(g: Graph, s: Solution) -> bool:
     """True iff no edge has both endpoints in s."""
     flags = s._in_set
-    indptr, indices = g.indptr, g.indices
-    for v in s.members():
-        for u in indices[indptr[v]:indptr[v + 1]].tolist():
-            if flags[u]:
-                return False
-    return True
+    adj = g.adj
+    return not any(flags[u] for v in s.members() for u in adj[v])
 
 
 def free_nodes(g: Graph, s: Solution) -> list[int]:
     """Nodes outside s with no neighbor in s."""
     flags = s._in_set
-    indptr, indices = g.indptr, g.indices
-    adj = indices.tolist()
-    out = []
-    for v in range(g.n):
-        if flags[v]:
-            continue
-        lo, hi = int(indptr[v]), int(indptr[v + 1])
-        if not any(flags[u] for u in adj[lo:hi]):
-            out.append(v)
-    return out
+    return [v for v, nbrs in enumerate(g.adj)
+            if not flags[v] and not any(flags[u] for u in nbrs)]
 
 
 def make_maximal(g: Graph, s: Solution, rng: random.Random) -> Solution:
@@ -146,10 +92,9 @@ def make_maximal(g: Graph, s: Solution, rng: random.Random) -> Solution:
     cand = free_nodes(g, s)
     rng.shuffle(cand)
     flags = s._in_set
-    indptr, indices = g.indptr, g.indices
+    adj = g.adj
     for v in cand:
-        lo, hi = int(indptr[v]), int(indptr[v + 1])
-        if not any(flags[u] for u in indices[lo:hi].tolist()):
+        if not any(flags[u] for u in adj[v]):
             s.add(v)
     return s
 
@@ -176,13 +121,9 @@ def solutions_equivalent(g: Graph, s1: Solution, s2: Solution,
     if move_budget is None:
         move_budget = 2 * len(set1 ^ set2)
 
-    w = g.weights.tolist()
-    indptr, indices = g.indptr, g.indices
-    adj = indices.tolist()
+    w = g.w
+    adj = g.adj
     cur = set(set1)
-
-    def nbrs(v: int) -> list[int]:
-        return adj[int(indptr[v]):int(indptr[v + 1])]
 
     for _ in range(move_budget):
         if cur == set2:
@@ -190,8 +131,8 @@ def solutions_equivalent(g: Graph, s1: Solution, s2: Solution,
         applied = False
         # (*,1)-style: pull in a target member whose blockers weigh exactly the same
         for v in sorted(set2 - cur):
-            blockers = [x for x in nbrs(v) if x in cur]
-            if sum(w[x] for x in sorted(blockers)) == w[v]:
+            blockers = [x for x in adj[v] if x in cur]
+            if sum(w[x] for x in blockers) == w[v]:
                 cur.difference_update(blockers)
                 cur.add(v)
                 applied = True
@@ -204,8 +145,8 @@ def solutions_equivalent(g: Graph, s1: Solution, s2: Solution,
             trial.discard(v)
             gained = 0.0
             added = []
-            for u in nbrs(v):
-                if u in set2 and u not in trial and not any(x in trial for x in nbrs(u)):
+            for u in adj[v]:
+                if u in set2 and u not in trial and not any(x in trial for x in adj[u]):
                     trial.add(u)
                     added.append(u)
                     gained += w[u]
@@ -242,5 +183,5 @@ def load_solution(path: str, g: Graph) -> Solution:
 
 def save_solution(s: Solution, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for v in sorted(s.members()):
+        for v in s.members():
             f.write(f"{v}\n")

@@ -155,6 +155,21 @@ class TestSolve:
         summary = json.loads(capsys.readouterr().out)
         assert summary["best_weight"] == exact_mwis(g).weight
 
+    def test_relaxed_file(self, tmp_path, capsys):
+        path, g = gen_file(tmp_path, "s.g",
+                           GenSpec(model="gnp", n=10, p=0.3, seed=10))
+        rs = tmp_path / "rs.txt"
+        rs.write_text("0.5\n" * g.n)
+        rc = main(["solve", "--graph", path, "--time-limit", "0.2", "--seed", "0",
+                   "--relaxed", str(rs), "--lp-epsilon", "0.01"])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["best_weight"] == exact_mwis(g).weight
+        rs.write_text("0.5\n" * (g.n - 1))  # one value short
+        rc = main(["solve", "--graph", path, "--time-limit", "0.2", "--relaxed", str(rs)])
+        assert rc == 1
+        assert "expected" in capsys.readouterr().err
+
 
 class TestReport:
     def test_t_star_from_traces(self, tmp_path):

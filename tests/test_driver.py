@@ -7,9 +7,11 @@ from scipy import stats
 
 from mwis.driver import EliteSet, RunConfig, run, summarize, trace_csv
 from mwis.graph import build_graph
+from mwis.lp_bias import load_relaxed
 from mwis.oracle import exact_mwis
 from mwis.relink import RelinkParams
-from mwis.solution import Solution, is_independent
+from mwis.solution import InfeasibleSolutionError, Solution, is_independent, \
+    load_solution
 
 from conftest import graph_from, random_graph
 
@@ -125,6 +127,19 @@ class TestRun:
         assert a == b
         assert a.startswith("elapsed_s,best_weight,event\n")
 
+    def test_reused_config_reproduces_run(self):
+        # run adapts its relink schedule on a copy: a second run of the same
+        # RunConfig object must repeat the first exactly
+        rng = random.Random(21)
+        for i in range(6):
+            g = random_graph(rng, rng.randint(40, 80), rng.choice([0.05, 0.1]))
+            cfg = RunConfig(time_limit=0.01, seed=i)
+            runs = [run(g, cfg, clock=FakeClock()) for _ in range(2)]
+            (best_a, trace_a), (best_b, trace_b) = runs
+            assert trace_csv(trace_a) == trace_csv(trace_b)
+            assert best_a.as_frozenset() == best_b.as_frozenset()
+            assert cfg.relink_params == RelinkParams()
+
     def test_different_seeds_usually_differ(self):
         g = random_graph(random.Random(12), 30, 0.15)
         outs = {run(g, RunConfig(time_limit=0.004, seed=s),
@@ -160,26 +175,26 @@ class TestRun:
         g = build_graph(3, [(0, 1), (1, 2)], [3.0, 5.0, 3.0])
         p = tmp_path / "init.txt"
         p.write_text("1\n")
-        cfg = RunConfig(time_limit=0.002, seed=0, initial_path=str(p))
-        best, trace = run(g, cfg, clock=FakeClock())
+        initial = load_solution(str(p), g)
+        best, trace = run(g, RunConfig(time_limit=0.002, seed=0), clock=FakeClock(),
+                          initial=initial)
         assert best.total_weight == 6.0  # escapes the {1} local start
+        assert initial.as_frozenset() == {1}  # the caller's solution is untouched
 
     def test_infeasible_initial_raises_before_solving(self, tmp_path):
-        from mwis.solution import InfeasibleSolutionError
-
+        # the initial solution is loaded (and rejected) before run is called
         g = build_graph(3, [(0, 1), (1, 2)], [3.0, 5.0, 3.0])
         p = tmp_path / "bad.txt"
         p.write_text("0\n1\n")
         with pytest.raises(InfeasibleSolutionError):
-            run(g, RunConfig(time_limit=0.05, seed=0, initial_path=str(p)),
-                clock=FakeClock())
+            load_solution(str(p), g)
 
     def test_relaxed_bias_path(self, tmp_path):
         g = random_graph(random.Random(15), 14, 0.3)
         p = tmp_path / "rs.txt"
         p.write_text("\n".join("0.5" for _ in range(g.n)))
-        cfg = RunConfig(time_limit=0.2, seed=3, relaxed_path=str(p))
-        best, _ = run(g, cfg)
+        best, _ = run(g, RunConfig(time_limit=0.2, seed=3),
+                      relaxed=load_relaxed(str(p), g))
         assert best.total_weight == exact_mwis(g).weight
 
     def test_elite_entries_are_star_one_optimal(self):
@@ -233,13 +248,3 @@ class TestLargerOracleAgreement:
             best, _ = run(g, RunConfig(time_limit=0.3, seed=i))
             assert best.total_weight == exact_mwis(g).weight
 
-
-class TestTracePathConfig:
-    def test_run_writes_trace_when_configured(self, tmp_path):
-        g = random_graph(random.Random(20), 12, 0.3)
-        path = str(tmp_path / "t.csv")
-        cfg = RunConfig(time_limit=0.002, seed=0, trace_path=path)
-        best, trace = run(g, cfg, clock=FakeClock())
-        rows = open(path).read().strip().splitlines()
-        assert rows[0] == "elapsed_s,best_weight,event"
-        assert len(rows) == len(trace) + 1

@@ -100,6 +100,28 @@ class TestInvariants:
                 assert v in g.neighbors(u).tolist()
         assert total == 2 * g.m
 
+    def test_build_matches_set_reference(self):
+        # reference: the plain loop over a set of normalized edge tuples
+        rng = random.Random(3)
+        for _ in range(50):
+            n = rng.randint(1, 25)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 80))]
+            seen, warn = set(), 0
+            for u, v in edges:
+                key = (min(u, v), max(u, v))
+                if u == v or key in seen:
+                    warn += 1
+                seen.add(key)
+            adj = [[] for _ in range(n)]
+            for u, v in sorted(seen):
+                if u != v:
+                    adj[u].append(v)
+                    adj[v].append(u)
+            g = build_graph(n, edges, [1.0] * n, parse_warnings=2)
+            assert g.parse_warnings == warn + 2
+            assert g.m == sum(map(len, adj)) // 2
+            assert [g.neighbors(v).tolist() for v in range(n)] == [sorted(a) for a in adj]
+
     def test_is_edge_matches_dense_matrix(self):
         rng = random.Random(1)
         for trial in range(8):
@@ -133,6 +155,12 @@ class TestInvariants:
         with pytest.raises(ValueError):
             path3.neighbors(1)[0] = 9  # read-only view
 
+    def test_list_views_match_arrays_and_are_built_once(self):
+        g = random_graph(random.Random(4), 30, 0.2)
+        assert g.w == g.weights.tolist()
+        assert all(g.adj[v] == g.neighbors(v).tolist() for v in range(g.n))
+        assert g.adj is g.adj and g.w is g.w
+
     def test_isolated_positive_weight_legal(self):
         g = graph_from(3, [], [1.0, 2.0, 3.0])
         assert g.m == 0 and g.total_weight() == 6.0
@@ -140,3 +168,5 @@ class TestInvariants:
     def test_build_rejects_bad_edge(self):
         with pytest.raises(GraphFormatError):
             build_graph(2, [(0, 3)], [1.0, 1.0])
+        with pytest.raises(GraphFormatError, match=r"edge \(1,-1\)"):
+            build_graph(3, [(0, 1), (1, -1), (4, 0)], [1.0] * 3)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mwis.graph import build_graph
-from mwis.relink import RelinkParams, on_stagnation, path_relink, reset
+from mwis.relink import RelinkParams, path_relink
 from mwis.solution import Solution, is_independent, make_maximal
 
 from conftest import random_graph
@@ -53,13 +53,6 @@ class TestSchedule:
         assert (p.f, p.c_n, p.c_p) == (0.9998, 1.0, 0.1)
         p.reset()  # idempotent
         assert (p.f, p.c_n, p.c_p) == (0.9998, 1.0, 0.1)
-
-    def test_module_level_wrappers(self):
-        p = RelinkParams()
-        on_stagnation(p)
-        assert p.c_n == 1.5
-        reset(p)
-        assert p.c_n == 1.0
 
 
 class TestWalk:

@@ -129,8 +129,9 @@ def run(g: Graph, config: RunConfig, clock=None,
         w2 = s2.total_weight
         stagnated = w2 == best_w
         if stagnated:
-            eq = solutions_equivalent(g, s2, best)
-            log.debug("stagnation at weight %r (equivalent=%s)", w2, eq)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("stagnation at weight %r (equivalent=%s)", w2,
+                          solutions_equivalent(g, s2, best))
             params.on_stagnation()
         else:
             params.reset()

@@ -3,8 +3,9 @@
 Graphs are stored in compressed adjacency form: one sorted neighbor array per
 node, concatenated (CSR layout). Node IDs are 0..n-1. The structure never
 changes after construction, so it can be shared freely across solver runs.
-The Python search loops read it through two list views (`Graph.w` and
-`Graph.adj`) that are built once per graph on first use.
+The Python search loops read it through list views (`Graph.w`, `Graph.adj`
+and the greedy ranking `Graph.eta_order`) that are built once per graph on
+first use.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ class Graph:
         nbrs = self.indices.tolist()
         return [nbrs[ptr[v]:ptr[v + 1]] for v in range(self.n)]
 
+    @cached_property
+    def eta_order(self) -> list[int]:
+        """Non-isolated nodes by eta(v) = w(v)/degree(v) descending, ties by
+        ascending ID; built on first use; treat as read-only.
+        """
+        deg = np.diff(self.indptr)
+        nodes = np.flatnonzero(deg)
+        # a stable sort keeps equal etas in ascending node order
+        return nodes[np.argsort(-(self.weights[nodes] / deg[nodes]), kind="stable")].tolist()
+
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
@@ -109,7 +120,9 @@ def build_graph(n: int, edges, weights, parse_warnings: int = 0) -> Graph:
     keep = u != v
     # lo*n + hi names each undirected edge once; the sorted arcs u*n + v of
     # both directions are the CSR rows in order
-    keys = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+    keys = np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep]
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     m = len(keys)
     warn = parse_warnings + len(e) - m
 

@@ -29,14 +29,6 @@ class GreedyConfig:
             raise ValueError(f"unknown greedy mode {self.mode!r}")
 
 
-def _eta_order(g: Graph) -> list[int]:
-    """Non-isolated nodes sorted by eta descending, ties by ascending ID."""
-    w, adj = g.w, g.adj
-    nodes = [v for v in range(g.n) if adj[v]]
-    nodes.sort(key=lambda v: (-(w[v] / len(adj[v])), v))
-    return nodes
-
-
 def greedy(g: Graph) -> Solution:
     """Static-degree greedy scan."""
     s = Solution(g)
@@ -45,7 +37,7 @@ def greedy(g: Graph) -> Solution:
     for v in range(g.n):
         if not adj[v]:
             s.add(v)
-    for v in _eta_order(g):
+    for v in g.eta_order:
         if blocked[v]:
             continue
         s.add(v)
@@ -60,12 +52,9 @@ class _Fenwick:
 
     def __init__(self, n: int):
         self.n = n
-        self.tree = [0] * (n + 1)
-        for i in range(1, n + 1):
-            self.tree[i] += 1
-            j = i + (i & -i)
-            if j <= n:
-                self.tree[j] += self.tree[i]
+        # all n positions start live, and tree[i] counts the i & -i of them
+        # that end at position i
+        self.tree = [i & -i for i in range(n + 1)]
 
     def remove(self, i: int) -> None:
         i += 1
@@ -97,28 +86,24 @@ def randomized_greedy(g: Graph, cfg: GreedyConfig | None = None,
     for v in range(g.n):
         if not adj[v]:
             s.add(v)
-    order = _eta_order(g)
+    order = g.eta_order
     if not order:
         return s
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [-1] * g.n  # position in order while live, -1 once claimed
+    for i, v in enumerate(order):
+        pos[v] = i
     fen = _Fenwick(len(order))
-    alive = [True] * g.n
     live = len(order)
-
-    def claim(v: int) -> None:
-        nonlocal live
-        alive[v] = False
-        fen.remove(pos[v])
-        live -= 1
-
     while live:
         k = max(1, math.ceil(cfg.k_fraction * live))
         v = order[fen.select(rng.randrange(k))]
-        claim(v)
         s.add(v)
-        for u in adj[v]:
-            if alive[u]:
-                claim(u)
+        for u in (v, *adj[v]):
+            i = pos[u]
+            if i >= 0:
+                pos[u] = -1
+                fen.remove(i)
+                live -= 1
     return s
 
 

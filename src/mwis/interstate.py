@@ -20,6 +20,7 @@ additions, so S stays independent throughout.
 from __future__ import annotations
 
 import random
+from itertools import count
 
 import numpy as np
 
@@ -37,10 +38,8 @@ class IndexedSet:
     __slots__ = ("_items", "_pos")
 
     def __init__(self, items=()):
-        self._items: list = []
-        self._pos: dict = {}
-        for x in items:
-            self.add(x)
+        self._pos: dict = dict(zip(dict.fromkeys(items), count()))
+        self._items: list = list(self._pos)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -102,60 +101,53 @@ class InterstateState:
 
 
 def build(g: Graph, s: Solution) -> InterstateState:
-    """Initialize the structure from scratch in linear time."""
+    """Initialize the structure from scratch in linear time.
+
+    Counts come from the member arcs only, so Python loops run over the
+    1-tight and 2-tight nodes alone. Every dict, set and queue is filled as
+    a scan over ascending node IDs would fill it: the moves draw random
+    numbers while iterating them, so this order is part of the solver's
+    determinism.
+    """
     n = g.n
     st = InterstateState(n)
-    flags = np.asarray(s._in_set, dtype=bool)
-    rho = np.zeros(n, dtype=np.int64)
-    blocked = np.zeros(n, dtype=np.float64)
-    if g.m:
-        # reduceat over nonempty rows only: empty rows would otherwise swallow
-        # the last element of the preceding segment
-        nonempty = g.indptr[:-1] < g.indptr[1:]
-        starts = g.indptr[:-1][nonempty]
-        member_w = np.where(flags, g.weights, 0.0)
-        rho[nonempty] = np.add.reduceat(flags[g.indices].astype(np.int64), starts)
-        blocked[nonempty] = np.add.reduceat(member_w[g.indices], starts)
-
-    if not is_independent_fast(g, flags):
+    flags = np.array(s._in_set, dtype=bool)
+    arcs = np.flatnonzero(flags[g.indices])
+    rows = np.searchsorted(g.indptr, arcs, side="right") - 1
+    cols = g.indices[arcs]
+    if flags[rows].any():
         raise ValueError("solution is not an independent set")
+    rho = np.bincount(rows, minlength=n)
+    delta = g.weights - np.bincount(rows, weights=g.weights[cols], minlength=n)
+    st.rho = rho.tolist()
+    st.delta = delta.tolist()
+    # rows and their columns come out sorted, so a row's member neighbors
+    # are consecutive and ascending from first[v]
+    first = np.cumsum(rho) - rho
+    outside = ~flags
 
-    in_set = s._in_set
-    st.rho = np.where(flags, 0, rho).tolist()
-    st.delta = np.where(flags, g.weights, g.weights - blocked).tolist()
+    one = np.flatnonzero(outside & (rho == 1))
+    owners = cols[first[one]]
+    for v, u in zip(one.tolist(), owners.tolist()):
+        st.one_tight.setdefault(u, set()).add(v)
+    owner = np.full(n, -1, dtype=np.int64)
+    owner[one] = owners
+    st.owner = owner.tolist()
 
-    adj = g.adj
-    for v in range(n):
-        if in_set[v]:
-            continue
-        r = st.rho[v]
-        if r == 0:
-            st.free.add(v)
-        elif r == 1:
-            u = next(x for x in adj[v] if in_set[x])
-            st.one_tight.setdefault(u, set()).add(v)
-            st.owner[v] = u
-        elif r == 2:
-            a, b = (x for x in adj[v] if in_set[x])
-            key = _pair(a, b)
-            st.mates.setdefault(a, set()).add(b)
-            st.mates.setdefault(b, set()).add(a)
-            st.two_tight.setdefault(key, set()).add(v)
-            st.tt_pair[v] = key
-        if st.delta[v] > 0:
-            st.s_plus.add(v)
-    for u in st.one_tight:
-        st.s_one.add(u)
-    for key in st.two_tight:
-        st.s_two.add(key)
+    two = np.flatnonzero(outside & (rho == 2))
+    at = first[two]
+    for v, a, b in zip(two.tolist(), cols[at].tolist(), cols[at + 1].tolist()):
+        key = (a, b)
+        st.mates.setdefault(a, set()).add(b)
+        st.mates.setdefault(b, set()).add(a)
+        st.two_tight.setdefault(key, set()).add(v)
+        st.tt_pair[v] = key
+
+    st.free = IndexedSet(np.flatnonzero(outside & (rho == 0)).tolist())
+    st.s_plus = IndexedSet(np.flatnonzero(outside & (delta > 0)).tolist())
+    st.s_one = IndexedSet(st.one_tight)
+    st.s_two = IndexedSet(st.two_tight)
     return st
-
-
-def is_independent_fast(g: Graph, flags: np.ndarray) -> bool:
-    if not g.m:
-        return True
-    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    return not np.any(flags[src] & flags[g.indices])
 
 
 def _one_tight_changed(st: InterstateState, member: int, gained: bool) -> None:

@@ -181,9 +181,9 @@ class MoveEngine:
     def two_star_moves(self) -> bool:
         """Evaluate S2 pairs; commit and return on the first improving move.
 
-        Each popped pair gets one randomized trial, simulated read-only
-        against the membership flags; only a success is replayed as real
-        state updates, so a failed pair stays pruned until a real change.
+        Each popped pair gets one randomized trial, simulated read-only on
+        the pair's pool; only a success is replayed as real state updates,
+        so a failed pair stays pruned until a real change.
         """
         st, s = self.state, self.s
         w = self.w
@@ -200,21 +200,16 @@ class MoveEngine:
             pool.update(st.two_tight.get(key, ()))
             if not pool:
                 continue
-            removed_pair = (u, v)
+            # every pool node's only member neighbors are u and v, so only
+            # the picks themselves close candidates
             added: list[int] = []
-            added_set: set[int] = set()
             gained = 0.0
-            cand = sorted(pool)
-            while True:
-                open_now = [c for c in cand
-                            if c not in added_set and self._free_in_trial(
-                                c, removed_pair, added_set)]
-                if not open_now:
-                    break
+            open_now = sorted(pool)
+            while open_now:
                 c = open_now[self.rng.randrange(len(open_now))]
                 added.append(c)
-                added_set.add(c)
                 gained += w[c]
+                open_now = [x for x in open_now if x != c and not self._adjacent(c, x)]
             if gained > w[u] + w[v]:
                 remove_member(st, self.g, s, u)
                 remove_member(st, self.g, s, v)
@@ -226,16 +221,6 @@ class MoveEngine:
                 self._commit("two_star", net_added, net_removed)
                 return True
         return False
-
-    def _free_in_trial(self, c: int, removed_pair: tuple[int, int],
-                       added_set: set[int]) -> bool:
-        in_set = self.s._in_set
-        for nb in self.adj[c]:
-            if nb in added_set:
-                return False
-            if in_set[nb] and nb != removed_pair[0] and nb != removed_pair[1]:
-                return False
-        return True
 
     def aap_moves(self) -> bool:
         """One pass of alternating-augmenting-path searches seeded from S1.

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from itertools import compress
 
+import numpy as np
+
 from .graph import Graph, GraphFormatError
 
 
@@ -81,10 +83,14 @@ def is_independent(g: Graph, s: Solution) -> bool:
 
 
 def free_nodes(g: Graph, s: Solution) -> list[int]:
-    """Nodes outside s with no neighbor in s."""
-    flags = s._in_set
-    return [v for v, nbrs in enumerate(g.adj)
-            if not flags[v] and not any(flags[u] for u in nbrs)]
+    """Nodes outside s with no neighbor in s, in ascending order."""
+    flags = np.array(s._in_set, dtype=bool)
+    # prefix counts of member arcs: a row holds a member neighbor iff the
+    # count rises across it
+    seen = np.zeros(len(g.indices) + 1, dtype=np.int64)
+    np.cumsum(flags[g.indices], out=seen[1:])
+    blocked = seen[g.indptr[1:]] != seen[g.indptr[:-1]]
+    return np.flatnonzero(~(flags | blocked)).tolist()
 
 
 def make_maximal(g: Graph, s: Solution, rng: random.Random) -> Solution:

@@ -7,6 +7,18 @@ import pytest
 from mwis.graph import Graph, build_graph
 
 
+class FakeClock:
+    """Deterministic clock advancing a fixed tick per call."""
+
+    def __init__(self, tick=1e-6):
+        self.t = 0.0
+        self.tick = tick
+
+    def __call__(self):
+        self.t += self.tick
+        return self.t
+
+
 def graph_from(n: int, edges, weights=None) -> Graph:
     return build_graph(n, edges, weights if weights is not None else [1.0] * n)
 

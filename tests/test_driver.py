@@ -13,19 +13,7 @@ from mwis.relink import RelinkParams
 from mwis.solution import InfeasibleSolutionError, Solution, is_independent, \
     load_solution
 
-from conftest import graph_from, random_graph
-
-
-class FakeClock:
-    """Deterministic clock advancing a fixed tick per call."""
-
-    def __init__(self, tick=1e-6):
-        self.t = 0.0
-        self.tick = tick
-
-    def __call__(self):
-        self.t += self.tick
-        return self.t
+from conftest import FakeClock, graph_from, random_graph
 
 
 class RecordingRelinkParams(RelinkParams):

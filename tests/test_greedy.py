@@ -1,13 +1,76 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from mwis.graph import build_graph
 from mwis.greedy import GreedyConfig, adaptive_greedy, greedy, randomized_greedy
-from mwis.solution import is_independent
+from mwis.solution import Solution, is_independent
 
 from conftest import graph_from, random_graph
+
+
+def reference_eta_order(g):
+    w, adj = g.w, g.adj
+    nodes = [v for v in range(g.n) if adj[v]]
+    nodes.sort(key=lambda v: (-(w[v] / len(adj[v])), v))
+    return nodes
+
+
+class ReferenceFenwick:
+    """Fenwick tree filled by n point updates, as first written."""
+
+    def __init__(self, n):
+        self.n = n
+        self.tree = [0] * (n + 1)
+        for i in range(1, n + 1):
+            self.tree[i] += 1
+            j = i + (i & -i)
+            if j <= n:
+                self.tree[j] += self.tree[i]
+
+    def remove(self, i):
+        i += 1
+        while i <= self.n:
+            self.tree[i] -= 1
+            i += i & -i
+
+    def select(self, k):
+        pos = 0
+        step = 1 << (self.n.bit_length())
+        rem = k + 1
+        while step:
+            nxt = pos + step
+            if nxt <= self.n and self.tree[nxt] < rem:
+                pos = nxt
+                rem -= self.tree[nxt]
+            step >>= 1
+        return pos
+
+
+def reference_randomized_greedy(g, cfg, rng):
+    s = Solution(g)
+    for v in range(g.n):
+        if not g.adj[v]:
+            s.add(v)
+    order = reference_eta_order(g)
+    if not order:
+        return s
+    pos = {v: i for i, v in enumerate(order)}
+    fen = ReferenceFenwick(len(order))
+    alive = [True] * g.n
+    live = len(order)
+    while live:
+        k = max(1, math.ceil(cfg.k_fraction * live))
+        v = order[fen.select(rng.randrange(k))]
+        for u in [v] + [x for x in g.adj[v] if alive[x]]:
+            alive[u] = False
+            fen.remove(pos[u])
+            live -= 1
+        s.add(v)
+    return s
 
 
 def assert_maximal(g, s):
@@ -67,6 +130,28 @@ class TestRandomizedGreedy:
         for seed in range(5):
             s = randomized_greedy(path3, cfg, random.Random(seed))
             assert sorted(s.members()) == [0, 2]
+
+    def test_matches_reference_fenwick(self):
+        rng = random.Random(13)
+        for i in range(150):
+            n = rng.choice([0, 1, rng.randint(2, 70)])
+            g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.15, 0.5]),
+                             max_w=rng.choice([1, 3, 100]))
+            cfg = GreedyConfig(rng.choice([0.01, 0.1, 0.37, 1.0]), "randomized")
+            a, b = random.Random(i), random.Random(i)
+            assert randomized_greedy(g, cfg, a).member_list() == \
+                reference_randomized_greedy(g, cfg, b).member_list(), f"instance {i}"
+            assert a.random() == b.random()  # same number of draws
+
+    def test_eta_order_matches_reference_and_is_built_once(self):
+        rng = random.Random(14)
+        for _ in range(50):
+            n = rng.randint(0, 40)
+            g = random_graph(rng, n, rng.uniform(0.0, 0.4), max_w=rng.choice([1, 4, 100]))
+            assert g.eta_order == reference_eta_order(g)
+        g = build_graph(4, [(0, 1), (2, 3)], [0.5, 0.25, 0.1, 0.7])  # fractional etas
+        assert g.eta_order == reference_eta_order(g) == [3, 0, 1, 2]
+        assert g.eta_order is g.eta_order
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,81 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from mwis.interstate import IndexedSet, add_member, build, remove_member, \
-    state_mismatches, verify_against_rebuild
+from mwis.graph import build_graph
+from mwis.interstate import IndexedSet, InterstateState, _pair, add_member, build, \
+    remove_member, state_mismatches, verify_against_rebuild
 from mwis.solution import Solution, make_maximal
 
 from conftest import graph_from, random_graph
+
+
+def reference_build(g, s):
+    """The per-node loop `build` replaced; it fixes every insertion order."""
+    n = g.n
+    st = InterstateState(n)
+    flags = np.asarray(s._in_set, dtype=bool)
+    rho = np.zeros(n, dtype=np.int64)
+    blocked = np.zeros(n, dtype=np.float64)
+    if g.m:
+        nonempty = g.indptr[:-1] < g.indptr[1:]
+        starts = g.indptr[:-1][nonempty]
+        member_w = np.where(flags, g.weights, 0.0)
+        rho[nonempty] = np.add.reduceat(flags[g.indices].astype(np.int64), starts)
+        blocked[nonempty] = np.add.reduceat(member_w[g.indices], starts)
+        src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        if np.any(flags[src] & flags[g.indices]):
+            raise ValueError("solution is not an independent set")
+
+    in_set = s._in_set
+    st.rho = np.where(flags, 0, rho).tolist()
+    st.delta = np.where(flags, g.weights, g.weights - blocked).tolist()
+    adj = g.adj
+    for v in range(n):
+        if in_set[v]:
+            continue
+        r = st.rho[v]
+        if r == 0:
+            st.free.add(v)
+        elif r == 1:
+            u = next(x for x in adj[v] if in_set[x])
+            st.one_tight.setdefault(u, set()).add(v)
+            st.owner[v] = u
+        elif r == 2:
+            a, b = (x for x in adj[v] if in_set[x])
+            key = _pair(a, b)
+            st.mates.setdefault(a, set()).add(b)
+            st.mates.setdefault(b, set()).add(a)
+            st.two_tight.setdefault(key, set()).add(v)
+            st.tt_pair[v] = key
+        if st.delta[v] > 0:
+            st.s_plus.add(v)
+    for u in st.one_tight:
+        st.s_one.add(u)
+    for key in st.two_tight:
+        st.s_two.add(key)
+    return st
+
+
+def ordered(st):
+    """Everything of a state whose iteration order the moves depend on."""
+    def sets(d):
+        return [(k, list(v)) for k, v in d.items()]
+    return (st.rho, st.owner, list(st.tt_pair.items()), sets(st.one_tight),
+            sets(st.mates), sets(st.two_tight), list(st.free), list(st.s_plus),
+            list(st.s_one), list(st.s_two))
+
+
+def random_independent(g, rng, tries):
+    """Independent set from `tries` random insertion attempts (0: empty)."""
+    s = Solution(g)
+    for _ in range(tries):
+        v = rng.randrange(g.n)
+        if v not in s and not any(u in s for u in g.adj[v]):
+            s.add(v)
+    return s
 
 
 def churn(g, rng, steps, check_every=100, check_pruning=True):
@@ -86,6 +154,28 @@ class TestBuild:
         s.add(1)  # membership bookkeeping only; edges not checked by add()
         with pytest.raises(ValueError):
             build(path3, s)
+
+    def test_matches_reference_including_order(self):
+        rng = random.Random(31)
+        for i in range(300):
+            n = rng.choice([0, 1, 2, rng.randint(3, 80)])
+            p = rng.choice([0.0, 0.05, 0.15, 0.4, 0.8])
+            if i % 3:
+                g = random_graph(rng, n, p, max_w=rng.choice([1, 5, 100]))
+            else:  # fractional weights: sums may round differently
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < p]
+                g = build_graph(n, edges, [rng.random() * 10 for _ in range(n)])
+            tries = rng.choice([0, n // 4, 3 * n]) if n else 0
+            s = random_independent(g, rng, tries)
+            if rng.random() < 0.5:
+                make_maximal(g, s, rng)
+            st, ref = build(g, s), reference_build(g, s)
+            assert ordered(st) == ordered(ref), f"instance {i}"
+            if i % 3:
+                assert st.delta == ref.delta, f"instance {i}"
+            else:
+                assert st.delta == pytest.approx(ref.delta, rel=1e-12, abs=1e-12)
 
     def test_splus_reflects_delta_not_maximality(self):
         # maximal solution can still have positive-delta outsiders

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from mwis.graph import build_graph
-from mwis.solution import InfeasibleSolutionError, Solution, is_independent, \
-    load_solution, make_maximal, save_solution, solutions_equivalent
+from mwis.solution import InfeasibleSolutionError, Solution, free_nodes, \
+    is_independent, load_solution, make_maximal, save_solution, solutions_equivalent
 
 from conftest import graph_from, random_graph
 
@@ -83,6 +83,18 @@ class TestMakeMaximal:
         g = graph_from(3, [], [1.0, 2.0, 3.0])
         s = make_maximal(g, Solution(g), random.Random(0))
         assert sorted(s.members()) == [0, 1, 2]
+
+    def test_free_nodes_match_loop_reference(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.choice([0, 1, rng.randint(2, 60)])
+            g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.2, 0.6]))
+            # any flags, independent or not
+            s = Solution(g, [v for v in range(n) if rng.random() < rng.random()])
+            flags = s._in_set
+            expect = [v for v, nbrs in enumerate(g.adj)
+                      if not flags[v] and not any(flags[u] for u in nbrs)]
+            assert free_nodes(g, s) == expect
 
     def test_properties_on_random_graphs(self):
         rng = random.Random(11)

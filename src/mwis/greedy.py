@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -47,35 +48,6 @@ def greedy(g: Graph) -> Solution:
     return s
 
 
-class _Fenwick:
-    """Binary indexed tree over 0/1 liveness, with k-th-live selection."""
-
-    def __init__(self, n: int):
-        self.n = n
-        # all n positions start live, and tree[i] counts the i & -i of them
-        # that end at position i
-        self.tree = [i & -i for i in range(n + 1)]
-
-    def remove(self, i: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.tree[i] -= 1
-            i += i & -i
-
-    def select(self, k: int) -> int:
-        """Index of the (k+1)-th live position (0-based k)."""
-        pos = 0
-        step = 1 << (self.n.bit_length())
-        rem = k + 1
-        while step:
-            nxt = pos + step
-            if nxt <= self.n and self.tree[nxt] < rem:
-                pos = nxt
-                rem -= self.tree[nxt]
-            step >>= 1
-        return pos  # 0-based
-
-
 def randomized_greedy(g: Graph, cfg: GreedyConfig | None = None,
                       rng: random.Random | None = None) -> Solution:
     """At each step add a uniform pick among the top-k live nodes by static eta."""
@@ -87,23 +59,29 @@ def randomized_greedy(g: Graph, cfg: GreedyConfig | None = None,
         if not adj[v]:
             s.add(v)
     order = g.eta_order
-    if not order:
-        return s
     pos = [-1] * g.n  # position in order while live, -1 once claimed
     for i, v in enumerate(order):
         pos[v] = i
-    fen = _Fenwick(len(order))
+    # window holds every live position below scan, ascending, so its first
+    # k entries are the top-k live nodes
+    window: list[int] = []
+    scan = 0
     live = len(order)
     while live:
         k = max(1, math.ceil(cfg.k_fraction * live))
-        v = order[fen.select(rng.randrange(k))]
+        while len(window) < k:
+            if pos[order[scan]] >= 0:
+                window.append(scan)
+            scan += 1
+        v = order[window[rng.randrange(k)]]
         s.add(v)
         for u in (v, *adj[v]):
             i = pos[u]
             if i >= 0:
                 pos[u] = -1
-                fen.remove(i)
                 live -= 1
+                if i < scan:
+                    del window[bisect_left(window, i)]
     return s
 
 

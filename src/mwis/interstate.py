@@ -188,12 +188,17 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
 
     # S is independent, so every neighbor of v is a non-member
     adj = g.adj
+    rho, delta, s_plus = st.rho, st.delta, st.s_plus
+    in_plus = s_plus._pos
     for x in adj[v]:
-        r = st.rho[x] - 1
-        st.rho[x] = r
-        st.delta[x] += wv
-        if st.delta[x] > 0:
-            st.s_plus.add(x)
+        r = rho[x] - 1
+        rho[x] = r
+        d = delta[x] + wv
+        delta[x] = d
+        if d > 0 and x not in in_plus:
+            s_plus.add(x)
+        if r > 2:
+            continue
         if r == 0:
             st.owner[x] = -1
             st.free.add(x)
@@ -213,9 +218,9 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
             st.s_two.add(key)
 
     # v itself: rho stays 0, delta recomputed (no member neighbors remain)
-    st.delta[v] = wv
+    delta[v] = wv
     if wv > 0:
-        st.s_plus.add(v)
+        s_plus.add(v)
     st.free.add(v)
 
 
@@ -228,10 +233,13 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
     st.s_plus.discard(u)
     wu = g.w[u]
 
+    rho, delta = st.rho, st.delta
     for x in g.adj[u]:
-        r = st.rho[x] + 1
-        st.rho[x] = r
-        st.delta[x] -= wu
+        r = rho[x] + 1
+        rho[x] = r
+        delta[x] -= wu
+        if r > 3:
+            continue
         if r == 1:
             st.free.discard(x)
             st.one_tight.setdefault(u, set()).add(x)

@@ -142,6 +142,17 @@ class TestRandomizedGreedy:
             assert randomized_greedy(g, cfg, a).member_list() == \
                 reference_randomized_greedy(g, cfg, b).member_list(), f"instance {i}"
             assert a.random() == b.random()  # same number of draws
+        # large enough that the pick window holds hundreds of positions
+        from mwis.generate import random_gnp
+
+        for seed in range(3):
+            g = random_gnp(3000, 0.002, seed=seed)
+            for frac in (0.01, 0.1, 1.0):
+                cfg = GreedyConfig(frac, "randomized")
+                a, b = random.Random(seed), random.Random(seed)
+                assert randomized_greedy(g, cfg, a).member_list() == \
+                    reference_randomized_greedy(g, cfg, b).member_list(), (seed, frac)
+                assert a.random() == b.random()
 
     def test_eta_order_matches_reference_and_is_built_once(self):
         rng = random.Random(14)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mwis.graph import build_graph
-from mwis.interstate import IndexedSet, InterstateState, _pair, add_member, build, \
-    remove_member, state_mismatches, verify_against_rebuild
+from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, _pair, \
+    add_member, build, remove_member, state_mismatches, verify_against_rebuild
 from mwis.solution import Solution, make_maximal
 
 from conftest import graph_from, random_graph
@@ -58,6 +58,105 @@ def reference_build(g, s):
     for key in st.two_tight:
         st.s_two.add(key)
     return st
+
+
+def reference_remove_member(st, g, s, v):
+    """`remove_member` before its loop bound locals; it fixes every insertion order."""
+    s.remove(v)
+    wv = g.w[v]
+    in_set = s._in_set
+    st.one_tight.pop(v, None)
+    st.s_one.discard(v)
+    for m in st.mates.pop(v, set()):
+        key = _pair(v, m)
+        st.two_tight.pop(key, None)
+        mm = st.mates.get(m)
+        if mm is not None:
+            mm.discard(v)
+            if not mm:
+                del st.mates[m]
+        st.s_two.discard(key)
+    adj = g.adj
+    for x in adj[v]:
+        r = st.rho[x] - 1
+        st.rho[x] = r
+        st.delta[x] += wv
+        if st.delta[x] > 0:
+            st.s_plus.add(x)
+        if r == 0:
+            st.owner[x] = -1
+            st.free.add(x)
+        elif r == 1:
+            key = st.tt_pair.pop(x)
+            other = key[0] if key[1] == v else key[1]
+            st.one_tight.setdefault(other, set()).add(x)
+            st.owner[x] = other
+            _one_tight_changed(st, other, gained=True)
+        elif r == 2:
+            a, b = (y for y in adj[x] if in_set[y])
+            key = _pair(a, b)
+            st.mates.setdefault(a, set()).add(b)
+            st.mates.setdefault(b, set()).add(a)
+            st.two_tight.setdefault(key, set()).add(x)
+            st.tt_pair[x] = key
+            st.s_two.add(key)
+    st.delta[v] = wv
+    if wv > 0:
+        st.s_plus.add(v)
+    st.free.add(v)
+
+
+def reference_add_member(st, g, s, u):
+    """`add_member` before its loop bound locals; it fixes every insertion order."""
+    s.add(u)
+    st.free.discard(u)
+    st.s_plus.discard(u)
+    wu = g.w[u]
+    for x in g.adj[u]:
+        r = st.rho[x] + 1
+        st.rho[x] = r
+        st.delta[x] -= wu
+        if r == 1:
+            st.free.discard(x)
+            st.one_tight.setdefault(u, set()).add(x)
+            st.owner[x] = u
+            _one_tight_changed(st, u, gained=True)
+        elif r == 2:
+            prev = st.owner[x]
+            st.owner[x] = -1
+            po = st.one_tight.get(prev)
+            if po is not None:
+                po.discard(x)
+                if not po:
+                    del st.one_tight[prev]
+            _one_tight_changed(st, prev, gained=False)
+            key = _pair(u, prev)
+            st.mates.setdefault(u, set()).add(prev)
+            st.mates.setdefault(prev, set()).add(u)
+            st.two_tight.setdefault(key, set()).add(x)
+            st.tt_pair[x] = key
+            st.s_two.add(key)
+        elif r == 3:
+            key = st.tt_pair.pop(x)
+            a, b = key
+            tt = st.two_tight.get(key)
+            if tt is not None:
+                tt.discard(x)
+                if not tt:
+                    del st.two_tight[key]
+                    st.s_two.discard(key)
+                    ma = st.mates.get(a)
+                    if ma is not None:
+                        ma.discard(b)
+                        if not ma:
+                            del st.mates[a]
+                    mb = st.mates.get(b)
+                    if mb is not None:
+                        mb.discard(a)
+                        if not mb:
+                            del st.mates[b]
+                else:
+                    st.s_two.add(key)
 
 
 def ordered(st):
@@ -283,6 +382,38 @@ class TestVerification:
             n = rng.randint(20, 80)
             g = random_graph(rng, n, rng.uniform(0.05, 0.3))
             churn(g, rng, steps=1000)
+
+    def test_updates_match_reference_including_order(self):
+        # the moves draw random numbers while iterating these sets, so their
+        # order after every update is part of the solver's determinism
+        rng = random.Random(6)
+        for i in range(100):
+            n = rng.randint(1, 60)
+            g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.3]),
+                             max_w=rng.choice([0, 1, 100]))
+            s = random_independent(g, rng, rng.randint(0, n))
+            s_ref = s.copy()
+            st, ref = build(g, s), build(g, s_ref)
+            for step in range(150):
+                members = s.member_list()
+                free = list(st.free)
+                if members and (not free or rng.random() < 0.45):
+                    v = members[rng.randrange(len(members))]
+                    remove_member(st, g, s, v)
+                    reference_remove_member(ref, g, s_ref, v)
+                else:
+                    u = free[rng.randrange(len(free))]
+                    add_member(st, g, s, u)
+                    reference_add_member(ref, g, s_ref, u)
+                assert ordered(st) == ordered(ref), f"instance {i} step {step}"
+                assert st.delta == ref.delta, f"instance {i} step {step}"
+                # prune the queues as failed move evaluations do, so that
+                # re-insertions land in them again
+                for queue, ref_queue in ((st.s_one, ref.s_one), (st.s_two, ref.s_two)):
+                    if len(queue) and rng.random() < 0.5:
+                        x = list(queue)[rng.randrange(len(queue))]
+                        queue.discard(x)
+                        ref_queue.discard(x)
 
     def test_splus_completeness_under_churn(self):
         rng = random.Random(5)

@@ -5,7 +5,7 @@ from .generate import GenSpec, generate_graph, random_gnp
 from .graph import Graph, GraphFormatError, build_graph, is_edge, load_graph, save_graph
 from .greedy import GreedyConfig, adaptive_greedy, greedy, randomized_greedy
 from .interstate import InterstateState, add_member, build, remove_member, \
-    verify_against_rebuild
+    state_mismatches
 from .local_search import LocalSearchParams, MoveEngine, MoveOutcome, local_search
 from .lp_bias import RelaxedSolution, load_relaxed, make_relaxed, sample_biased
 from .oracle import ExactResult, exact_mwis, exact_subset
@@ -24,5 +24,5 @@ __all__ = [
     "is_independent", "load_graph", "load_relaxed", "load_solution", "local_search",
     "make_maximal", "make_relaxed", "path_relink", "random_gnp", "randomized_greedy",
     "remove_member", "run", "sample_biased", "save_graph", "save_solution",
-    "solutions_equivalent", "verify_against_rebuild",
+    "solutions_equivalent", "state_mismatches",
 ]

@@ -15,16 +15,16 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import driver, generate, oracle
+from .driver import RunConfig
 from .graph import GraphFormatError, load_graph, save_graph
 from .greedy import GreedyConfig
 from .local_search import LocalSearchParams
-from .lp_bias import load_relaxed
+from .lp_bias import DEFAULT_EPSILON, load_relaxed
 from .relink import RelinkParams
-from .solution import InfeasibleSolutionError, load_solution
+from .solution import InfeasibleSolutionError, load_solution, save_solution
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -32,42 +32,45 @@ EXIT_INFEASIBLE = 2
 
 
 def _add_solve_parser(sub) -> None:
+    """Every solver default comes from its config class (or lp_bias)."""
+    rc, gr = RunConfig, GreedyConfig
+    ls, rl = LocalSearchParams, RelinkParams
     p = sub.add_parser("solve", help="run the metaheuristic solver")
     p.add_argument("--graph", required=True)
     p.add_argument("--format", default="edge-list", choices=["edge-list", "metis"])
-    p.add_argument("--time-limit", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--time-limit", type=float, default=rc.time_limit)
+    p.add_argument("--seed", type=int, default=rc.seed)
     p.add_argument("--seeds", type=str, default=None,
-                   help="comma-separated seeds, run concurrently (overrides --seed)")
+                   help="comma-separated seeds, run one after another (overrides --seed)")
     p.add_argument("--initial", default=None, help="initial solution file")
     p.add_argument("--relaxed", default=None, help="relaxed LP solution file")
     p.add_argument("--trace", default=None, help="trace CSV output path")
     p.add_argument("--solution-out", default=None, help="write best solution node IDs here")
-    p.add_argument("--elite-size", type=int, default=1)
+    p.add_argument("--elite-size", type=int, default=rc.elite_capacity)
     p.add_argument("--ls-before-relinking", action="store_true")
-    p.add_argument("--greedy-mode", default="adaptive",
+    p.add_argument("--greedy-mode", default=gr.mode,
                    choices=["deterministic", "randomized", "adaptive"])
-    p.add_argument("--greedy-k-fraction", type=float, default=0.10)
-    p.add_argument("--num-iterations", type=int, default=64)
-    p.add_argument("--exact-recursion-limit", type=int, default=7)
-    p.add_argument("--aap-max-len", type=int, default=32)
-    p.add_argument("--aap-gain-floor", type=float, default=None)
-    p.add_argument("--aap-delta", type=float, default=50.0)
-    p.add_argument("--perturb-count", type=int, default=1)
-    p.add_argument("--relink-f0", type=float, default=0.9998)
-    p.add_argument("--relink-cn0", type=float, default=1.0)
-    p.add_argument("--relink-cp0", type=float, default=0.1)
-    p.add_argument("--relink-f-decay", type=float, default=0.9998)
-    p.add_argument("--relink-budget-growth", type=float, default=1.5)
-    p.add_argument("--relink-budget-mode", default="absolute",
+    p.add_argument("--greedy-k-fraction", type=float, default=gr.k_fraction)
+    p.add_argument("--num-iterations", type=int, default=ls.num_iterations)
+    p.add_argument("--exact-recursion-limit", type=int, default=ls.exact_recursion_limit)
+    p.add_argument("--aap-max-len", type=int, default=ls.aap_max_len)
+    p.add_argument("--aap-gain-floor", type=float, default=ls.aap_gain_floor)
+    p.add_argument("--aap-delta", type=float, default=ls.aap_delta)
+    p.add_argument("--perturb-count", type=int, default=ls.perturb_count)
+    p.add_argument("--relink-f0", type=float, default=rl.f0)
+    p.add_argument("--relink-cn0", type=float, default=rl.c_n0)
+    p.add_argument("--relink-cp0", type=float, default=rl.c_p0)
+    p.add_argument("--relink-f-decay", type=float, default=rl.f_decay)
+    p.add_argument("--relink-budget-growth", type=float, default=rl.budget_growth)
+    p.add_argument("--relink-budget-mode", default=rl.budget_mode,
                    choices=["absolute", "fraction"])
-    p.add_argument("--lp-epsilon", type=float, default=0.005)
-    p.add_argument("--check-interstate-every", type=int, default=0,
+    p.add_argument("--lp-epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--check-interstate-every", type=int, default=rc.check_interstate_every,
                    help="debug: verify the interstate graph every N committed moves")
 
 
-def _config_for(args, seed: int) -> driver.RunConfig:
-    return driver.RunConfig(
+def _config_for(args, seed: int) -> RunConfig:
+    return RunConfig(
         time_limit=args.time_limit,
         seed=seed,
         ls_before_relinking=args.ls_before_relinking,
@@ -81,7 +84,6 @@ def _config_for(args, seed: int) -> driver.RunConfig:
             aap_delta=args.aap_delta,
             perturb_count=args.perturb_count),
         relink_params=RelinkParams(
-            f=args.relink_f0, c_n=args.relink_cn0, c_p=args.relink_cp0,
             f0=args.relink_f0, c_n0=args.relink_cn0, c_p0=args.relink_cp0,
             f_decay=args.relink_f_decay, budget_growth=args.relink_budget_growth,
             budget_mode=args.relink_budget_mode),
@@ -108,30 +110,18 @@ def _cmd_solve(args) -> int:
             return EXIT_INFEASIBLE
     relaxed = load_relaxed(args.relaxed, g, args.lp_epsilon) if args.relaxed else None
     seeds = ([int(t) for t in args.seeds.split(",")] if args.seeds else [args.seed])
-    configs = [_config_for(args, seed) for seed in seeds]
-
-    results = []
-    if len(configs) == 1:
-        results.append(driver.run(g, configs[0], initial=initial, relaxed=relaxed))
-    else:
-        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
-            futures = [pool.submit(driver.run, g, cfg, None, initial, relaxed)
-                       for cfg in configs]
-            results = [f.result() for f in futures]
-
     summaries = []
     best_overall = None
-    for cfg, (best, trace) in zip(configs, results):
+    for seed in seeds:
+        cfg = _config_for(args, seed)
+        best, trace = driver.run(g, cfg, initial=initial, relaxed=relaxed)
         if args.trace:
-            driver.write_trace_csv(
-                trace, _trace_path_for(args.trace, cfg.seed, len(configs) > 1))
+            driver.write_trace_csv(trace, _trace_path_for(args.trace, seed, len(seeds) > 1))
         summaries.append(driver.summarize(g, cfg, best, trace))
         if best_overall is None or best.total_weight > best_overall.total_weight:
             best_overall = best
     if args.solution_out:
-        with open(args.solution_out, "w", encoding="utf-8") as f:
-            for v in best_overall.members():
-                f.write(f"{v}\n")
+        save_solution(best_overall, args.solution_out)
     if len(summaries) == 1:
         print(driver.summary_json(summaries[0]), end="")
     else:

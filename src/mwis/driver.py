@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .graph import Graph
 from .greedy import GreedyConfig, build_initial, randomized_greedy
+from .interstate import state_mismatches
 from .local_search import LocalSearchParams, local_search
 from .lp_bias import RelaxedSolution
 from .relink import RelinkParams, path_relink
@@ -79,11 +80,26 @@ class RunConfig:
     greedy: GreedyConfig = field(default_factory=GreedyConfig)
     ls_params: LocalSearchParams = field(default_factory=LocalSearchParams)
     relink_params: RelinkParams = field(default_factory=RelinkParams)
-    check_interstate_every: int = 0
+    check_interstate_every: int = 0  # debug: rebuild-compare every N committed moves
 
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be > 0")
+
+
+def _interstate_check(every: int):
+    """on_commit hook that compares the engine's interstate structure with a
+    rebuild after every `every`-th committed move of the run."""
+    commits = 0
+
+    def check(engine, out) -> None:
+        nonlocal commits
+        commits += 1
+        if commits % every == 0:
+            bad = state_mismatches(engine.state, engine.g, engine.s)
+            if bad:
+                raise AssertionError(f"interstate drift after {out.kind}: {bad[:4]}")
+    return check
 
 
 def run(g: Graph, config: RunConfig, clock=None,
@@ -108,8 +124,9 @@ def run(g: Graph, config: RunConfig, clock=None,
         trace.append(TraceEvent(elapsed=clock() - t0, best_weight=best_w, event=event))
 
     emit("init")
+    every = config.check_interstate_every
     ls_kwargs = dict(deadline=deadline_at, clock=clock,
-                     check_every=config.check_interstate_every)
+                     on_commit=_interstate_check(every) if every else None)
 
     s = local_search(g, s, config.ls_params, rng, relaxed, **ls_kwargs)
     best = s.copy()

@@ -11,6 +11,7 @@ first use.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -88,13 +89,12 @@ class Graph:
 def is_edge(g: Graph, u: int, v: int) -> bool:
     """True iff {u,v} is an edge. Binary search on the lower-degree endpoint."""
     assert 0 <= u < g.n and 0 <= v < g.n
-    if u == v:
-        return False
-    if g.degree(u) > g.degree(v):
+    adj = g.adj
+    if len(adj[u]) > len(adj[v]):
         u, v = v, u
-    adj = g.neighbors(u)
-    i = int(np.searchsorted(adj, v))
-    return i < len(adj) and int(adj[i]) == v
+    nbrs = adj[u]
+    i = bisect_left(nbrs, v)
+    return i < len(nbrs) and nbrs[i] == v
 
 
 def build_graph(n: int, edges, weights, parse_warnings: int = 0) -> Graph:

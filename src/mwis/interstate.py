@@ -284,11 +284,6 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
                     st.s_two.add(key)
 
 
-def verify_against_rebuild(st: InterstateState, g: Graph, s: Solution,
-                           check_pruning: bool = False) -> bool:
-    return not state_mismatches(st, g, s, check_pruning)
-
-
 def state_mismatches(st: InterstateState, g: Graph, s: Solution,
                      check_pruning: bool = False) -> list[str]:
     """Compare st with a from-scratch rebuild; empty list means consistent.

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graph import Graph
-from .interstate import _pair, add_member, build, remove_member, state_mismatches
+from .graph import Graph, is_edge
+from .interstate import _pair, add_member, build, remove_member
 from .lp_bias import RelaxedSolution, sample_biased
 from .oracle import max_weight_subset
 from .solution import Solution, make_maximal
@@ -40,11 +39,10 @@ class LocalSearchParams:
 
 @dataclass
 class MoveOutcome:
-    improved: bool
     gain: float
-    nodes_added: list[int] = field(default_factory=list)
-    nodes_removed: list[int] = field(default_factory=list)
-    kind: str = ""
+    nodes_added: list[int]
+    nodes_removed: list[int]
+    kind: str
 
 
 class MoveEngine:
@@ -52,18 +50,13 @@ class MoveEngine:
 
     def __init__(self, g: Graph, s: Solution, rng: random.Random,
                  params: LocalSearchParams | None = None,
-                 bias: RelaxedSolution | None = None,
-                 move_log: list[MoveOutcome] | None = None,
-                 on_commit=None, check_every: int = 0):
+                 bias: RelaxedSolution | None = None, on_commit=None):
         self.g = g
         self.s = s
         self.rng = rng
         self.params = params or LocalSearchParams()
         self.bias = bias
-        self.move_log = move_log
-        self.on_commit = on_commit
-        self.check_every = check_every
-        self._commits = 0
+        self.on_commit = on_commit  # called as on_commit(engine, MoveOutcome)
         self.w = g.w
         self.adj = g.adj
         self.state = build(g, s)
@@ -74,14 +67,6 @@ class MoveEngine:
         self.aap_gain_floor = floor
 
     # -- plumbing ---------------------------------------------------------
-
-    def _adjacent(self, u: int, v: int) -> bool:
-        adj = self.adj
-        if len(adj[u]) > len(adj[v]):
-            u, v = v, u
-        nbrs = adj[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
 
     def _member_neighbors(self, v: int) -> list[int]:
         in_set = self.s._in_set
@@ -97,20 +82,10 @@ class MoveEngine:
             added.append(v)
         return added
 
-    def _commit(self, kind: str, added: list[int], removed: list[int],
-                improved: bool = True) -> None:
-        if self.move_log is not None or self.on_commit is not None:
+    def _commit(self, kind: str, added: list[int], removed: list[int]) -> None:
+        if self.on_commit is not None:
             gain = sum(self.w[v] for v in added) - sum(self.w[v] for v in removed)
-            out = MoveOutcome(improved=improved, gain=gain, nodes_added=added,
-                              nodes_removed=removed, kind=kind)
-            if self.move_log is not None:
-                self.move_log.append(out)
-            if self.on_commit is not None:
-                self.on_commit(self, out)
-        self._commits += 1
-        if self.check_every and self._commits % self.check_every == 0:
-            bad = state_mismatches(self.state, self.g, self.s)
-            assert not bad, f"interstate drift after {kind}: {bad[:4]}"
+            self.on_commit(self, MoveOutcome(gain, added, removed, kind))
 
     # -- move procedures --------------------------------------------------
 
@@ -162,7 +137,7 @@ class MoveEngine:
         masks = [0] * len(cand)
         for i, u in enumerate(cand):
             for j in range(i + 1, len(cand)):
-                if self._adjacent(u, cand[j]):
+                if is_edge(self.g, u, cand[j]):
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
         best_w, chosen_mask = max_weight_subset([self.w[u] for u in cand], masks)
@@ -173,7 +148,7 @@ class MoveEngine:
         chosen: list[int] = []
         total = 0.0
         for u in cand:
-            if not any(self._adjacent(u, c) for c in chosen):
+            if not any(is_edge(self.g, u, c) for c in chosen):
                 chosen.append(u)
                 total += self.w[u]
         return total, chosen
@@ -185,7 +160,7 @@ class MoveEngine:
         the pair's pool; only a success is replayed as real state updates,
         so a failed pair stays pruned until a real change.
         """
-        st, s = self.state, self.s
+        st, s, g = self.state, self.s, self.g
         w = self.w
         in_set = s._in_set
         while len(st.s_two):
@@ -209,12 +184,12 @@ class MoveEngine:
                 c = open_now[self.rng.randrange(len(open_now))]
                 added.append(c)
                 gained += w[c]
-                open_now = [x for x in open_now if x != c and not self._adjacent(c, x)]
+                open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
             if gained > w[u] + w[v]:
-                remove_member(st, self.g, s, u)
-                remove_member(st, self.g, s, v)
+                remove_member(st, g, s, u)
+                remove_member(st, g, s, v)
                 for c in added:
-                    add_member(st, self.g, s, c)
+                    add_member(st, g, s, c)
                 extra = self._maximalize()
                 net_added = [x for x in added + extra if x not in (u, v)]
                 net_removed = [x for x in (u, v) if x not in set(extra)]
@@ -240,7 +215,7 @@ class MoveEngine:
         return improved
 
     def _aap_from(self, v: int) -> bool:
-        st = self.state
+        st, g = self.state, self.g
         w = self.w
         rng = self.rng
         delta = self.params.aap_delta
@@ -270,7 +245,7 @@ class MoveEngine:
                 for x in st.two_tight[_pair(u, mate)]:
                     if x in on_path:
                         continue
-                    if any(self._adjacent(x, o) for o in path_out):
+                    if any(is_edge(g, x, o) for o in path_out):
                         continue
                     score = gain + step_base + w[x] + rng.uniform(-delta, delta)
                     if score > best_score:
@@ -293,9 +268,9 @@ class MoveEngine:
         flip_in = path_in[:best_pairs]
         flip_out = path_out[:best_pairs]
         for m in flip_in:
-            remove_member(st, self.g, self.s, m)
+            remove_member(st, g, self.s, m)
         for o in flip_out:
-            add_member(st, self.g, self.s, o)
+            add_member(st, g, self.s, o)
         extra = self._maximalize()
         self._commit("aap", flip_out + extra, flip_in)
         return True
@@ -304,8 +279,7 @@ class MoveEngine:
         """Force random (optionally LP-biased) nodes into S, then re-maximalize."""
         st, s = self.state, self.s
         forced_any = False
-        before = s.as_frozenset() if (self.move_log is not None
-                                      or self.on_commit is not None) else None
+        before = s.as_frozenset() if self.on_commit is not None else None
         for _ in range(self.params.perturb_count):
             target = self._perturb_target()
             if target is None:
@@ -319,10 +293,7 @@ class MoveEngine:
         self._maximalize()
         if before is not None:
             after = s.as_frozenset()
-            self._commit("perturb", sorted(after - before), sorted(before - after),
-                         improved=False)
-        else:
-            self._commit("perturb", [], [], improved=False)
+            self._commit("perturb", sorted(after - before), sorted(before - after))
 
     def _perturb_target(self) -> int | None:
         s = self.s
@@ -347,19 +318,20 @@ def local_search(g: Graph, s0: Solution, params: LocalSearchParams | None = None
                  rng: random.Random | None = None,
                  bias: RelaxedSolution | None = None, *,
                  deadline: float | None = None, clock=time.monotonic,
-                 move_log: list[MoveOutcome] | None = None,
-                 on_commit=None, check_every: int = 0) -> Solution:
+                 on_commit=None) -> Solution:
     """Run the full move loop from s0 (maximalized on entry); return best seen.
 
     The clock is consulted between move procedures only; on deadline the last
     clean snapshot is returned, so outputs are always maximal with delta <= 0
-    everywhere outside the set.
+    everywhere outside the set. on_commit, when given, is called as
+    on_commit(engine, MoveOutcome) after every committed move, perturbations
+    included.
     """
     params = params or LocalSearchParams()
     rng = rng or random.Random()
     s = s0.copy()
     make_maximal(g, s, rng)
-    engine = MoveEngine(g, s, rng, params, bias, move_log, on_commit, check_every)
+    engine = MoveEngine(g, s, rng, params, bias, on_commit)
     # Drain S+ before the first snapshot: every snapshot this function can
     # return then satisfies delta(u) <= 0 outside the set, even on timeout.
     engine.star_one_moves()

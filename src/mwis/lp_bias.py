@@ -92,22 +92,11 @@ def load_relaxed(path: str, g: Graph, epsilon: float = DEFAULT_EPSILON) -> Relax
     return make_relaxed(values, epsilon)
 
 
-def _locate(prefix: np.ndarray, z: float) -> tuple[int, int]:
-    """Least index i with prefix[i] > z, plus the number of probes used."""
-    lo, hi = 0, len(prefix) - 1
-    probes = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probes += 1
-        if prefix[mid] > z:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo, probes
-
-
 def sample_biased(rs: RelaxedSolution, rng: random.Random) -> int:
-    """Draw a node with P(v) = (x_v + eps) / sum(x_u + eps)."""
+    """Draw a node with P(v) = (x_v + eps) / sum(x_u + eps).
+
+    The node is the least i with prefix[i] > z; a draw z that rounds up to the
+    total picks the last node.
+    """
     z = rng.random() * rs.total
-    node, _ = _locate(rs.prefix, z)
-    return node
+    return min(int(np.searchsorted(rs.prefix, z, side="right")), len(rs.prefix) - 1)

@@ -13,7 +13,7 @@ and resets on any weight change.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Graph
 from .solution import Solution, make_maximal
@@ -27,25 +27,28 @@ BUDGET_GROWTH = 1.5
 
 @dataclass
 class RelinkParams:
-    f: float = F0
-    c_n: float = CN0
-    c_p: float = CP0
     f0: float = F0
     c_n0: float = CN0
     c_p0: float = CP0
     f_decay: float = F_DECAY
     budget_growth: float = BUDGET_GROWTH
     budget_mode: str = "absolute"  # or "fraction" of |source ^ guide|
+    # the live schedule: starts at (f0, c_n0, c_p0), moved only by
+    # on_stagnation and reset
+    f: float = field(init=False)
+    c_n: float = field(init=False)
+    c_p: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.f0 <= 1.0 or not 0.0 < self.f <= self.f0:
-            raise ValueError("need 0 < f <= f0 <= 1")
-        if self.c_p0 >= self.c_n0 or self.c_p > self.c_n:
+        if not 0.0 < self.f0 <= 1.0:
+            raise ValueError("need 0 < f0 <= 1")
+        if self.c_p0 >= self.c_n0:
             raise ValueError("positive budget must stay below the negative budget")
         if self.budget_growth <= 1.0 or not 0.0 < self.f_decay <= 1.0:
             raise ValueError("bad schedule multipliers")
         if self.budget_mode not in ("absolute", "fraction"):
             raise ValueError(f"unknown budget mode {self.budget_mode!r}")
+        self.f, self.c_n, self.c_p = self.f0, self.c_n0, self.c_p0
 
     def on_stagnation(self) -> None:
         self.f *= self.f_decay

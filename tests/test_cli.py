@@ -3,13 +3,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from mwis import driver
 from mwis.cli import main
+from mwis.driver import RunConfig, TraceEvent
 from mwis.generate import GenSpec, generate_graph
 from mwis.graph import load_graph, save_graph
+from mwis.lp_bias import DEFAULT_EPSILON
 from mwis.oracle import exact_mwis
+from mwis.solution import Solution
 
 
 def run_cli(*args):
@@ -146,6 +151,41 @@ class TestSolve:
                                             for run in merged["runs"])
         assert (tmp_path / "t-seed1.csv").exists()
         assert (tmp_path / "t-seed2.csv").exists()
+
+    def test_seeds_run_one_after_another(self, tmp_path, monkeypatch, capsys):
+        path, g = gen_file(tmp_path, "s.g",
+                           GenSpec(model="gnp", n=10, p=0.3, seed=8))
+        running, order = [], []
+
+        def fake_run(graph, cfg, clock=None, initial=None, relaxed=None):
+            running.append(cfg.seed)
+            assert running == [cfg.seed], f"seed runs overlap: {running}"
+            time.sleep(0.05)  # room for a concurrent caller to overlap
+            order.append(cfg.seed)
+            running.remove(cfg.seed)
+            return Solution(graph), [TraceEvent(0.0, 0.0, "final")]
+
+        monkeypatch.setattr(driver, "run", fake_run)
+        assert main(["solve", "--graph", path, "--seeds", "3,1,2"]) == 0
+        assert order == [3, 1, 2]
+        assert len(json.loads(capsys.readouterr().out)["runs"]) == 3
+
+    def test_default_arguments_build_default_config(self, tmp_path, monkeypatch, capsys):
+        path, g = gen_file(tmp_path, "s.g",
+                           GenSpec(model="gnp", n=10, p=0.3, seed=8))
+        rs = tmp_path / "rs.txt"
+        rs.write_text("0.5\n" * g.n)
+        seen = []
+
+        def fake_run(graph, cfg, clock=None, initial=None, relaxed=None):
+            seen.append((cfg, relaxed))
+            return Solution(graph), [TraceEvent(0.0, 0.0, "final")]
+
+        monkeypatch.setattr(driver, "run", fake_run)
+        assert main(["solve", "--graph", path, "--relaxed", str(rs)]) == 0
+        [(cfg, relaxed)] = seen
+        assert cfg == RunConfig()
+        assert relaxed.epsilon == DEFAULT_EPSILON
 
     def test_in_process_entry_point(self, tmp_path, capsys):
         path, g = gen_file(tmp_path, "s.g",

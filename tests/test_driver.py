@@ -5,6 +5,7 @@ import random
 import pytest
 from scipy import stats
 
+from mwis import driver
 from mwis.driver import EliteSet, RunConfig, run, summarize, trace_csv
 from mwis.graph import build_graph
 from mwis.lp_bias import load_relaxed
@@ -202,6 +203,36 @@ class TestRun:
         run(g, RunConfig(time_limit=0.2, seed=5))
         # generous bound: small instances finish procedures in microseconds
         assert _time.monotonic() - t0 < 5.0
+
+    def test_interstate_check_every_n_commits(self, monkeypatch):
+        g = random_graph(random.Random(19), 30, 0.2)
+
+        def checked_run(every):
+            cfg = RunConfig(time_limit=0.004, seed=7, check_interstate_every=every)
+            return trace_csv(run(g, cfg, clock=FakeClock())[1])
+
+        plain = checked_run(0)
+        assert checked_run(1) == plain  # the real check passes and changes nothing
+
+        calls = []
+
+        def no_drift(st, g, s):
+            calls.append(s.total_weight)
+            return []
+
+        monkeypatch.setattr(driver, "state_mismatches", no_drift)
+        assert checked_run(0) == plain and not calls  # off: never called
+        checked_run(1)
+        commits = len(calls)
+        assert commits > 3
+        calls.clear()
+        checked_run(3)
+        assert len(calls) == commits // 3
+
+        monkeypatch.setattr(driver, "state_mismatches",
+                            lambda st, g, s: ["rho[0]=9 expected 0"])
+        with pytest.raises(AssertionError, match="interstate drift"):
+            checked_run(1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 from mwis.graph import build_graph
 from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, _pair, \
-    add_member, build, remove_member, state_mismatches, verify_against_rebuild
+    add_member, build, remove_member, state_mismatches
 from mwis.solution import Solution, make_maximal
 
 from conftest import graph_from, random_graph
@@ -294,7 +294,7 @@ class TestSingleUpdates:
         assert st.rho == [0, 0, 0]
         assert st.delta[1] == 5.0
         assert 1 in st.s_plus
-        assert verify_against_rebuild(st, path3, s)
+        assert not state_mismatches(st, path3, s)
 
     def test_remove_dissolves_mates(self, cycle4):
         s = Solution(cycle4, [0, 2])
@@ -304,7 +304,7 @@ class TestSingleUpdates:
         assert st.rho[1] == 1 and st.rho[3] == 1
         assert st.one_tight.get(2) == {1, 3}
         assert 2 in st.s_one
-        assert verify_against_rebuild(st, cycle4, s)
+        assert not state_mismatches(st, cycle4, s)
 
     def test_add_creates_one_tight(self, path3):
         s = Solution(path3)
@@ -313,7 +313,7 @@ class TestSingleUpdates:
         assert st.one_tight == {1: {0, 2}}
         assert 1 in st.s_one
         assert st.delta[0] == 3.0 - 5.0
-        assert verify_against_rebuild(st, path3, s)
+        assert not state_mismatches(st, path3, s)
 
     def test_add_creates_mate_pair(self, cycle4):
         s = Solution(cycle4, [0])
@@ -322,7 +322,7 @@ class TestSingleUpdates:
         assert st.mates == {0: {2}, 2: {0}}
         assert st.two_tight == {(0, 2): {1, 3}}
         assert (0, 2) in st.s_two
-        assert verify_against_rebuild(st, cycle4, s)
+        assert not state_mismatches(st, cycle4, s)
 
     def test_add_isolated_only_membership(self):
         g = graph_from(3, [(0, 1)], [1.0, 1.0, 4.0])
@@ -331,7 +331,7 @@ class TestSingleUpdates:
         add_member(st, g, s, 2)
         assert st.rho == [0, 0, 0]
         assert not st.one_tight
-        assert verify_against_rebuild(st, g, s)
+        assert not state_mismatches(st, g, s)
 
     def test_remove_then_readd_round_trip(self, cycle4):
         rng = random.Random(0)
@@ -356,7 +356,7 @@ class TestVerification:
         rng = random.Random(1)
         g = random_graph(rng, 50, 0.15)
         s = make_maximal(g, Solution(g), rng)
-        assert verify_against_rebuild(build(g, s), g, s)
+        assert not state_mismatches(build(g, s), g, s)
 
     def test_corruption_detected(self):
         rng = random.Random(2)
@@ -365,7 +365,7 @@ class TestVerification:
         st = build(g, s)
         victim = next(v for v in range(g.n) if v not in s)
         st.rho[victim] += 1
-        assert not verify_against_rebuild(st, g, s)
+        assert state_mismatches(st, g, s)
 
     def test_delta_tolerance_is_relative(self):
         rng = random.Random(3)
@@ -374,7 +374,7 @@ class TestVerification:
         st = build(g, s)
         victim = next(v for v in range(g.n) if v not in s)
         st.delta[victim] += 1.0  # way beyond 1e-9 relative
-        assert not verify_against_rebuild(st, g, s)
+        assert state_mismatches(st, g, s)
 
     def test_churn_small(self):
         rng = random.Random(4)

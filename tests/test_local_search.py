@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mwis.interstate import build, verify_against_rebuild
+from mwis.interstate import build, state_mismatches
 from mwis.local_search import LocalSearchParams, MoveEngine, local_search
 from mwis.oracle import exact_mwis
 from mwis.solution import Solution, is_independent, make_maximal
@@ -48,7 +48,7 @@ class TestStarOne:
         assert eng.star_one_moves()
         assert eng.s.total_weight >= w0 + 3.0
         assert sorted(eng.s.members()) == [0]
-        assert verify_against_rebuild(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state, g, eng.s)
 
     def test_local_optimum_returns_false(self):
         g = graph_from(3, [(0, 1), (0, 2)], [5.0, 3.0, 4.0])
@@ -111,7 +111,7 @@ class TestTwoStar:
         assert sorted(eng.s.members()) == [2, 3, 4]
         assert eng.s.total_weight == 6.0
         assert_maximal(g, eng.s)
-        assert verify_against_rebuild(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state, g, eng.s)
 
     def test_unprofitable_pair_rolls_back_and_prunes(self):
         edges = [(0, 2), (1, 2), (0, 3), (1, 3)]
@@ -121,7 +121,7 @@ class TestTwoStar:
         assert not eng.two_star_moves()
         assert sorted(eng.s.members()) == [0, 1]
         assert len(eng.state.s_two) == 0  # pruned until the next change
-        assert verify_against_rebuild(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state, g, eng.s)
 
     def test_empty_s2_returns_false(self, path3):
         eng = engine_on(path3, [1])
@@ -136,7 +136,8 @@ class TestTwoStar:
         g = graph_from(8, edges, w)
         log = []
         s = Solution(g, [0, 1, 4, 5])
-        eng = MoveEngine(g, s, random.Random(1), LocalSearchParams(), move_log=log)
+        eng = MoveEngine(g, s, random.Random(1), LocalSearchParams(),
+                         on_commit=lambda _, out: log.append(out))
         assert eng.two_star_moves()
         assert len([o for o in log if o.kind == "two_star"]) == 1
 
@@ -150,7 +151,7 @@ class TestAap:
         assert sorted(eng.s.members()) == [0, 2]
         assert eng.s.total_weight == 11.0
         assert_maximal(g, eng.s)
-        assert verify_against_rebuild(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state, g, eng.s)
 
     def test_no_flip_when_unprofitable(self):
         g = graph_from(4, [(0, 1), (1, 2), (2, 3)], [4.0, 5.0, 4.0, 5.0])
@@ -172,7 +173,7 @@ class TestAap:
             eng.aap_moves()
             assert is_independent(g, s)
             assert_maximal(g, s)
-            assert verify_against_rebuild(eng.state, g, s)
+            assert not state_mismatches(eng.state, g, s)
 
     def test_accepted_flips_strictly_increase_weight(self):
         rng = random.Random(3)
@@ -180,7 +181,7 @@ class TestAap:
             g = random_graph(rng, 25, 0.25)
             s = make_maximal(g, Solution(g), rng)
             log = []
-            eng = MoveEngine(g, s, rng, move_log=log)
+            eng = MoveEngine(g, s, rng, on_commit=lambda _, out: log.append(out))
             w0 = s.total_weight
             if eng.aap_moves():
                 assert s.total_weight > w0
@@ -193,7 +194,7 @@ class TestPerturb:
         eng = engine_on(g, [1, 2])  # only node 0 is outside
         eng.perturb()
         assert sorted(eng.s.members()) == [0]
-        assert verify_against_rebuild(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state, g, eng.s)
 
     def test_edgeless_graph_noop(self):
         g = graph_from(3, [], [1.0, 2.0, 3.0])
@@ -210,7 +211,7 @@ class TestPerturb:
                              LocalSearchParams(perturb_count=3))
             eng.perturb()
             assert_maximal(g, eng.s)
-            assert verify_against_rebuild(eng.state, g, eng.s)
+            assert not state_mismatches(eng.state, g, eng.s)
 
 
 class TestLocalSearch:
@@ -300,7 +301,8 @@ class TestLocalSearch:
         for _ in range(2):
             log = []
             outs.append(local_search(g, s, LocalSearchParams(num_iterations=10),
-                                     random.Random(77), move_log=log))
+                                     random.Random(77),
+                                     on_commit=lambda _, out: log.append(out)))
             logs.append([(o.kind, tuple(o.nodes_added), tuple(o.nodes_removed))
                          for o in log])
         assert logs[0] == logs[1]
@@ -348,8 +350,15 @@ class TestLocalSearch:
     def test_interstate_checked_during_search(self):
         g = random_graph(random.Random(14), 30, 0.2)
         s = make_maximal(g, Solution(g), random.Random(2))
+        kinds = []
+
+        def check(engine, out):
+            assert not state_mismatches(engine.state, g, engine.s)
+            kinds.append(out.kind)
+
         local_search(g, s, LocalSearchParams(num_iterations=6),
-                     random.Random(3), check_every=1)
+                     random.Random(3), on_commit=check)
+        assert "perturb" in kinds
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

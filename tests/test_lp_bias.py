@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from scipy import stats
 
 from mwis.graph import GraphFormatError, build_graph
-from mwis.lp_bias import _locate, load_relaxed, make_relaxed, sample_biased
+from mwis.lp_bias import load_relaxed, make_relaxed, sample_biased
 
 from conftest import graph_from
 
@@ -89,14 +88,30 @@ class TestSampling:
         _, p_value = stats.chisquare(counts)
         assert p_value > 0.001
 
-    def test_probe_count_logarithmic(self):
-        n = 1000
-        rs = make_relaxed([random.Random(1).random() for _ in range(n)])
-        bound = math.ceil(math.log2(n)) + 1
-        rng = random.Random(2)
-        for _ in range(2000):
-            z = rng.random() * rs.total
-            idx, probes = _locate(rs.prefix, z)
-            assert probes <= bound
-            assert rs.prefix[idx] > z
-            assert idx == 0 or rs.prefix[idx - 1] <= z
+    def test_sample_is_least_prefix_above_draw(self):
+        class StubRng:  # sample_biased draws z = random() * total
+            def __init__(self, us):
+                self.us = iter(us)
+
+            def random(self):
+                return next(self.us)
+
+        def draw(rs, us):
+            rng = StubRng(us)
+            return [sample_biased(rs, rng) for _ in us]
+
+        rs = make_relaxed([random.Random(1).random() for _ in range(1000)])
+        us = [random.Random(2).random() for _ in range(2000)]
+        for u, i in zip(us, draw(rs, us)):
+            z = u * rs.total
+            assert rs.prefix[i] > z
+            assert i == 0 or rs.prefix[i - 1] <= z
+
+        # quarter-unit values over a total of 8: z hits every prefix exactly
+        x = [0, 1, .5, .25, .75, 0, 0, .5, .25, .25, 0, 0, .5, 0, 0, 0]
+        rs = make_relaxed(x, epsilon=0.25)
+        assert rs.total == 8.0
+        bounds = [p / 8.0 for p in rs.prefix.tolist()]
+        assert [u * rs.total for u in bounds] == rs.prefix.tolist()
+        # z == prefix[i] is still inside node i + 1; z == total is the last node
+        assert draw(rs, [0.0] + bounds) == list(range(16)) + [15]

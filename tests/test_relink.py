@@ -54,6 +54,16 @@ class TestSchedule:
         p.reset()  # idempotent
         assert (p.f, p.c_n, p.c_p) == (0.9998, 1.0, 0.1)
 
+    def test_live_schedule_starts_at_initials(self):
+        p = RelinkParams(f0=0.5, c_n0=3.0, c_p0=2.0)
+        assert (p.f, p.c_n, p.c_p) == (0.5, 3.0, 2.0)
+        p.on_stagnation()
+        p.reset()
+        assert (p.f, p.c_n, p.c_p) == (0.5, 3.0, 2.0)
+        for live in ("f", "c_n", "c_p"):  # the schedule is not a constructor argument
+            with pytest.raises(TypeError):
+                RelinkParams(**{live: 0.5})
+
 
 class TestWalk:
     def test_identical_solutions_returned_unchanged(self, path3):
@@ -146,7 +156,7 @@ class TestWalk:
 
     def test_walk_can_reach_source_exactly(self):
         g, source, guide = matching_graph(3, w_left=5.0, w_right=5.0)
-        params = RelinkParams(c_n=100.0, c_p=99.0, f=1e-12)
+        params = RelinkParams(c_n0=100.0, c_p0=99.0, f0=1e-12)
         out = path_relink(g, source, guide, params, random.Random(0))
         assert out.as_frozenset() == source.as_frozenset()
 

@@ -20,10 +20,10 @@ from pathlib import Path
 from . import driver, generate, oracle
 from .driver import RunConfig
 from .graph import GraphFormatError, load_graph, save_graph
-from .greedy import GreedyConfig
+from .greedy import GREEDY_MODES, GreedyConfig
 from .local_search import LocalSearchParams
 from .lp_bias import DEFAULT_EPSILON, load_relaxed
-from .relink import RelinkParams
+from .relink import BUDGET_MODES, RelinkParams
 from .solution import InfeasibleSolutionError, load_solution, save_solution
 
 EXIT_OK = 0
@@ -49,7 +49,7 @@ def _add_solve_parser(sub) -> None:
     p.add_argument("--elite-size", type=int, default=rc.elite_capacity)
     p.add_argument("--ls-before-relinking", action="store_true")
     p.add_argument("--greedy-mode", default=gr.mode,
-                   choices=["deterministic", "randomized", "adaptive"])
+                   choices=GREEDY_MODES)
     p.add_argument("--greedy-k-fraction", type=float, default=gr.k_fraction)
     p.add_argument("--num-iterations", type=int, default=ls.num_iterations)
     p.add_argument("--exact-recursion-limit", type=int, default=ls.exact_recursion_limit)
@@ -63,7 +63,7 @@ def _add_solve_parser(sub) -> None:
     p.add_argument("--relink-f-decay", type=float, default=rl.f_decay)
     p.add_argument("--relink-budget-growth", type=float, default=rl.budget_growth)
     p.add_argument("--relink-budget-mode", default=rl.budget_mode,
-                   choices=["absolute", "fraction"])
+                   choices=BUDGET_MODES)
     p.add_argument("--lp-epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--check-interstate-every", type=int, default=rc.check_interstate_every,
                    help="debug: verify the interstate graph every N committed moves")

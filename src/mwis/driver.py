@@ -66,10 +66,6 @@ class EliteSet:
         assert self.entries, "elite set is empty"
         return self.entries[rng.randrange(len(self.entries))][0]
 
-    def best(self) -> Solution:
-        assert self.entries, "elite set is empty"
-        return max(self.entries, key=lambda t: t[0].total_weight)[0]
-
 
 @dataclass
 class RunConfig:

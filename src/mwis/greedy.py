@@ -15,18 +15,20 @@ from dataclasses import dataclass
 from .graph import Graph
 from .solution import Solution
 
+GREEDY_MODES = ("deterministic", "randomized", "adaptive")
+
 
 @dataclass
 class GreedyConfig:
     """k_fraction: fraction of the live nodes forming the random-pick pool."""
 
     k_fraction: float = 0.10
-    mode: str = "adaptive"  # deterministic | randomized | adaptive
+    mode: str = "adaptive"  # one of GREEDY_MODES
 
     def __post_init__(self):
         if not 0.0 < self.k_fraction <= 1.0:
             raise ValueError("k_fraction must be in (0, 1]")
-        if self.mode not in ("deterministic", "randomized", "adaptive"):
+        if self.mode not in GREEDY_MODES:
             raise ValueError(f"unknown greedy mode {self.mode!r}")
 
 
@@ -67,15 +69,20 @@ def randomized_greedy(g: Graph, cfg: GreedyConfig | None = None,
     window: list[int] = []
     scan = 0
     live = len(order)
+    frac, ceil, randrange, add = cfg.k_fraction, math.ceil, rng.randrange, s.add
     while live:
-        k = max(1, math.ceil(cfg.k_fraction * live))
+        k = max(1, ceil(frac * live))
         while len(window) < k:
             if pos[order[scan]] >= 0:
                 window.append(scan)
             scan += 1
-        v = order[window[rng.randrange(k)]]
-        s.add(v)
-        for u in (v, *adj[v]):
+        j = randrange(k)
+        v = order[window[j]]
+        del window[j]
+        pos[v] = -1
+        live -= 1
+        add(v)
+        for u in adj[v]:
             i = pos[u]
             if i >= 0:
                 pos[u] = -1

@@ -190,6 +190,7 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
     adj = g.adj
     rho, delta, s_plus = st.rho, st.delta, st.s_plus
     in_plus = s_plus._pos
+    rearmed = set()
     for x in adj[v]:
         r = rho[x] - 1
         rho[x] = r
@@ -207,9 +208,12 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
             other = key[0] if key[1] == v else key[1]
             st.one_tight.setdefault(other, set()).add(x)
             st.owner[x] = other
-            _one_tight_changed(st, other, gained=True)
+            # re-arm once: this loop discards no queue entry, so a repeat adds nothing
+            if other not in rearmed:
+                rearmed.add(other)
+                _one_tight_changed(st, other, gained=True)
         elif r == 2:
-            a, b = (y for y in adj[x] if in_set[y])
+            a, b = [y for y in adj[x] if in_set[y]]
             key = _pair(a, b)
             st.mates.setdefault(a, set()).add(b)
             st.mates.setdefault(b, set()).add(a)
@@ -244,7 +248,8 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
             st.free.discard(x)
             st.one_tight.setdefault(u, set()).add(x)
             st.owner[x] = u
-            _one_tight_changed(st, u, gained=True)
+            # u is new: each of its mate pairs was queued on creation in this call
+            st.s_one.add(u)
         elif r == 2:
             prev = st.owner[x]
             assert prev >= 0, f"node {x} reached rho=2 without a 1-tight owner"

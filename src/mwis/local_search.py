@@ -10,6 +10,7 @@ fixed RNG seed fixes the whole move sequence.
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -18,6 +19,9 @@ from .interstate import _pair, add_member, build, remove_member
 from .lp_bias import RelaxedSolution, sample_biased
 from .oracle import max_weight_subset
 from .solution import Solution, make_maximal
+
+# relative rounding allowance per summand when bounding a pool's weight sum
+_SUM_SLACK = 4 * sys.float_info.epsilon
 
 
 @dataclass
@@ -119,6 +123,10 @@ class MoveEngine:
             pool = st.one_tight.get(v)
             if not pool:
                 continue
+            # weights are >= 0, so no subset of the pool outweighs the whole;
+            # the slack covers rounding in any summation order
+            if sum(map(w.__getitem__, pool)) * (1.0 + _SUM_SLACK * len(pool)) <= w[v]:
+                continue
             cand = sorted(pool, key=lambda u: (-w[u], u))
             if len(cand) <= limit:
                 best_w, chosen = self._exact_subset(cand)
@@ -170,16 +178,13 @@ class MoveEngine:
                 continue
             if v not in st.mates.get(u, ()):
                 continue  # no longer mates
-            pool = set(st.one_tight.get(u, ()))
-            pool.update(st.one_tight.get(v, ()))
-            pool.update(st.two_tight.get(key, ()))
-            if not pool:
-                continue
-            # every pool node's only member neighbors are u and v, so only
-            # the picks themselves close candidates
+            # the three parts are disjoint (1-tight to u, 1-tight to v,
+            # 2-tight to both), and every pool node's only member neighbors
+            # are u and v, so only the picks themselves close candidates
+            open_now = sorted([*st.one_tight.get(u, ()), *st.one_tight.get(v, ()),
+                               *st.two_tight.get(key, ())])
             added: list[int] = []
             gained = 0.0
-            open_now = sorted(pool)
             while open_now:
                 c = open_now[self.rng.randrange(len(open_now))]
                 added.append(c)
@@ -216,7 +221,7 @@ class MoveEngine:
 
     def _aap_from(self, v: int) -> bool:
         st, g = self.state, self.g
-        w = self.w
+        w, adj = self.w, self.adj
         rng = self.rng
         delta = self.params.aap_delta
 
@@ -230,6 +235,7 @@ class MoveEngine:
         path_in = [v]        # members, flip candidates for removal
         path_out = [seed]    # non-members, flip candidates for insertion
         on_path = {v, seed}
+        near_out = None      # neighbours of path_out, built on first use
         gain = w[seed] - w[v]
         best_gain = gain
         best_pairs = 1
@@ -245,7 +251,9 @@ class MoveEngine:
                 for x in st.two_tight[_pair(u, mate)]:
                     if x in on_path:
                         continue
-                    if any(is_edge(g, x, o) for o in path_out):
+                    if near_out is None:  # first test: path_out is [seed]
+                        near_out = set(adj[seed])
+                    if x in near_out:
                         continue
                     score = gain + step_base + w[x] + rng.uniform(-delta, delta)
                     if score > best_score:
@@ -255,6 +263,7 @@ class MoveEngine:
                 break
             x, mate = best_step
             path_out.append(x)
+            near_out.update(adj[x])  # built: x passed the test above
             path_in.append(mate)
             on_path.add(x)
             on_path.add(mate)

@@ -23,6 +23,7 @@ CN0 = 1.0
 CP0 = 0.1
 F_DECAY = 0.9998
 BUDGET_GROWTH = 1.5
+BUDGET_MODES = ("absolute", "fraction")
 
 
 @dataclass
@@ -46,7 +47,7 @@ class RelinkParams:
             raise ValueError("positive budget must stay below the negative budget")
         if self.budget_growth <= 1.0 or not 0.0 < self.f_decay <= 1.0:
             raise ValueError("bad schedule multipliers")
-        if self.budget_mode not in ("absolute", "fraction"):
+        if self.budget_mode not in BUDGET_MODES:
             raise ValueError(f"unknown budget mode {self.budget_mode!r}")
         self.f, self.c_n, self.c_p = self.f0, self.c_n0, self.c_p0
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,12 +9,14 @@ import time
 import pytest
 
 from mwis import driver
-from mwis.cli import main
+from mwis.cli import _add_solve_parser, main
 from mwis.driver import RunConfig, TraceEvent
 from mwis.generate import GenSpec, generate_graph
 from mwis.graph import load_graph, save_graph
+from mwis.greedy import GREEDY_MODES, GreedyConfig
 from mwis.lp_bias import DEFAULT_EPSILON
 from mwis.oracle import exact_mwis
+from mwis.relink import BUDGET_MODES, RelinkParams
 from mwis.solution import Solution
 
 
@@ -186,6 +189,17 @@ class TestSolve:
         [(cfg, relaxed)] = seen
         assert cfg == RunConfig()
         assert relaxed.epsilon == DEFAULT_EPSILON
+
+    def test_mode_choices_are_the_config_tuples(self):
+        sub = argparse.ArgumentParser().add_subparsers()
+        _add_solve_parser(sub)
+        choices = {a.dest: a.choices for a in sub.choices["solve"]._actions}
+        assert choices["greedy_mode"] == GREEDY_MODES
+        assert choices["relink_budget_mode"] == BUDGET_MODES
+        for mode in GREEDY_MODES:
+            GreedyConfig(mode=mode)
+        for mode in BUDGET_MODES:
+            RelinkParams(budget_mode=mode)
 
     def test_in_process_entry_point(self, tmp_path, capsys):
         path, g = gen_file(tmp_path, "s.g",

@@ -41,9 +41,9 @@ class TestEliteSet:
         es = EliteSet(1)
         assert es.try_add_and_evict(solution_of(g, [0]))          # w=10
         assert es.try_add_and_evict(solution_of(g, [1]))          # w=12 evicts
-        assert es.best().total_weight == 12.0
+        assert [e.total_weight for e, _ in es.entries] == [12.0]
         assert not es.try_add_and_evict(solution_of(g, [2]))      # w=9 rejected
-        assert es.best().total_weight == 12.0
+        assert [e.total_weight for e, _ in es.entries] == [12.0]
 
     def test_duplicate_rejected_when_not_full(self):
         g = graph_from(3, [], [5.0, 6.0, 7.0])

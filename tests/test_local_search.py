@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 
 import pytest
 
-from mwis.interstate import build, state_mismatches
+from mwis.graph import is_edge
+from mwis.interstate import _pair, add_member, build, remove_member, state_mismatches
 from mwis.local_search import LocalSearchParams, MoveEngine, local_search
 from mwis.oracle import exact_mwis
 from mwis.solution import Solution, is_independent, make_maximal
@@ -384,3 +386,254 @@ class TestDegenerateInputs:
                            LocalSearchParams(num_iterations=2), random.Random(0))
         assert out.total_weight == 0.0
         assert_maximal(g, out)
+
+
+# -- reference copies of move procedures before their shortcuts ------------
+
+class CountingEngine(MoveEngine):
+    """The engine as shipped, counting subset evaluations."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.subset_calls = 0
+
+    def _exact_subset(self, cand):
+        self.subset_calls += 1
+        return super()._exact_subset(cand)
+
+    def _greedy_subset(self, cand):
+        self.subset_calls += 1
+        return super()._greedy_subset(cand)
+
+
+class ReferenceOneStar(CountingEngine):
+    """(1,*) that evaluates every pool: no weight bound."""
+
+    def one_star_moves(self):
+        st, s = self.state, self.s
+        improved = False
+        limit = self.params.exact_recursion_limit
+        w = self.w
+        while len(st.s_one):
+            v = st.s_one.pop_random(self.rng)
+            if v not in s:
+                continue
+            pool = st.one_tight.get(v)
+            if not pool:
+                continue
+            cand = sorted(pool, key=lambda u: (-w[u], u))
+            if len(cand) <= limit:
+                best_w, chosen = self._exact_subset(cand)
+            else:
+                best_w, chosen = self._greedy_subset(cand)
+            if best_w > w[v]:
+                remove_member(st, self.g, s, v)
+                for u in chosen:
+                    add_member(st, self.g, s, u)
+                extra = self._maximalize()
+                self._commit("one_star", chosen + extra, [v])
+                improved = True
+        return improved
+
+
+class ReferenceTwoStar(MoveEngine):
+    """(2,*) with the pool built as a set from its three parts."""
+
+    def two_star_moves(self):
+        st, s, g = self.state, self.s, self.g
+        w = self.w
+        in_set = s._in_set
+        while len(st.s_two):
+            key = st.s_two.pop_random(self.rng)
+            u, v = key
+            if not (in_set[u] and in_set[v]):
+                continue
+            if v not in st.mates.get(u, ()):
+                continue
+            pool = set(st.one_tight.get(u, ()))
+            pool.update(st.one_tight.get(v, ()))
+            pool.update(st.two_tight.get(key, ()))
+            if not pool:
+                continue
+            added = []
+            gained = 0.0
+            open_now = sorted(pool)
+            while open_now:
+                c = open_now[self.rng.randrange(len(open_now))]
+                added.append(c)
+                gained += w[c]
+                open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
+            if gained > w[u] + w[v]:
+                remove_member(st, g, s, u)
+                remove_member(st, g, s, v)
+                for c in added:
+                    add_member(st, g, s, c)
+                extra = self._maximalize()
+                net_added = [x for x in added + extra if x not in (u, v)]
+                net_removed = [x for x in (u, v) if x not in set(extra)]
+                self._commit("two_star", net_added, net_removed)
+                return True
+        return False
+
+
+class ReferenceAap(MoveEngine):
+    """AAP that tests each candidate against every path_out node."""
+
+    def _aap_from(self, v):
+        st, g = self.state, self.g
+        w = self.w
+        rng = self.rng
+        delta = self.params.aap_delta
+        seed = None
+        seed_score = float("-inf")
+        for a in st.one_tight[v]:
+            score = w[a] + rng.uniform(-delta, delta)
+            if score > seed_score:
+                seed_score = score
+                seed = a
+        path_in = [v]
+        path_out = [seed]
+        on_path = {v, seed}
+        gain = w[seed] - w[v]
+        best_gain = gain
+        best_pairs = 1
+        u = v
+        while len(path_in) + len(path_out) < self.params.aap_max_len \
+                and gain >= self.aap_gain_floor:
+            best_step = None
+            best_score = float("-inf")
+            for mate in st.mates.get(u, ()):
+                if mate in on_path:
+                    continue
+                step_base = -w[mate]
+                for x in st.two_tight[_pair(u, mate)]:
+                    if x in on_path:
+                        continue
+                    if any(is_edge(g, x, o) for o in path_out):
+                        continue
+                    score = gain + step_base + w[x] + rng.uniform(-delta, delta)
+                    if score > best_score:
+                        best_score = score
+                        best_step = (x, mate)
+            if best_step is None:
+                break
+            x, mate = best_step
+            path_out.append(x)
+            path_in.append(mate)
+            on_path.add(x)
+            on_path.add(mate)
+            gain += w[x] - w[mate]
+            if gain > best_gain:
+                best_gain = gain
+                best_pairs = len(path_in)
+            u = mate
+        if best_gain <= 0:
+            return False
+        flip_in = path_in[:best_pairs]
+        flip_out = path_out[:best_pairs]
+        for m in flip_in:
+            remove_member(st, g, self.s, m)
+        for o in flip_out:
+            add_member(st, g, self.s, o)
+        extra = self._maximalize()
+        self._commit("aap", flip_out + extra, flip_in)
+        return True
+
+
+def tenths_graph(rng, n, p):
+    """Random graph with weights k/10: sums such as 0.1 + 0.2 round."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return graph_from(n, edges, [rng.randint(0, 10) / 10 for _ in range(n)])
+
+
+def replay(engine_cls, g, members, seed, rounds=4):
+    """Run every move procedure `rounds` times; return everything they decide."""
+    rng = random.Random(seed)
+    s = Solution(g, members)
+    log = []
+    eng = engine_cls(g, s, rng, LocalSearchParams(exact_recursion_limit=5),
+                     on_commit=lambda _, out: log.append(
+                         (out.kind, out.nodes_added, out.nodes_removed, out.gain)))
+    for _ in range(rounds):
+        eng.star_one_moves()
+        eng.aap_moves()
+        eng.one_star_moves()
+        eng.two_star_moves()
+        eng.perturb()
+    assert not state_mismatches(eng.state, g, s)
+    return (log, s.member_list(), rng.getstate()), eng
+
+
+def assert_same_run(engine_cls, g, members, seed):
+    ours, eng = replay(CountingEngine, g, members, seed)
+    ref, ref_eng = replay(engine_cls, g, members, seed)
+    assert ours == ref
+    return eng, ref_eng
+
+
+class TestShortcutsMatchReference:
+    def test_one_star_bound_matches_unpruned_on_random_graphs(self):
+        rng = random.Random(21)
+        ours = ref = 0
+        for _ in range(60):
+            g = tenths_graph(rng, rng.randint(8, 40), rng.choice([0.08, 0.15, 0.3]))
+            start = make_maximal(g, Solution(g), rng).member_list()
+            eng, ref_eng = assert_same_run(ReferenceOneStar, g, start, rng.random())
+            ours += eng.subset_calls
+            ref += ref_eng.subset_calls
+        assert ours < ref  # the bound did skip pools
+
+    @pytest.mark.parametrize("pool", [
+        # in leaf order [0.5, 0.2, 0.6] sums to 1.2999999999999998, in the
+        # subset search's descending order to 1.3
+        [0.1, 0.2], [0.1, 0.2, 0.3], [0.5, 0.2, 0.6], [0.3, 0.6, 0.1, 0.7, 0.2],
+        [1.0, 2.0 ** -53, 2.0 ** -53], [0.1] * 10, [0.1 * k for k in range(1, 41)]])
+    def test_one_star_bound_at_rounding_ties(self, pool):
+        # a star (or, with an edge between the first two leaves, a near
+        # star) whose centre weighs one of the pool's sums in some order,
+        # or one ulp either side of it
+        k = len(pool)
+        sums = {math.fsum(pool), sum(pool), sum(reversed(pool)), sum(sorted(pool))}
+        targets = sorted({f(t) for t in sums for f in (
+            lambda t: t, lambda t: math.nextafter(t, 0.0),
+            lambda t: math.nextafter(t, math.inf))})
+        for target in targets:
+            for extra in ([], [(1, 2)]):
+                g = graph_from(k + 1, [(0, i) for i in range(1, k + 1)] + extra,
+                               [target, *pool])
+                assert_same_run(ReferenceOneStar, g, [0], 5)
+
+    def test_one_star_bound_with_large_conflict_free_pool(self):
+        rng = random.Random(22)
+        pool = [rng.randint(1, 999) / 100 for _ in range(60)]
+        total = sum(sorted(pool, reverse=True))  # the greedy subset's order
+        for target in (total, math.nextafter(total, 0.0),
+                       math.nextafter(total, math.inf), total - 0.01):
+            g = graph_from(61, [(0, i) for i in range(1, 61)], [target, *pool])
+            assert_same_run(ReferenceOneStar, g, [0], 6)
+
+    def test_one_star_bound_margin_grows_with_pool_size(self):
+        # 40 leaves of 0.75 ulp(1) and one of 1.0: ascending leaf order sums
+        # to 1 + 30 ulp, descending weight order rounds up at every step to
+        # 1 + 40 ulp, so a margin that ignored pool size would skip a pool
+        # the subset search accepts
+        pool = [0.75 * 2.0 ** -52] * 40 + [1.0]
+        target = sum(pool)
+        for _ in range(12):
+            g = graph_from(42, [(0, i) for i in range(1, 42)], [target, *pool])
+            assert_same_run(ReferenceOneStar, g, [0], 7)
+            target = math.nextafter(target, math.inf)
+
+    def test_two_star_pool_order_matches_set_build(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(8, 40), rng.choice([0.1, 0.2, 0.35]), 20)
+            start = make_maximal(g, Solution(g), rng).member_list()
+            assert_same_run(ReferenceTwoStar, g, start, rng.random())
+
+    def test_aap_neighbour_set_matches_path_scan(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(8, 50), rng.choice([0.05, 0.15, 0.3]))
+            start = make_maximal(g, Solution(g), rng).member_list()
+            assert_same_run(ReferenceAap, g, start, rng.random())

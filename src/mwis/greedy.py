@@ -12,7 +12,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, is_dense
 from .solution import Solution
 
 GREEDY_MODES = ("deterministic", "randomized", "adaptive")
@@ -99,11 +99,19 @@ def adaptive_greedy(g: Graph) -> Solution:
     fresh entry, stale entries are recognized (stored residual degree no
     longer current) and skipped on pop. Residual-degree-zero nodes join S
     immediately. Deterministic: eta ties break by ascending node ID.
+
+    On dense graphs (graph.is_dense) a node whose residual degree drops
+    during a pick is pushed once, at its degree after the pick, instead of
+    once per drop: there most drops in a pick repeat a node. Entries (eta
+    key, node, degree) are distinct, so the pop sequence depends on the
+    heap's contents, not on push order, and both ways pick alike.
     """
     s = Solution(g)
     w, adj = g.w, g.adj
     rdeg = [len(a) for a in adj]
     alive = [True] * g.n
+    batch = is_dense(g.n, g.m)
+    picked = [-1] * g.n  # with batch: the pick that last lowered a node's degree
     heap: list[tuple[float, int, int]] = []
     for v in range(g.n):
         if rdeg[v] == 0:
@@ -122,6 +130,7 @@ def adaptive_greedy(g: Graph) -> Solution:
         neighbors = [u for u in adj[v] if alive[u]]
         for u in neighbors:
             alive[u] = False
+        changed = []
         for u in neighbors:
             # u leaves the residual graph together with v
             for y in adj[u]:
@@ -132,8 +141,15 @@ def adaptive_greedy(g: Graph) -> Solution:
                 if dy == 0:
                     s.add(y)
                     alive[y] = False
-                else:
+                elif not batch:
                     heapq.heappush(heap, (-w[y] / dy, y, dy))
+                elif picked[y] != v:  # first drop in this pick
+                    picked[y] = v
+                    changed.append(y)
+        for y in changed:
+            if alive[y]:
+                dy = rdeg[y]
+                heapq.heappush(heap, (-w[y] / dy, y, dy))
     return s
 
 

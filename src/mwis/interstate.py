@@ -6,7 +6,9 @@ Tracks, for the solution S over graph g:
   one_tight   -- per member v, the non-members whose only member neighbor is v,
   mates/two_tight -- member pairs {u,v} sharing non-members with N(w) & S == {u,v},
   s_plus/s_one/s_two -- pruning queues for the (*,1), (1,*) and (2,*) moves,
-  free        -- non-members with rho == 0 (fuel for re-maximalization).
+  free        -- non-members with rho == 0 (fuel for re-maximalization),
+  rows/members -- on dense graphs, the graph's bitset neighbour rows and S as
+                 a bitset, for word-parallel member-neighbour queries.
 
 s_plus is stale-tolerant: nodes are inserted when delta turns positive and
 purged on pop if delta has since dropped. s_one/s_two are consumed by move
@@ -24,7 +26,7 @@ from itertools import count
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, is_dense
 from .solution import Solution
 
 
@@ -82,9 +84,14 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _bitset(flags: np.ndarray) -> int:
+    """The bool array `flags` as an int with bit v set iff flags[v]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class InterstateState:
     __slots__ = ("rho", "delta", "one_tight", "owner", "mates", "two_tight",
-                 "tt_pair", "s_plus", "s_one", "s_two", "free")
+                 "tt_pair", "s_plus", "s_one", "s_two", "free", "rows", "members")
 
     def __init__(self, n: int):
         self.rho: list[int] = [0] * n
@@ -98,6 +105,10 @@ class InterstateState:
         self.s_one = IndexedSet()
         self.s_two = IndexedSet()
         self.free = IndexedSet()
+        # g.rows when the density rule picks bitsets (is_dense), else
+        # None; members is S as a bitset, kept only while rows is set
+        self.rows: list[int] | None = None
+        self.members = 0
 
 
 def build(g: Graph, s: Solution) -> InterstateState:
@@ -147,6 +158,9 @@ def build(g: Graph, s: Solution) -> InterstateState:
     st.s_plus = IndexedSet(np.flatnonzero(outside & (delta > 0)).tolist())
     st.s_one = IndexedSet(st.one_tight)
     st.s_two = IndexedSet(st.two_tight)
+    if is_dense(n, g.m):
+        st.rows = g.rows
+        st.members = _bitset(flags)
     return st
 
 
@@ -190,6 +204,9 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
     adj = g.adj
     rho, delta, s_plus = st.rho, st.delta, st.s_plus
     in_plus = s_plus._pos
+    rows = st.rows
+    if rows is not None:
+        members = st.members = st.members ^ (1 << v)
     rearmed = set()
     for x in adj[v]:
         r = rho[x] - 1
@@ -213,8 +230,14 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
                 rearmed.add(other)
                 _one_tight_changed(st, other, gained=True)
         elif r == 2:
-            a, b = [y for y in adj[x] if in_set[y]]
-            key = _pair(a, b)
+            # x's two member neighbours, ascending
+            if rows is None:
+                a, b = [y for y in adj[x] if in_set[y]]
+            else:  # the lowest and highest bit
+                pair = rows[x] & members
+                b = pair.bit_length() - 1
+                a = (pair ^ (1 << b)).bit_length() - 1
+            key = (a, b)
             st.mates.setdefault(a, set()).add(b)
             st.mates.setdefault(b, set()).add(a)
             st.two_tight.setdefault(key, set()).add(x)
@@ -235,6 +258,8 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
     s.add(u)
     st.free.discard(u)
     st.s_plus.discard(u)
+    if st.rows is not None:
+        st.members |= 1 << u
     wu = g.w[u]
 
     rho, delta = st.rho, st.delta
@@ -293,7 +318,8 @@ def state_mismatches(st: InterstateState, g: Graph, s: Solution,
                      check_pruning: bool = False) -> list[str]:
     """Compare st with a from-scratch rebuild; empty list means consistent.
 
-    delta uses relative tolerance 1e-9; everything else is exact. s_plus is
+    delta uses relative tolerance 1e-9; everything else is exact, the member
+    bitset included (0 when st keeps no rows). s_plus is
     checked for completeness only (stale extra entries are legal). With
     check_pruning, s_one/s_two/free are additionally required to cover every
     currently eligible member/pair (valid only when no evaluation has pruned
@@ -323,6 +349,9 @@ def state_mismatches(st: InterstateState, g: Graph, s: Solution,
         bad.append("two_tight sets differ")
     if st.free.as_set() != fresh.free.as_set():
         bad.append("free sets differ")
+    expected = 0 if st.rows is None else _bitset(np.array(in_set, dtype=bool))
+    if st.members != expected:
+        bad.append("member bitset differs from the membership flags")
     if check_pruning:
         if not fresh.s_one.as_set() <= st.s_one.as_set():
             bad.append("s_one lost an eligible member")

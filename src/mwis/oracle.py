@@ -25,16 +25,6 @@ class ExactResult:
     explored: int
 
 
-def _neighbor_masks(g: Graph) -> list[int]:
-    masks = []
-    for v in range(g.n):
-        m = 0
-        for u in g.adj[v]:
-            m |= 1 << u
-        masks.append(m)
-    return masks
-
-
 def exact_mwis(g: Graph, method: str = "branch-and-bound") -> ExactResult:
     """Optimal independent set. Guarded: n <= 30 (b&b), n <= 20 (enumerate)."""
     if method == "branch-and-bound":
@@ -51,7 +41,7 @@ def exact_mwis(g: Graph, method: str = "branch-and-bound") -> ExactResult:
 def _branch_and_bound(g: Graph) -> ExactResult:
     n = g.n
     w = g.w
-    nmask = _neighbor_masks(g)
+    nmask = g.rows
     best_w = -1.0
     best_set = 0
     explored = 0

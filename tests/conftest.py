@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
+from mwis import interstate
 from mwis.graph import Graph, build_graph
 
 
@@ -17,6 +19,15 @@ class FakeClock:
     def __call__(self):
         self.t += self.tick
         return self.t
+
+
+@contextlib.contextmanager
+def rows_forced(on: bool):
+    """Make every interstate built inside the block keep bitset rows (on) or
+    read neighbour lists only (off), whatever the graph's density."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interstate, "is_dense", lambda n, m: on)
+        yield
 
 
 def graph_from(n: int, edges, weights=None) -> Graph:

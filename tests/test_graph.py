@@ -161,6 +161,21 @@ class TestInvariants:
         assert all(g.adj[v] == g.neighbors(v).tolist() for v in range(g.n))
         assert g.adj is g.adj and g.w is g.w
 
+    def test_rows_match_adjacency_and_are_built_once(self):
+        rng = random.Random(5)
+        # n = 0, n not a multiple of 8, and n = 1100, whose rows are
+        # packed in several blocks
+        for n, p in [(0, 0.0), (1, 0.0), (7, 0.5), (9, 0.3), (64, 0.1), (1100, 0.01)]:
+            g = random_graph(rng, n, p)
+            assert g.rows == [sum(1 << u for u in g.adj[v]) for v in range(n)]
+            assert g.rows is g.rows
+
+    def test_identity_equality_and_hash(self):
+        a = random_graph(random.Random(6), 20, 0.3)
+        b = build_graph(a.n, [(u, v) for u in range(a.n) for v in a.adj[u] if u < v], a.w)
+        assert a == a and a != b and graphs_equal(a, b)
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
     def test_isolated_positive_weight_legal(self):
         g = graph_from(3, [], [1.0, 2.0, 3.0])
         assert g.m == 0 and g.total_weight() == 6.0

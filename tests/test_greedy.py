@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import heapq
+import importlib
 import math
 import random
 
 import pytest
 
-from mwis.graph import build_graph
+from mwis.graph import build_graph, is_dense
 from mwis.greedy import GreedyConfig, adaptive_greedy, greedy, randomized_greedy
 from mwis.solution import Solution, is_independent
 
@@ -70,6 +72,57 @@ def reference_randomized_greedy(g, cfg, rng):
             fen.remove(pos[u])
             live -= 1
         s.add(v)
+    return s
+
+
+class RecordingSolution(Solution):
+    """A Solution that logs the order of its add calls."""
+
+    __slots__ = ("added",)
+
+    def __init__(self, graph, members=()):
+        self.added = []
+        super().__init__(graph, members)
+
+    def add(self, v):
+        self.added.append(v)
+        super().add(v)
+
+
+def reference_adaptive_greedy(g):
+    """`adaptive_greedy` pushing a heap entry at every residual-degree drop."""
+    s = RecordingSolution(g)
+    w, adj = g.w, g.adj
+    rdeg = [len(a) for a in adj]
+    alive = [True] * g.n
+    heap = []
+    for v in range(g.n):
+        if rdeg[v] == 0:
+            s.add(v)
+            alive[v] = False
+        else:
+            heap.append((-w[v] / rdeg[v], v, rdeg[v]))
+    heapq.heapify(heap)
+    while heap:
+        _, v, d = heapq.heappop(heap)
+        if not alive[v] or d != rdeg[v]:
+            continue
+        s.add(v)
+        alive[v] = False
+        neighbors = [u for u in adj[v] if alive[u]]
+        for u in neighbors:
+            alive[u] = False
+        for u in neighbors:
+            for y in adj[u]:
+                if not alive[y]:
+                    continue
+                dy = rdeg[y] - 1
+                rdeg[y] = dy
+                if dy == 0:
+                    s.add(y)
+                    alive[y] = False
+                else:
+                    heapq.heappush(heap, (-w[y] / dy, y, dy))
     return s
 
 
@@ -189,6 +242,28 @@ class TestAdaptiveGreedy:
         s = adaptive_greedy(g)
         assert sorted(s.members()) == [2]
         assert s.total_weight == 3.0
+
+    def test_matches_reference_push_per_drop(self, monkeypatch):
+        # on dense graphs one push per changed node and pick: same picks,
+        # same add order, same bits of total_weight
+        # the module, not the `mwis.greedy` function the package re-exports
+        module = importlib.import_module("mwis.greedy")
+        monkeypatch.setattr(module, "Solution", RecordingSolution)
+        rng = random.Random(15)
+        dense = 0
+        for i in range(200):
+            n = rng.randint(0, 70)
+            p = rng.choice([0.0, 0.05, 0.15, 0.4, 0.8])
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            # fractional weights, or a few integer weights: many eta ties
+            weights = [rng.random() * 10 if i % 2 else float(rng.randint(0, 3))
+                       for _ in range(n)]
+            g = build_graph(n, edges, weights)
+            dense += is_dense(g.n, g.m)
+            s, ref = adaptive_greedy(g), reference_adaptive_greedy(g)
+            assert s.added == ref.added, f"instance {i}"
+            assert s.total_weight == ref.total_weight, f"instance {i}"
+        assert 20 < dense < 180  # both push policies ran
 
 
 class TestConstructorProperties:

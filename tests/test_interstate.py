@@ -10,7 +10,7 @@ from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, _pa
     add_member, build, remove_member, state_mismatches
 from mwis.solution import Solution, make_maximal
 
-from conftest import graph_from, random_graph
+from conftest import graph_from, random_graph, rows_forced
 
 
 def reference_build(g, s):
@@ -376,17 +376,40 @@ class TestVerification:
         st.delta[victim] += 1.0  # way beyond 1e-9 relative
         assert state_mismatches(st, g, s)
 
+    def test_member_bitset_corruption_detected(self):
+        rng = random.Random(7)
+        g = random_graph(rng, 30, 0.2)
+        s = make_maximal(g, Solution(g), rng)
+        with rows_forced(True):
+            st = build(g, s)
+        assert st.rows is g.rows and not state_mismatches(st, g, s)
+        st.members ^= 1 << next(v for v in range(g.n) if v not in s)
+        assert "member bitset differs from the membership flags" in state_mismatches(st, g, s)
+        with rows_forced(False):
+            st = build(g, s)
+        assert st.rows is None and st.members == 0
+        st.members = 1
+        assert state_mismatches(st, g, s)
+
     def test_churn_small(self):
-        rng = random.Random(4)
-        for _ in range(10):
-            n = rng.randint(20, 80)
-            g = random_graph(rng, n, rng.uniform(0.05, 0.3))
-            churn(g, rng, steps=1000)
+        # with neighbour lists, then with bitset rows and the member bitset
+        for rows in (False, True):
+            rng = random.Random(4)
+            with rows_forced(rows):
+                for _ in range(10):
+                    n = rng.randint(20, 80)
+                    g = random_graph(rng, n, rng.uniform(0.05, 0.3))
+                    churn(g, rng, steps=1000)
 
     def test_updates_match_reference_including_order(self):
         # the moves draw random numbers while iterating these sets, so their
-        # order after every update is part of the solver's determinism
-        rng = random.Random(6)
+        # order after every update is part of the solver's determinism; the
+        # state under test reads neighbour lists, then bitset rows
+        for rows in (False, True):
+            with rows_forced(rows):
+                self._updates_match_reference(random.Random(6))
+
+    def _updates_match_reference(self, rng):
         for i in range(100):
             n = rng.randint(1, 60)
             g = random_graph(rng, n, rng.choice([0.05, 0.15, 0.3]),
@@ -414,6 +437,7 @@ class TestVerification:
                         x = list(queue)[rng.randrange(len(queue))]
                         queue.discard(x)
                         ref_queue.discard(x)
+            assert not state_mismatches(st, g, s), f"instance {i}"
 
     def test_splus_completeness_under_churn(self):
         rng = random.Random(5)

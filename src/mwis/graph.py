@@ -9,8 +9,8 @@ first use.
 
 On dense graphs the interstate and the move engine also read `Graph.rows`,
 one Python int per node with bit u set iff {u,v} is an edge. Member
-neighbours, path neighbours and edge tests then take a few word-parallel
-operations instead of a scan over a neighbour list. `is_dense` picks
+neighbours and path neighbours then take a few word-parallel operations
+instead of a scan over a neighbour list. `is_dense` picks
 the form from n and m (average degree at least 16 + n/256); an n=1e3,
 p=0.1 graph (degree ~100) reads rows, an n=1e4, m=25k graph (degree 5)
 lists. Both forms give the same search, bit for bit.

@@ -111,7 +111,7 @@ def adaptive_greedy(g: Graph) -> Solution:
     rdeg = [len(a) for a in adj]
     alive = [True] * g.n
     batch = is_dense(g.n, g.m)
-    picked = [-1] * g.n  # with batch: the pick that last lowered a node's degree
+    picked = [-1] * g.n if batch else None  # the pick that last lowered a degree
     heap: list[tuple[float, int, int]] = []
     for v in range(g.n):
         if rdeg[v] == 0:

@@ -64,7 +64,6 @@ class MoveEngine:
         self.w = g.w
         self.adj = g.adj
         self.state = build(g, s)
-        self.rows = self.state.rows  # bitset rows on dense graphs, else None
         floor = self.params.aap_gain_floor
         if floor is None:
             mean = sum(self.w) / len(self.w) if self.w else 0.0
@@ -75,21 +74,17 @@ class MoveEngine:
 
     def _member_neighbors(self, v: int) -> list[int]:
         """Member neighbours of v, ascending."""
-        if self.rows is None:
+        st = self.state
+        if st.rows is None:
             in_set = self.s._in_set
             return [x for x in self.adj[v] if in_set[x]]
         out = []
-        bits = self.rows[v] & self.state.members
+        bits = st.rows[v] & st.members
         while bits:
             low = bits & -bits
             out.append(low.bit_length() - 1)
             bits ^= low
         return out
-
-    def _adjacent(self, u: int, v: int) -> bool:
-        """Edge test: a bit of u's row on dense graphs, else `is_edge`."""
-        rows = self.rows
-        return is_edge(self.g, u, v) if rows is None else rows[u] >> v & 1 == 1
 
     def _maximalize(self) -> list[int]:
         """Add free nodes in random order until none remain."""
@@ -160,7 +155,7 @@ class MoveEngine:
         masks = [0] * len(cand)
         for i, u in enumerate(cand):
             for j in range(i + 1, len(cand)):
-                if self._adjacent(u, cand[j]):
+                if is_edge(self.g, u, cand[j]):
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
         best_w, chosen_mask = max_weight_subset([self.w[u] for u in cand], masks)
@@ -171,7 +166,7 @@ class MoveEngine:
         chosen: list[int] = []
         total = 0.0
         for u in cand:
-            if not any(self._adjacent(u, c) for c in chosen):
+            if not any(is_edge(self.g, u, c) for c in chosen):
                 chosen.append(u)
                 total += self.w[u]
         return total, chosen
@@ -184,7 +179,7 @@ class MoveEngine:
         so a failed pair stays pruned until a real change.
         """
         st, s, g = self.state, self.s, self.g
-        w, rows = self.w, self.rows
+        w = self.w
         in_set = s._in_set
         while len(st.s_two):
             key = st.s_two.pop_random(self.rng)
@@ -204,11 +199,7 @@ class MoveEngine:
                 c = open_now[self.rng.randrange(len(open_now))]
                 added.append(c)
                 gained += w[c]
-                if rows is None:
-                    open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
-                else:
-                    closed = rows[c] | (1 << c)
-                    open_now = [x for x in open_now if not closed >> x & 1]
+                open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
             if gained > w[u] + w[v]:
                 remove_member(st, g, s, u)
                 remove_member(st, g, s, v)
@@ -240,7 +231,7 @@ class MoveEngine:
 
     def _aap_from(self, v: int) -> bool:
         st, g = self.state, self.g
-        w, adj, rows = self.w, self.adj, self.rows
+        w, adj, rows = self.w, self.adj, st.rows
         rng = self.rng
         delta = self.params.aap_delta
 
@@ -254,7 +245,9 @@ class MoveEngine:
         path_in = [v]        # members, flip candidates for removal
         path_out = [seed]    # non-members, flip candidates for insertion
         on_path = {v, seed}
-        # neighbours of path_out: a set built on first use, or a bitset
+        # neighbours of path_out: with lists a set built at the first mate
+        # (its pool holds a candidate: neither v nor seed is 2-tight), with
+        # rows a bitset
         near_out = None if rows is None else rows[seed]
         gain = w[seed] - w[v]
         best_gain = gain
@@ -267,16 +260,13 @@ class MoveEngine:
             for mate in st.mates.get(u, ()):
                 if mate in on_path:
                     continue
+                if near_out is None:  # first mate: path_out is [seed]
+                    near_out = set(adj[seed])
                 step_base = -w[mate]
                 for x in st.two_tight[_pair(u, mate)]:
                     if x in on_path:
                         continue
-                    if rows is None:
-                        if near_out is None:  # first test: path_out is [seed]
-                            near_out = set(adj[seed])
-                        if x in near_out:
-                            continue
-                    elif near_out >> x & 1:
+                    if (x in near_out) if rows is None else (near_out >> x & 1):
                         continue
                     score = gain + step_base + w[x] + rng.uniform(-delta, delta)
                     if score > best_score:
@@ -287,7 +277,7 @@ class MoveEngine:
             x, mate = best_step
             path_out.append(x)
             if rows is None:
-                near_out.update(adj[x])  # built: x passed the test above
+                near_out.update(adj[x])  # built at the first mate
             else:
                 near_out |= rows[x]
             path_in.append(mate)

@@ -81,6 +81,10 @@ class RunConfig:
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be > 0")
+        if self.elite_capacity < 1:
+            raise ValueError("elite_capacity must be >= 1")
+        if self.check_interstate_every < 0:
+            raise ValueError("check_interstate_every must be >= 0")
 
 
 def _interstate_check(every: int):
@@ -124,8 +128,8 @@ def run(g: Graph, config: RunConfig, clock=None,
     ls_kwargs = dict(deadline=deadline_at, clock=clock,
                      on_commit=_interstate_check(every) if every else None)
 
-    s = local_search(g, s, config.ls_params, rng, relaxed, **ls_kwargs)
-    best = s.copy()
+    # a fresh snapshot that nothing mutates; the elite set stores its own copy
+    best = s = local_search(g, s, config.ls_params, rng, relaxed, **ls_kwargs)
     best_w = best.total_weight
     emit("local-search")
     es = EliteSet(config.elite_capacity)
@@ -150,7 +154,7 @@ def run(g: Graph, config: RunConfig, clock=None,
             params.reset()
         improved = w2 > best_w
         if improved:
-            best = s2.copy()
+            best = s2
             best_w = w2
         emit("local-search")
         if improved:

@@ -8,12 +8,13 @@ and the greedy ranking `Graph.eta_order`) that are built once per graph on
 first use.
 
 On dense graphs the interstate and the move engine also read `Graph.rows`,
-one Python int per node with bit u set iff {u,v} is an edge. Member
-neighbours and path neighbours then take a few word-parallel operations
-instead of a scan over a neighbour list. `is_dense` picks
-the form from n and m (average degree at least 16 + n/256); an n=1e3,
-p=0.1 graph (degree ~100) reads rows, an n=1e4, m=25k graph (degree 5)
-lists. Both forms give the same search, bit for bit.
+one Python int per node with bit u set iff {u,v} is an edge. Two queries
+then take a few word-parallel operations instead of a scan over a
+neighbour list: the two member neighbours of a node whose rho drops to 2,
+and AAP's set of path neighbours. `is_dense` picks the form from n and m
+(average degree at least 16 + n/256); an n=1e3, p=0.1 graph (degree ~100)
+reads rows, an n=1e4, m=25k graph (degree 5) lists. Both forms give the
+same search, bit for bit.
 """
 
 from __future__ import annotations
@@ -114,9 +115,6 @@ class Graph:
         # a stable sort keeps equal etas in ascending node order
         return nodes[np.argsort(-(self.weights[nodes] / deg[nodes]), kind="stable")].tolist()
 
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
 
 def is_edge(g: Graph, u: int, v: int) -> bool:
     """True iff {u,v} is an edge. Binary search on the lower-degree endpoint."""
@@ -132,8 +130,9 @@ def is_edge(g: Graph, u: int, v: int) -> bool:
 def is_dense(n: int, m: int) -> bool:
     """Density rule: an average degree of at least 16 + n/256.
 
-    Dense graphs are searched with bitset rows (interstate, moves) and get
-    one heap push per node and pick in adaptive greedy. A row operation
+    Dense graphs read bitset rows for the rho->2 member pair (interstate)
+    and AAP's path-neighbour set, and get one heap push per node and pick
+    in adaptive greedy. A row operation
     touches n/30 of CPython's 30-bit digits, a list scan one step per
     neighbour. On G(n,p) graphs the local search with rows broke even near
     average degree 8 at n=250, 8-16 at n=1e3, 16-32 at n=4e3 and 32-64 at

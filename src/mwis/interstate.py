@@ -8,7 +8,7 @@ Tracks, for the solution S over graph g:
   s_plus/s_one/s_two -- pruning queues for the (*,1), (1,*) and (2,*) moves,
   free        -- non-members with rho == 0 (fuel for re-maximalization),
   rows/members -- on dense graphs, the graph's bitset neighbour rows and S as
-                 a bitset, for word-parallel member-neighbour queries.
+                 a bitset, for the rho->2 pair (rows also for AAP's path).
 
 s_plus is stale-tolerant: nodes are inserted when delta turns positive and
 purged on pop if delta has since dropped. s_one/s_two are consumed by move
@@ -181,7 +181,6 @@ def _one_tight_changed(st: InterstateState, member: int, gained: bool) -> None:
 
 def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
     """Remove member v from S and propagate all structure updates."""
-    assert v in s, f"remove_member: {v} not in S"
     s.remove(v)
     wv = g.w[v]
     in_set = s._in_set
@@ -190,14 +189,13 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
     # neighbors are cleared in the rho-transition loop below
     st.one_tight.pop(v, None)
     st.s_one.discard(v)
-    for m in st.mates.pop(v, set()):
+    for m in st.mates.pop(v, ()):
         key = _pair(v, m)
-        st.two_tight.pop(key, None)
-        mm = st.mates.get(m)
-        if mm is not None:
-            mm.discard(v)
-            if not mm:
-                del st.mates[m]
+        del st.two_tight[key]
+        mm = st.mates[m]
+        mm.discard(v)
+        if not mm:
+            del st.mates[m]
         st.s_two.discard(key)
 
     # S is independent, so every neighbor of v is a non-member
@@ -253,7 +251,6 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
 
 def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
     """Add non-member u (with no member neighbor) to S and propagate updates."""
-    assert u not in s, f"add_member: {u} already in S"
     assert st.rho[u] == 0, f"add_member: {u} has {st.rho[u]} member neighbor(s)"
     s.add(u)
     st.free.discard(u)
@@ -279,11 +276,10 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
             prev = st.owner[x]
             assert prev >= 0, f"node {x} reached rho=2 without a 1-tight owner"
             st.owner[x] = -1
-            po = st.one_tight.get(prev)
-            if po is not None:
-                po.discard(x)
-                if not po:
-                    del st.one_tight[prev]
+            po = st.one_tight[prev]
+            po.discard(x)
+            if not po:
+                del st.one_tight[prev]
             _one_tight_changed(st, prev, gained=False)
             key = _pair(u, prev)
             st.mates.setdefault(u, set()).add(prev)
@@ -294,24 +290,18 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
         elif r == 3:
             key = st.tt_pair.pop(x)
             a, b = key
-            tt = st.two_tight.get(key)
-            if tt is not None:
-                tt.discard(x)
-                if not tt:
-                    del st.two_tight[key]
-                    st.s_two.discard(key)
-                    ma = st.mates.get(a)
-                    if ma is not None:
-                        ma.discard(b)
-                        if not ma:
-                            del st.mates[a]
-                    mb = st.mates.get(b)
-                    if mb is not None:
-                        mb.discard(a)
-                        if not mb:
-                            del st.mates[b]
-                else:
-                    st.s_two.add(key)
+            tt = st.two_tight[key]
+            tt.discard(x)
+            if tt:
+                st.s_two.add(key)
+                continue
+            del st.two_tight[key]
+            st.s_two.discard(key)
+            for y, z in ((a, b), (b, a)):
+                my = st.mates[y]
+                my.discard(z)
+                if not my:
+                    del st.mates[y]
 
 
 def state_mismatches(st: InterstateState, g: Graph, s: Solution,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, is_edge
@@ -74,17 +75,8 @@ class MoveEngine:
 
     def _member_neighbors(self, v: int) -> list[int]:
         """Member neighbours of v, ascending."""
-        st = self.state
-        if st.rows is None:
-            in_set = self.s._in_set
-            return [x for x in self.adj[v] if in_set[x]]
-        out = []
-        bits = st.rows[v] & st.members
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        in_set = self.s._in_set
+        return [x for x in self.adj[v] if in_set[x]]
 
     def _maximalize(self) -> list[int]:
         """Add free nodes in random order until none remain."""
@@ -96,8 +88,24 @@ class MoveEngine:
             added.append(v)
         return added
 
+    def _apply(self, kind: str, removed: list[int], added: list[int]) -> None:
+        """Remove, then insert, then re-maximalize, then report one move."""
+        st, g, s = self.state, self.g, self.s
+        for x in removed:
+            remove_member(st, g, s, x)
+        for x in added:
+            add_member(st, g, s, x)
+        self._commit(kind, added + self._maximalize(), removed)
+
     def _commit(self, kind: str, added: list[int], removed: list[int]) -> None:
+        """Report the net change: each list holds the nodes inserted and
+        removed in order of events, and a node whose insertions and removals
+        cancel out goes in neither."""
         if self.on_commit is not None:
+            net = Counter(added)
+            net.subtract(removed)
+            added = [x for x in dict.fromkeys(added) if net[x] > 0]
+            removed = [x for x in dict.fromkeys(removed) if net[x] < 0]
             gain = sum(self.w[v] for v in added) - sum(self.w[v] for v in removed)
             self.on_commit(self, MoveOutcome(gain, added, removed, kind))
 
@@ -111,12 +119,7 @@ class MoveEngine:
             u = st.s_plus.pop_random(self.rng)
             if u in s or st.delta[u] <= 0:
                 continue  # stale entry
-            removed = self._member_neighbors(u)
-            for x in removed:
-                remove_member(st, self.g, s, x)
-            add_member(st, self.g, s, u)
-            extra = self._maximalize()
-            self._commit("star_one", [u] + extra, removed)
+            self._apply("star_one", self._member_neighbors(u), [u])
             improved = True
         return improved
 
@@ -143,11 +146,7 @@ class MoveEngine:
             else:
                 best_w, chosen = self._greedy_subset(cand)
             if best_w > w[v]:
-                remove_member(st, self.g, s, v)
-                for u in chosen:
-                    add_member(st, self.g, s, u)
-                extra = self._maximalize()
-                self._commit("one_star", chosen + extra, [v])
+                self._apply("one_star", [v], chosen)
                 improved = True
         return improved
 
@@ -201,14 +200,7 @@ class MoveEngine:
                 gained += w[c]
                 open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
             if gained > w[u] + w[v]:
-                remove_member(st, g, s, u)
-                remove_member(st, g, s, v)
-                for c in added:
-                    add_member(st, g, s, c)
-                extra = self._maximalize()
-                net_added = [x for x in added + extra if x not in (u, v)]
-                net_removed = [x for x in (u, v) if x not in set(extra)]
-                self._commit("two_star", net_added, net_removed)
+                self._apply("two_star", [u, v], added)
                 return True
         return False
 
@@ -230,7 +222,7 @@ class MoveEngine:
         return improved
 
     def _aap_from(self, v: int) -> bool:
-        st, g = self.state, self.g
+        st = self.state
         w, adj, rows = self.w, self.adj, st.rows
         rng = self.rng
         delta = self.params.aap_delta
@@ -290,53 +282,37 @@ class MoveEngine:
             u = mate
         if best_gain <= 0:
             return False
-        flip_in = path_in[:best_pairs]
-        flip_out = path_out[:best_pairs]
-        for m in flip_in:
-            remove_member(st, g, self.s, m)
-        for o in flip_out:
-            add_member(st, g, self.s, o)
-        extra = self._maximalize()
-        self._commit("aap", flip_out + extra, flip_in)
+        self._apply("aap", path_in[:best_pairs], path_out[:best_pairs])
         return True
 
     def perturb(self) -> None:
         """Force random (optionally LP-biased) nodes into S, then re-maximalize."""
-        st, s = self.state, self.s
-        forced_any = False
-        before = s.as_frozenset() if self.on_commit is not None else None
+        st, g, s = self.state, self.g, self.s
+        added: list[int] = []
+        removed: list[int] = []
         for _ in range(self.params.perturb_count):
             target = self._perturb_target()
             if target is None:
                 break
-            for x in self._member_neighbors(target):
-                remove_member(st, self.g, s, x)
-            add_member(st, self.g, s, target)
-            forced_any = True
-        if not forced_any:
-            return
-        self._maximalize()
-        if before is not None:
-            after = s.as_frozenset()
-            self._commit("perturb", sorted(after - before), sorted(before - after))
+            evicted = self._member_neighbors(target)
+            for x in evicted:
+                remove_member(st, g, s, x)
+            add_member(st, g, s, target)
+            removed += evicted
+            added.append(target)
+        if added:
+            self._commit("perturb", added + self._maximalize(), removed)
 
     def _perturb_target(self) -> int | None:
-        s = self.s
-        n = self.g.n
+        s, n, rng, bias = self.s, self.g.n, self.rng, self.bias
         if s.size >= n:
             return None
-        if self.bias is not None:
-            for _ in range(32):
-                v = sample_biased(self.bias, self.rng)
-                if v not in s:
-                    return v
-        else:
-            for _ in range(32):
-                v = self.rng.randrange(n)
-                if v not in s:
-                    return v
+        for _ in range(32):
+            v = rng.randrange(n) if bias is None else sample_biased(bias, rng)
+            if v not in s:
+                return v
         outside = [v for v in range(n) if v not in s]
-        return outside[self.rng.randrange(len(outside))]
+        return outside[rng.randrange(len(outside))]
 
 
 def local_search(g: Graph, s0: Solution, params: LocalSearchParams | None = None,
@@ -365,37 +341,32 @@ def local_search(g: Graph, s0: Solution, params: LocalSearchParams | None = None
     def out_of_time() -> bool:
         return deadline is not None and clock() >= deadline
 
-    i = 1
-    timed_out = False
-    while i <= params.num_iterations:
+    def descend() -> bool:
+        """Run the move procedures to a local optimum; False on deadline."""
         while True:
             w0 = s.total_weight
             engine.star_one_moves()
             if out_of_time():
-                timed_out = True
-                break
+                return False
             engine.aap_moves()
             if out_of_time():
-                timed_out = True
-                break
+                return False
             engine.one_star_moves()
             if s.total_weight > w0:
                 continue  # improved: restart the cheap phase, skip (2,*)
             if out_of_time():
-                timed_out = True
-                break
+                return False
             engine.two_star_moves()
-            if s.total_weight > w0:
-                continue
-            break
-        if timed_out:
-            break
+            if s.total_weight <= w0:
+                return True
+
+    i = 1
+    while i <= params.num_iterations and descend():
         if s.total_weight > best.total_weight:
             best = s.copy()
             i = 1
         else:
             i += 1
-            if i > params.num_iterations:
-                break
-            engine.perturb()
+            if i <= params.num_iterations:
+                engine.perturb()
     return best

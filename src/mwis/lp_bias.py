@@ -69,19 +69,25 @@ def load_relaxed(path: str, g: Graph, epsilon: float = DEFAULT_EPSILON) -> Relax
                 continue
             tok = line.split()
             try:
-                if len(tok) == 2:
-                    by_id[int(tok[0])] = float(tok[1])
-                elif len(tok) == 1:
+                if len(tok) == 1:
                     bare.append(float(tok[0]))
-                else:
+                    continue
+                if len(tok) != 2:
                     raise ValueError
+                v, x = int(tok[0]), float(tok[1])
             except ValueError:
                 raise GraphFormatError(
                     f"{path}:{lineno}: cannot parse relaxed value {line!r}") from None
+            if not 0 <= v < g.n:
+                raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
+            if v in by_id:
+                raise GraphFormatError(f"{path}:{lineno}: duplicate node {v}")
+            by_id[v] = x
     if by_id and bare:
         raise GraphFormatError(f"{path}: mixed '<id> <value>' and bare-value lines")
     if by_id:
-        if sorted(by_id) != list(range(g.n)):
+        # every id is in range and distinct, so n of them cover 0..n-1
+        if len(by_id) != g.n:
             raise GraphFormatError(
                 f"{path}: expected values for nodes 0..{g.n - 1}, got {len(by_id)}")
         values = [by_id[v] for v in range(g.n)]

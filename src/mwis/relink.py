@@ -78,8 +78,11 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
     src_flags = source._in_set
     cur_flags = s._in_set
 
-    to_add = {v for v in source.members() if not cur_flags[v]}    # source \ s
-    to_drop = {v for v in s.members() if not src_flags[v]}        # s \ source
+    # a step flips only nodes of the initial symmetric difference, so the
+    # candidates are the non-members of source \ guide (pulls) and the
+    # members of guide \ source (drops), read through the current flags
+    to_add = [v for v in source.members() if not cur_flags[v]]
+    to_drop = [v for v in s.members() if not src_flags[v]]
     if not to_add and not to_drop:
         return s
 
@@ -89,9 +92,6 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
     n_limit = params.c_n * scale
     p_limit = params.c_p * scale
     neg = pos = 0
-
-    def eval_pull(v: int) -> float:
-        return w[v] - sum(w[x] for x in adj[v] if cur_flags[x])
 
     def eval_drop(v: int) -> tuple[float, list[int]]:
         gain = -w[v]
@@ -111,33 +111,34 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
                 gain += w[u]
         return gain, added
 
-    while to_add or to_drop:
+    while True:
+        # ties go to the first candidate: pulls before drops, each ascending
         best_gain = float("-inf")
-        best_step = None  # (kind, v, added)
-        for v in sorted(to_add):
-            gain = eval_pull(v)
-            if gain > best_gain:
-                best_gain = gain
-                best_step = ("pull", v, None)
-        for v in sorted(to_drop):
-            gain, added = eval_drop(v)
-            if gain > best_gain:
-                best_gain = gain
-                best_step = ("drop", v, added)
-        kind, v, added = best_step
-        if kind == "pull":
+        best_step = None  # (v, nodes a drop adds; None for a pull)
+        for v in to_add:
+            if not cur_flags[v]:
+                gain = w[v] - sum(w[x] for x in adj[v] if cur_flags[x])
+                if gain > best_gain:
+                    best_gain = gain
+                    best_step = (v, None)
+        for v in to_drop:
+            if cur_flags[v]:
+                gain, added = eval_drop(v)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_step = (v, added)
+        if best_step is None:
+            break  # the walk reached the source
+        v, added = best_step
+        if added is None:
             for x in adj[v]:
                 if cur_flags[x]:
                     s.remove(x)
-                    to_drop.discard(x)
             s.add(v)
-            to_add.discard(v)
         else:
             s.remove(v)
-            to_drop.discard(v)
             for u in added:
                 s.add(u)
-                to_add.discard(u)
         if step_log is not None:
             step_log.append((best_gain, s.total_weight))
         if best_gain < 0:

@@ -239,6 +239,12 @@ class TestRun:
             RunConfig(time_limit=0.0)
         with pytest.raises(ValueError):
             EliteSet(0)
+        # caught when the config is built, before any search runs
+        for bad in (dict(elite_capacity=0), dict(elite_capacity=-2),
+                    dict(check_interstate_every=-1)):
+            with pytest.raises(ValueError):
+                RunConfig(**bad)
+        RunConfig(elite_capacity=1, check_interstate_every=0)
 
 
 class TestSummary:

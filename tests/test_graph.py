@@ -178,7 +178,7 @@ class TestInvariants:
 
     def test_isolated_positive_weight_legal(self):
         g = graph_from(3, [], [1.0, 2.0, 3.0])
-        assert g.m == 0 and g.total_weight() == 6.0
+        assert g.m == 0 and sum(g.w) == 6.0
 
     def test_build_rejects_bad_edge(self):
         with pytest.raises(GraphFormatError):

@@ -13,7 +13,7 @@ from mwis.local_search import LocalSearchParams, MoveEngine, local_search
 from mwis.oracle import exact_mwis
 from mwis.solution import Solution, is_independent, make_maximal
 
-from conftest import graph_from, random_graph
+from conftest import graph_from, random_graph, rows_forced
 
 
 def engine_on(g, members, seed=0, **kw):
@@ -281,19 +281,33 @@ class TestLocalSearch:
                          rng, on_commit=check)
 
     def test_move_outcome_replays_solution(self):
+        # each outcome is the exact net change of its move, without repeats,
+        # and its gain is the weight change (integer weights sum exactly);
+        # three nodes per perturbation can evict and re-insert one another
         rng = random.Random(9)
-        g = random_graph(rng, 24, 0.2)
-        s = make_maximal(g, Solution(g), rng)
-        snapshots = [s.as_frozenset()]
+        kinds = set()
+        for perturb_count, rows, _ in itertools.product([1, 3], [False, True], range(4)):
+            g = random_graph(rng, rng.randint(16, 40), rng.choice([0.1, 0.2, 0.35]))
+            s = make_maximal(g, Solution(g), rng)
+            snapshots = [s.as_frozenset()]
 
-        def check(engine, out):
-            prev = snapshots[-1]
-            now = engine.s.as_frozenset()
-            assert now == (prev - set(out.nodes_removed)) | set(out.nodes_added)
-            snapshots.append(now)
+            def check(engine, out):
+                prev = snapshots[-1]
+                now = engine.s.as_frozenset()
+                assert set(out.nodes_removed) == prev - now
+                assert set(out.nodes_added) == now - prev
+                assert len(set(out.nodes_removed)) == len(out.nodes_removed)
+                assert len(set(out.nodes_added)) == len(out.nodes_added)
+                assert out.gain == sum(g.w[v] for v in now) - sum(g.w[v] for v in prev)
+                kinds.add(out.kind)
+                snapshots.append(now)
 
-        local_search(g, s, LocalSearchParams(num_iterations=6), rng, on_commit=check)
-        assert len(snapshots) > 1
+            with rows_forced(rows):
+                local_search(g, s, LocalSearchParams(num_iterations=6,
+                                                     perturb_count=perturb_count),
+                             rng, on_commit=check)
+            assert len(snapshots) > 1
+        assert kinds == {"star_one", "one_star", "two_star", "aap", "perturb"}
 
     def test_fixed_seed_reproduces_run(self):
         g = random_graph(random.Random(10), 30, 0.2)

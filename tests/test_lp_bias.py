@@ -58,6 +58,22 @@ class TestLoading:
         with pytest.raises(GraphFormatError):
             load_relaxed(str(p), path3)
 
+    def test_duplicate_id_rejected_with_line(self, tmp_path):
+        g = graph_from(4, [(0, 1)])
+        p = tmp_path / "rs.txt"
+        p.write_text("0 0.1\n1 0.2\n2 0.3\n# repeat\n2 0.9\n3 0.4\n")
+        with pytest.raises(GraphFormatError, match=r"rs\.txt:5: duplicate node 2$"):
+            load_relaxed(str(p), g)
+
+    def test_out_of_range_id_names_its_line(self, tmp_path):
+        g = graph_from(4, [(0, 1)])
+        p = tmp_path / "rs.txt"
+        for bad in ("4", "-1"):
+            p.write_text(f"0 0.1\n1 0.2\n{bad} 0.3\n3 0.4\n")
+            with pytest.raises(GraphFormatError,
+                               match=rf"rs\.txt:3: node {bad} out of range$"):
+                load_relaxed(str(p), g)
+
 
 class TestSampling:
     def test_single_node(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -159,6 +160,116 @@ class TestWalk:
         params = RelinkParams(c_n0=100.0, c_p0=99.0, f0=1e-12)
         out = path_relink(g, source, guide, params, random.Random(0))
         assert out.as_frozenset() == source.as_frozenset()
+
+
+def reference_relink(g, source, guide, params, rng, step_log):
+    """The walk with the candidates kept as two sets beside the flags, each
+    sorted per step, as it was before the walk read them through the flags."""
+    s = guide.copy()
+    src_flags = source._in_set
+    cur_flags = s._in_set
+    to_add = {v for v in source.members() if not cur_flags[v]}
+    to_drop = {v for v in s.members() if not src_flags[v]}
+    if not to_add and not to_drop:
+        return s
+    w, adj = g.w, g.adj
+    w_guide = guide.total_weight
+    scale = len(to_add) + len(to_drop) if params.budget_mode == "fraction" else 1.0
+    n_limit = params.c_n * scale
+    p_limit = params.c_p * scale
+    neg = pos = 0
+
+    def eval_pull(v):
+        return w[v] - sum(w[x] for x in adj[v] if cur_flags[x])
+
+    def eval_drop(v):
+        gain = -w[v]
+        added = []
+        added_set = set()
+        for u in adj[v]:
+            if not src_flags[u] or cur_flags[u]:
+                continue
+            blocked = False
+            for nb in adj[u]:
+                if nb in added_set or (cur_flags[nb] and nb != v):
+                    blocked = True
+                    break
+            if not blocked:
+                added.append(u)
+                added_set.add(u)
+                gain += w[u]
+        return gain, added
+
+    while to_add or to_drop:
+        best_gain = float("-inf")
+        best_step = None
+        for v in sorted(to_add):
+            gain = eval_pull(v)
+            if gain > best_gain:
+                best_gain = gain
+                best_step = ("pull", v, None)
+        for v in sorted(to_drop):
+            gain, added = eval_drop(v)
+            if gain > best_gain:
+                best_gain = gain
+                best_step = ("drop", v, added)
+        kind, v, added = best_step
+        if kind == "pull":
+            for x in adj[v]:
+                if cur_flags[x]:
+                    s.remove(x)
+                    to_drop.discard(x)
+            s.add(v)
+            to_add.discard(v)
+        else:
+            s.remove(v)
+            to_drop.discard(v)
+            for u in added:
+                s.add(u)
+                to_add.discard(u)
+        step_log.append((best_gain, s.total_weight))
+        if best_gain < 0:
+            neg += 1
+        else:
+            pos += 1
+        if neg > n_limit or pos > p_limit:
+            break
+        if w_guide > 0 and s.total_weight / w_guide < params.f:
+            break
+    make_maximal(g, s, rng)
+    return s
+
+
+def independent_set(g, rng):
+    """A random maximal independent set, with some members dropped half the time."""
+    s = make_maximal(g, Solution(g), rng)
+    if rng.random() < 0.5:
+        for v in s.member_list():
+            if rng.random() < 0.3:
+                s.remove(v)
+    return s
+
+
+class TestMatchesReference:
+    def test_flag_walk_matches_set_walk(self):
+        rng = random.Random(31)
+        for i in range(360):
+            n = rng.randint(6, 60)
+            p = rng.choice([0.05, 0.15, 0.3])
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = build_graph(n, edges, [rng.randint(0, 30) / 10 for _ in range(n)])
+            source, guide = independent_set(g, rng), independent_set(g, rng)
+            params = RelinkParams(budget_mode=("absolute", "fraction")[i % 2])
+            for _ in range((0, 3, 12)[i // 2 % 3]):
+                params.on_stagnation()
+            seed = rng.random()
+            runs = []
+            for walk in (path_relink, reference_relink):
+                log = []
+                walk_rng = random.Random(seed)
+                out = walk(g, source, guide, copy.copy(params), walk_rng, log)
+                runs.append((out.member_list(), log, walk_rng.getstate()))
+            assert runs[0] == runs[1]
 
 
 class TestParamsValidation:

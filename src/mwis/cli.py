@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from pathlib import Path
 
 from . import driver, generate, oracle
 from .driver import RunConfig
@@ -40,8 +39,6 @@ def _add_solve_parser(sub) -> None:
     p.add_argument("--format", default="edge-list", choices=["edge-list", "metis"])
     p.add_argument("--time-limit", type=float, default=rc.time_limit)
     p.add_argument("--seed", type=int, default=rc.seed)
-    p.add_argument("--seeds", type=str, default=None,
-                   help="comma-separated seeds, run one after another (overrides --seed)")
     p.add_argument("--initial", default=None, help="initial solution file")
     p.add_argument("--relaxed", default=None, help="relaxed LP solution file")
     p.add_argument("--trace", default=None, help="trace CSV output path")
@@ -69,10 +66,10 @@ def _add_solve_parser(sub) -> None:
                    help="debug: verify the interstate graph every N committed moves")
 
 
-def _config_for(args, seed: int) -> RunConfig:
+def _config_for(args) -> RunConfig:
     return RunConfig(
         time_limit=args.time_limit,
-        seed=seed,
+        seed=args.seed,
         ls_before_relinking=args.ls_before_relinking,
         elite_capacity=args.elite_size,
         greedy=GreedyConfig(k_fraction=args.greedy_k_fraction, mode=args.greedy_mode),
@@ -91,13 +88,6 @@ def _config_for(args, seed: int) -> RunConfig:
     )
 
 
-def _trace_path_for(base: str, seed: int, multi: bool) -> str:
-    if not multi:
-        return base
-    p = Path(base)
-    return str(p.with_name(f"{p.stem}-seed{seed}{p.suffix or '.csv'}"))
-
-
 def _cmd_solve(args) -> int:
     g = load_graph(args.graph, args.format)
     initial = None
@@ -109,25 +99,13 @@ def _cmd_solve(args) -> int:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_INFEASIBLE
     relaxed = load_relaxed(args.relaxed, g, args.lp_epsilon) if args.relaxed else None
-    seeds = ([int(t) for t in args.seeds.split(",")] if args.seeds else [args.seed])
-    summaries = []
-    best_overall = None
-    for seed in seeds:
-        cfg = _config_for(args, seed)
-        best, trace = driver.run(g, cfg, initial=initial, relaxed=relaxed)
-        if args.trace:
-            driver.write_trace_csv(trace, _trace_path_for(args.trace, seed, len(seeds) > 1))
-        summaries.append(driver.summarize(g, cfg, best, trace))
-        if best_overall is None or best.total_weight > best_overall.total_weight:
-            best_overall = best
+    cfg = _config_for(args)
+    best, trace = driver.run(g, cfg, initial=initial, relaxed=relaxed)
+    if args.trace:
+        driver.write_trace_csv(trace, args.trace)
     if args.solution_out:
-        save_solution(best_overall, args.solution_out)
-    if len(summaries) == 1:
-        print(driver.summary_json(summaries[0]), end="")
-    else:
-        merged = {"schema": 1, "best_weight": best_overall.total_weight,
-                  "runs": summaries}
-        print(json.dumps(merged, indent=2, sort_keys=True))
+        save_solution(best, args.solution_out)
+    print(driver.summary_json(driver.summarize(g, cfg, best, trace)), end="")
     return EXIT_OK
 
 

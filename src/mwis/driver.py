@@ -140,9 +140,10 @@ def run(g: Graph, config: RunConfig, clock=None,
         if config.ls_before_relinking:
             s_g = local_search(g, s_g, config.ls_params, rng, relaxed, **ls_kwargs)
         s_e = es.random_entry(rng)
-        s2 = path_relink(g, s_g, s_e, params, rng)
+        s2, st = path_relink(g, s_g, s_e, params, rng)
         emit("relink")
-        s2 = local_search(g, s2, config.ls_params, rng, relaxed, **ls_kwargs)
+        s2 = local_search(g, s2, config.ls_params, rng, relaxed, state=st, **ls_kwargs)
+        del st  # no structure outlives its iteration
         w2 = s2.total_weight
         stagnated = w2 == best_w
         if stagnated:

@@ -55,9 +55,6 @@ class Graph:
     indices: np.ndarray  # int32 (2m,)
     parse_warnings: int = field(default=0, compare=False)
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def node_weight(self, v: int) -> float:
         return float(self.weights[v])
 
@@ -230,6 +227,7 @@ def _load_edge_list(path: str) -> Graph:
         raise GraphFormatError(f"{path}:{lineno}: negative node count")
 
     weights = np.ones(n, dtype=np.float64)
+    weighted: set[int] = set()
     edges: list[tuple[int, int]] = []
     for lineno, tok in lines:
         kind = tok[0]
@@ -240,6 +238,9 @@ def _load_edge_list(path: str) -> Graph:
                 v = int(tok[1])
                 if not 0 <= v < n:
                     raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
+                if v in weighted:
+                    raise GraphFormatError(f"{path}:{lineno}: duplicate weight for node {v}")
+                weighted.add(v)
                 weights[v] = float(tok[2])
             elif kind == "e":
                 if len(tok) != 3:

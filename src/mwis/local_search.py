@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, is_edge
-from .interstate import _pair, add_member, build, remove_member
+from .interstate import InterstateState, _pair, add_member, build, remove_member
 from .lp_bias import RelaxedSolution, sample_biased
 from .oracle import max_weight_subset
 from .solution import Solution, make_maximal
@@ -55,7 +55,8 @@ class MoveEngine:
 
     def __init__(self, g: Graph, s: Solution, rng: random.Random,
                  params: LocalSearchParams | None = None,
-                 bias: RelaxedSolution | None = None, on_commit=None):
+                 bias: RelaxedSolution | None = None, on_commit=None,
+                 state: InterstateState | None = None):
         self.g = g
         self.s = s
         self.rng = rng
@@ -64,7 +65,7 @@ class MoveEngine:
         self.on_commit = on_commit  # called as on_commit(engine, MoveOutcome)
         self.w = g.w
         self.adj = g.adj
-        self.state = build(g, s)
+        self.state = build(g, s) if state is None else state
         floor = self.params.aap_gain_floor
         if floor is None:
             mean = sum(self.w) / len(self.w) if self.w else 0.0
@@ -319,8 +320,12 @@ def local_search(g: Graph, s0: Solution, params: LocalSearchParams | None = None
                  rng: random.Random | None = None,
                  bias: RelaxedSolution | None = None, *,
                  deadline: float | None = None, clock=time.monotonic,
-                 on_commit=None) -> Solution:
+                 on_commit=None, state: InterstateState | None = None) -> Solution:
     """Run the full move loop from s0 (maximalized on entry); return best seen.
+
+    Given the interstate `state` of a maximal s0 (as path_relink returns
+    them), the search runs on s0 and state in place; otherwise it runs on a
+    copy of s0 with a fresh structure.
 
     The clock is consulted between move procedures only; on deadline the last
     clean snapshot is returned, so outputs are always maximal with delta <= 0
@@ -330,9 +335,8 @@ def local_search(g: Graph, s0: Solution, params: LocalSearchParams | None = None
     """
     params = params or LocalSearchParams()
     rng = rng or random.Random()
-    s = s0.copy()
-    make_maximal(g, s, rng)
-    engine = MoveEngine(g, s, rng, params, bias, on_commit)
+    s = make_maximal(g, s0.copy(), rng) if state is None else s0
+    engine = MoveEngine(g, s, rng, params, bias, on_commit, state)
     # Drain S+ before the first snapshot: every snapshot this function can
     # return then satisfies delta(u) <= 0 outside the set, even on timeout.
     engine.star_one_moves()

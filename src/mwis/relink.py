@@ -8,6 +8,12 @@ factor drops below f, or when more than c_n negative-gain / c_p positive-gain
 steps have been taken (step applied first, then checked). Zero gain counts as
 positive. The schedule (f, c_n, c_p) tightens multiplicatively on stagnation
 and resets on any weight change.
+
+The walk runs on the interstate structure of the guide's copy, built once
+and updated by every flip: a pull gains delta(v), and a drop adds the source
+nodes 1-tight to the dropped member. The walked solution is re-maximalized
+with make_maximal's random draws and returned with its structure, which
+local search then continues from instead of building its own.
 """
 
 from __future__ import annotations
@@ -16,7 +22,11 @@ import random
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .solution import Solution, make_maximal
+from .interstate import InterstateState, add_member, build, remove_member
+from .solution import Solution
+# no longer called here; perfbench/spans.py still wraps this name until the
+# benchmark reads solver-owned statistics (ROADMAP item 1)
+from .solution import make_maximal  # noqa: F401
 
 F0 = 0.9998
 CN0 = 1.0
@@ -65,16 +75,21 @@ class RelinkParams:
 def path_relink(g: Graph, source: Solution, guide: Solution,
                 params: RelinkParams | None = None,
                 rng: random.Random | None = None,
-                step_log: list[tuple[float, float]] | None = None) -> Solution:
-    """Walk from `guide` toward `source`, returning the truncation point.
+                step_log: list[tuple[float, float]] | None = None,
+                ) -> tuple[Solution, InterstateState]:
+    """Walk from `guide` toward `source`; return the truncation point and its
+    interstate structure.
 
-    Both inputs must be independent; the result is re-maximalized. If the two
-    solutions are set-equal the guide is returned unchanged. step_log, when
-    given, receives one (gain, weight_after_step) entry per applied step.
+    Both inputs must be independent. The walk runs on a copy of the guide
+    whose structure is built once; the result is re-maximalized, so the pair
+    can go straight to local_search(..., state=...). If the two solutions are
+    set-equal the walk takes no step. step_log, when given, receives one
+    (gain, weight_after_step) entry per applied step.
     """
     params = params or RelinkParams()
     rng = rng or random.Random()
     s = guide.copy()
+    st = build(g, s)
     src_flags = source._in_set
     cur_flags = s._in_set
 
@@ -83,47 +98,30 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
     # members of guide \ source (drops), read through the current flags
     to_add = [v for v in source.members() if not cur_flags[v]]
     to_drop = [v for v in s.members() if not src_flags[v]]
-    if not to_add and not to_drop:
-        return s
-
     w, adj = g.w, g.adj
+    delta, one_tight = st.delta, st.one_tight
     w_guide = guide.total_weight
     scale = len(to_add) + len(to_drop) if params.budget_mode == "fraction" else 1.0
     n_limit = params.c_n * scale
     p_limit = params.c_p * scale
     neg = pos = 0
 
-    def eval_drop(v: int) -> tuple[float, list[int]]:
-        gain = -w[v]
-        added: list[int] = []
-        added_set: set[int] = set()
-        for u in adj[v]:
-            if not src_flags[u] or cur_flags[u]:
-                continue
-            blocked = False
-            for nb in adj[u]:
-                if nb in added_set or (cur_flags[nb] and nb != v):
-                    blocked = True
-                    break
-            if not blocked:
-                added.append(u)
-                added_set.add(u)
-                gain += w[u]
-        return gain, added
-
     while True:
-        # ties go to the first candidate: pulls before drops, each ascending
+        # ties go to the first candidate: pulls before drops, each ascending.
+        # A pull gains delta[v]. A drop frees exactly its 1-tight
+        # neighbours, and those in the source are pairwise non-adjacent.
         best_gain = float("-inf")
         best_step = None  # (v, nodes a drop adds; None for a pull)
         for v in to_add:
-            if not cur_flags[v]:
-                gain = w[v] - sum(w[x] for x in adj[v] if cur_flags[x])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_step = (v, None)
+            if not cur_flags[v] and delta[v] > best_gain:
+                best_gain = delta[v]
+                best_step = (v, None)
         for v in to_drop:
             if cur_flags[v]:
-                gain, added = eval_drop(v)
+                added = sorted(u for u in one_tight.get(v, ()) if src_flags[u])
+                gain = -w[v]
+                for u in added:
+                    gain += w[u]
                 if gain > best_gain:
                     best_gain = gain
                     best_step = (v, added)
@@ -133,12 +131,12 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
         if added is None:
             for x in adj[v]:
                 if cur_flags[x]:
-                    s.remove(x)
-            s.add(v)
+                    remove_member(st, g, s, x)
+            add_member(st, g, s, v)
         else:
-            s.remove(v)
+            remove_member(st, g, s, v)
             for u in added:
-                s.add(u)
+                add_member(st, g, s, u)
         if step_log is not None:
             step_log.append((best_gain, s.total_weight))
         if best_gain < 0:
@@ -150,5 +148,11 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
         if w_guide > 0 and s.total_weight / w_guide < params.f:
             break
 
-    make_maximal(g, s, rng)
-    return s
+    # make_maximal's draws: the free nodes ascending, one shuffle, and an
+    # insert while still free
+    cand = sorted(st.free)
+    rng.shuffle(cand)
+    for v in cand:
+        if st.rho[v] == 0:
+            add_member(st, g, s, v)
+    return s, st

@@ -4,7 +4,6 @@ import argparse
 import json
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -140,38 +139,6 @@ class TestSolve:
         flags = set(ids)
         for v in ids:  # written solution is independent
             assert not flags & set(g.neighbors(v).tolist())
-
-    def test_multi_seed_merge(self, tmp_path):
-        path, g = gen_file(tmp_path, "s.g",
-                           GenSpec(model="gnp", n=10, p=0.3, seed=8))
-        trace = str(tmp_path / "t.csv")
-        r = run_cli("solve", "--graph", path, "--time-limit", "0.2",
-                    "--seeds", "1,2", "--trace", trace)
-        assert r.returncode == 0
-        merged = json.loads(r.stdout)
-        assert len(merged["runs"]) == 2
-        assert merged["best_weight"] == max(run["best_weight"]
-                                            for run in merged["runs"])
-        assert (tmp_path / "t-seed1.csv").exists()
-        assert (tmp_path / "t-seed2.csv").exists()
-
-    def test_seeds_run_one_after_another(self, tmp_path, monkeypatch, capsys):
-        path, g = gen_file(tmp_path, "s.g",
-                           GenSpec(model="gnp", n=10, p=0.3, seed=8))
-        running, order = [], []
-
-        def fake_run(graph, cfg, clock=None, initial=None, relaxed=None):
-            running.append(cfg.seed)
-            assert running == [cfg.seed], f"seed runs overlap: {running}"
-            time.sleep(0.05)  # room for a concurrent caller to overlap
-            order.append(cfg.seed)
-            running.remove(cfg.seed)
-            return Solution(graph), [TraceEvent(0.0, 0.0, "final")]
-
-        monkeypatch.setattr(driver, "run", fake_run)
-        assert main(["solve", "--graph", path, "--seeds", "3,1,2"]) == 0
-        assert order == [3, 1, 2]
-        assert len(json.loads(capsys.readouterr().out)["runs"]) == 3
 
     def test_default_arguments_build_default_config(self, tmp_path, monkeypatch, capsys):
         path, g = gen_file(tmp_path, "s.g",

@@ -29,11 +29,16 @@ class TestEdgeListFormat:
     def test_empty_edge_section(self, tmp_path):
         g = load_graph(write(tmp_path, "g.txt", "4 0\n"))
         assert (g.n, g.m) == (4, 0)
-        assert all(g.degree(v) == 0 for v in range(4))
+        assert all(len(g.adj[v]) == 0 for v in range(4))
 
     def test_missing_weights_default_to_one(self, tmp_path):
         g = load_graph(write(tmp_path, "g.txt", "2 1\ne 0 1\nw 1 7.5\n"))
         assert g.weights.tolist() == [1.0, 7.5]
+
+    def test_duplicate_weight_line_rejected(self, tmp_path):
+        p = write(tmp_path, "g.txt", "3 0\nw 1 2.0\nw 1 7.5\n")
+        with pytest.raises(GraphFormatError, match=r"g\.txt:3: duplicate weight for node 1"):
+            load_graph(p)
 
     def test_self_loop_dropped_with_warning(self, tmp_path):
         g = load_graph(write(tmp_path, "g.txt", "6 1\ne 5 5\n"))
@@ -149,7 +154,7 @@ class TestInvariants:
         assert graphs_equal(g, g2)
 
     def test_accessors(self, path3):
-        assert path3.degree(1) == 2
+        assert len(path3.adj[1]) == 2
         assert path3.node_weight(1) == 5.0
         assert path3.neighbors(1).tolist() == [0, 2]
         with pytest.raises(ValueError):

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import random
 
 import pytest
 
+from mwis import driver
+from mwis.driver import RunConfig, run
 from mwis.graph import build_graph
+from mwis.interstate import state_mismatches
+from mwis.local_search import local_search
 from mwis.relink import RelinkParams, path_relink
 from mwis.solution import Solution, is_independent, make_maximal
 
-from conftest import random_graph
+from conftest import FakeClock, random_graph, rows_forced
 
 
 def matching_graph(k: int, w_left: float, w_right: float):
@@ -69,14 +74,14 @@ class TestSchedule:
 class TestWalk:
     def test_identical_solutions_returned_unchanged(self, path3):
         s = make_maximal(path3, Solution(path3, [1]), random.Random(0))
-        out = path_relink(path3, s, s.copy(), RelinkParams(), random.Random(0))
+        out, _ = path_relink(path3, s, s.copy(), RelinkParams(), random.Random(0))
         assert out.as_frozenset() == s.as_frozenset()
 
     def test_positive_budget_stops_after_first_positive_step(self):
         # every step pulls a heavier source node: all gains positive
         g, source, guide = matching_graph(6, w_left=1.0, w_right=2.0)
         log = []
-        out = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out, _ = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
         assert len(log) == 1        # pos count 1 > c_p = 0.1 stops the walk
         assert log[0][0] > 0
         assert len(out.as_frozenset() ^ guide.as_frozenset()) == 2
@@ -85,7 +90,7 @@ class TestWalk:
         # tiny negative steps: the f-rule stays quiet, c_n = 1.0 stops at 2
         g, source, guide = matching_graph(8, w_left=1000.0, w_right=999.9)
         log = []
-        out = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out, _ = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
         assert len(log) == 2        # neg count 2 > c_n = 1.0
         assert all(gain < 0 for gain, _ in log)
         assert len(out.as_frozenset() ^ guide.as_frozenset()) == 4
@@ -128,7 +133,7 @@ class TestWalk:
         guide = Solution(g, [1, 3])   # weight 13
         source = Solution(g, [0, 2])  # weight 20
         log = []
-        out = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out, _ = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
         # pulling 0 (gain +6) beats pulling 2 (gain +1); one positive step, stop
         assert log[0][0] == 6.0
         assert 0 in out.as_frozenset()
@@ -139,7 +144,7 @@ class TestWalk:
             g = random_graph(rng, 30, 0.15)
             a = make_maximal(g, Solution(g), rng)
             b = make_maximal(g, Solution(g), rng)
-            out = path_relink(g, a, b, RelinkParams(), rng)
+            out, _ = path_relink(g, a, b, RelinkParams(), rng)
             assert is_independent(g, out)
             flags = [v in out for v in range(g.n)]
             for v in range(g.n):
@@ -151,14 +156,14 @@ class TestWalk:
         g = random_graph(rng, 30, 0.15)
         a = make_maximal(g, Solution(g), rng)
         b = make_maximal(g, Solution(g), rng)
-        o1 = path_relink(g, a, b, RelinkParams(), random.Random(5))
-        o2 = path_relink(g, a, b, RelinkParams(), random.Random(5))
+        o1, _ = path_relink(g, a, b, RelinkParams(), random.Random(5))
+        o2, _ = path_relink(g, a, b, RelinkParams(), random.Random(5))
         assert o1.as_frozenset() == o2.as_frozenset()
 
     def test_walk_can_reach_source_exactly(self):
         g, source, guide = matching_graph(3, w_left=5.0, w_right=5.0)
         params = RelinkParams(c_n0=100.0, c_p0=99.0, f0=1e-12)
-        out = path_relink(g, source, guide, params, random.Random(0))
+        out, _ = path_relink(g, source, guide, params, random.Random(0))
         assert out.as_frozenset() == source.as_frozenset()
 
 
@@ -250,26 +255,94 @@ def independent_set(g, rng):
     return s
 
 
+def reference_cases(seed, integer):
+    """360 (graph, source, guide, params, walk seed) cases; weights are
+    integers or multiples of 1/10."""
+    rng = random.Random(seed)
+    for i in range(360):
+        n = rng.randint(6, 60)
+        p = rng.choice([0.05, 0.15, 0.3])
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        weights = [rng.randint(0, 30) for _ in range(n)]
+        g = build_graph(n, edges, weights if integer else [x / 10 for x in weights])
+        source, guide = independent_set(g, rng), independent_set(g, rng)
+        params = RelinkParams(budget_mode=("absolute", "fraction")[i % 2])
+        for _ in range((0, 3, 12)[i // 2 % 3]):
+            params.on_stagnation()
+        yield g, source, guide, params, rng.random()
+
+
+def walk_both_ways(g, source, guide, params, seed):
+    """(members, step log, random state) of path_relink, then of reference_relink."""
+    runs = []
+    for walk in (lambda *a: path_relink(*a)[0], reference_relink):
+        log = []
+        walk_rng = random.Random(seed)
+        out = walk(g, source, guide, copy.copy(params), walk_rng, log)
+        runs.append((out.member_list(), log, walk_rng.getstate()))
+    return runs
+
+
 class TestMatchesReference:
     def test_flag_walk_matches_set_walk(self):
-        rng = random.Random(31)
-        for i in range(360):
-            n = rng.randint(6, 60)
-            p = rng.choice([0.05, 0.15, 0.3])
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-            g = build_graph(n, edges, [rng.randint(0, 30) / 10 for _ in range(n)])
-            source, guide = independent_set(g, rng), independent_set(g, rng)
-            params = RelinkParams(budget_mode=("absolute", "fraction")[i % 2])
-            for _ in range((0, 3, 12)[i // 2 % 3]):
-                params.on_stagnation()
-            seed = rng.random()
-            runs = []
-            for walk in (path_relink, reference_relink):
-                log = []
-                walk_rng = random.Random(seed)
-                out = walk(g, source, guide, copy.copy(params), walk_rng, log)
-                runs.append((out.member_list(), log, walk_rng.getstate()))
+        # a pull's gain is the running sum delta, so on fractional weights a
+        # logged figure may differ from the reference's fresh sum in the last bit
+        for case in reference_cases(31, integer=False):
+            (members, log, state), (ref_members, ref_log, ref_state) = walk_both_ways(*case)
+            assert members == ref_members and state == ref_state
+            assert len(log) == len(ref_log)
+            for got, want in zip(log, ref_log):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_flag_walk_matches_set_walk_exactly_on_integer_weights(self):
+        for case in reference_cases(32, integer=True):
+            runs = walk_both_ways(*case)
             assert runs[0] == runs[1]
+
+
+class TestHandoff:
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_returned_state_matches_a_rebuild(self, rows):
+        with rows_forced(rows):
+            for i, (g, source, guide, params, seed) in enumerate(reference_cases(33, integer=False)):
+                if i == 120:
+                    break
+                out, st = path_relink(g, source, guide, params, random.Random(seed))
+                assert (st.rows is not None) is rows
+                assert not state_mismatches(st, g, out, check_pruning=True), f"case {i}"
+
+    def test_local_search_runs_on_the_state_it_is_handed(self):
+        rng = random.Random(34)
+        engines = []
+        for _ in range(10):
+            g = random_graph(rng, 40, 0.1)
+            walked, st = path_relink(g, make_maximal(g, Solution(g), rng),
+                                     make_maximal(g, Solution(g), rng), RelinkParams(), rng)
+            local_search(g, walked, rng=rng, state=st,
+                         on_commit=lambda eng, _: engines.append((eng, walked, st)))
+        assert engines, "no move committed"
+        assert all(eng.s is s and eng.state is st for eng, s, st in engines)
+
+    def test_one_build_and_no_make_maximal_per_iteration(self, monkeypatch):
+        calls = []
+
+        def count(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module in ("mwis.relink", "mwis.local_search"):
+            count(importlib.import_module(module), "build")
+            count(importlib.import_module(module), "make_maximal")
+        count(driver, "path_relink")
+        g = random_graph(random.Random(35), 60, 0.1)
+        run(g, RunConfig(time_limit=0.02, seed=1), clock=FakeClock())
+        iterations = " ".join(calls).split("path_relink")[1:]
+        assert len(iterations) > 2
+        assert all(it.split() == ["build"] for it in iterations), calls
 
 
 class TestParamsValidation:

@@ -1,10 +1,10 @@
 """Run orchestration: elite set, stagnation schedule, traces, summaries.
 
 The main loop alternates randomized greedy construction, truncated path
-relinking against a random elite solution, and local search, until the time
-limit. The clock is injectable so that identical (config, seed) pairs can
-reproduce byte-identical traces under a deterministic clock; the CLI uses
-the real monotonic clock.
+relinking against a random elite solution, and local search on one solution
+and interstate structure kept for the run, until the time limit. The clock
+is injectable so that identical (config, seed) pairs reproduce byte-identical
+traces under a deterministic clock; the CLI uses the real monotonic clock.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 from .graph import Graph
 from .greedy import GreedyConfig, build_initial, randomized_greedy
-from .interstate import state_mismatches
+from .interstate import build, state_mismatches
 from .local_search import LocalSearchParams, local_search
 from .lp_bias import RelaxedSolution
 from .relink import RelinkParams, path_relink
-from .solution import Solution, solutions_equivalent
+from .solution import Solution, make_maximal, solutions_equivalent
 
 log = logging.getLogger(__name__)
 
@@ -128,22 +128,23 @@ def run(g: Graph, config: RunConfig, clock=None,
     ls_kwargs = dict(deadline=deadline_at, clock=clock,
                      on_commit=_interstate_check(every) if every else None)
 
+    # the run's live pair, made with local_search's own entry draws
+    st = build(g, make_maximal(g, s, rng))
     # a fresh snapshot that nothing mutates; the elite set stores its own copy
-    best = s = local_search(g, s, config.ls_params, rng, relaxed, **ls_kwargs)
+    best = local_search(g, s, config.ls_params, rng, relaxed, state=st, **ls_kwargs)
     best_w = best.total_weight
     emit("local-search")
     es = EliteSet(config.elite_capacity)
-    es.try_add_and_evict(s)
+    es.try_add_and_evict(best)
 
     while clock() < deadline_at:
         s_g = randomized_greedy(g, config.greedy, rng)
         if config.ls_before_relinking:
             s_g = local_search(g, s_g, config.ls_params, rng, relaxed, **ls_kwargs)
         s_e = es.random_entry(rng)
-        s2, st = path_relink(g, s_g, s_e, params, rng)
+        path_relink(g, s_g, s_e, params, rng, live=(s, st))
         emit("relink")
-        s2 = local_search(g, s2, config.ls_params, rng, relaxed, state=st, **ls_kwargs)
-        del st  # no structure outlives its iteration
+        s2 = local_search(g, s, config.ls_params, rng, relaxed, state=st, **ls_kwargs)
         w2 = s2.total_weight
         stagnated = w2 == best_w
         if stagnated:

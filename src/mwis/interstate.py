@@ -1,4 +1,4 @@
-"""Dynamic companion structure for the current independent set.
+"""Dynamic companion structure for the current independent set, one per run.
 
 Tracks, for the solution S over graph g:
   rho(u)      -- |N(u) & S| (0 for members),
@@ -16,13 +16,14 @@ evaluation and re-fed on any neighborhood change, so their contents depend on
 evaluation history; verification therefore treats them as supersets only.
 
 Updates are single-node: batch moves are applied as removals first, then
-additions, so S stays independent throughout.
+additions, so S stays independent throughout; retarget (to a new guide) is one.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import count
+from itertools import compress, count
+from operator import ne
 
 import numpy as np
 
@@ -209,25 +210,25 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
     for x in adj[v]:
         r = rho[x] - 1
         rho[x] = r
-        d = delta[x] + wv
-        delta[x] = d
-        if d > 0 and x not in in_plus:
-            s_plus.add(x)
+        # build's exact delta at rho 0 and 1 (add_member's 0 -> 1 step keeps it)
         if r > 2:
-            continue
-        if r == 0:
+            d = delta[x] + wv
+        elif r == 0:
+            d = g.w[x]
             st.owner[x] = -1
             st.free.add(x)
         elif r == 1:
             key = st.tt_pair.pop(x)
             other = key[0] if key[1] == v else key[1]
+            d = g.w[x] - g.w[other]
             st.one_tight.setdefault(other, set()).add(x)
             st.owner[x] = other
             # re-arm once: this loop discards no queue entry, so a repeat adds nothing
             if other not in rearmed:
                 rearmed.add(other)
                 _one_tight_changed(st, other, gained=True)
-        elif r == 2:
+        else:
+            d = delta[x] + wv
             # x's two member neighbours, ascending
             if rows is None:
                 a, b = [y for y in adj[x] if in_set[y]]
@@ -241,6 +242,9 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
             st.two_tight.setdefault(key, set()).add(x)
             st.tt_pair[x] = key
             st.s_two.add(key)
+        delta[x] = d
+        if d > 0 and x not in in_plus:
+            s_plus.add(x)
 
     # v itself: rho stays 0, delta recomputed (no member neighbors remain)
     delta[v] = wv
@@ -302,6 +306,22 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
                 my.discard(z)
                 if not my:
                     del st.mates[y]
+
+
+def retarget(st: InterstateState, g: Graph, s: Solution, target: Solution) -> None:
+    """Turn s into target's set, removals first; s_one, s_two and total_weight
+    end as on a copy of target with a fresh build, all eligible for search."""
+    in_s, in_t = s._in_set, target._in_set
+    flips = list(compress(range(g.n), map(ne, in_s, in_t)))
+    for v in flips:
+        if in_s[v]:
+            remove_member(st, g, s, v)
+    for v in flips:
+        if in_t[v]:
+            add_member(st, g, s, v)
+    st.s_one = IndexedSet(st.one_tight)
+    st.s_two = IndexedSet(st.two_tight)
+    s.total_weight = target.total_weight
 
 
 def state_mismatches(st: InterstateState, g: Graph, s: Solution,

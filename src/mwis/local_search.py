@@ -25,6 +25,11 @@ from .solution import Solution, make_maximal
 _SUM_SLACK = 4 * sys.float_info.epsilon
 
 
+def _pool_cannot_win(w: list[float], pool, target: float) -> bool:
+    """No subset of `pool` outweighs `target`: weights are >= 0, rounding included."""
+    return sum(map(w.__getitem__, pool)) * (1.0 + _SUM_SLACK * len(pool)) <= target
+
+
 @dataclass
 class LocalSearchParams:
     num_iterations: int = 64        # consecutive non-improving outer iterations allowed
@@ -137,9 +142,7 @@ class MoveEngine:
             pool = st.one_tight.get(v)
             if not pool:
                 continue
-            # weights are >= 0, so no subset of the pool outweighs the whole;
-            # the slack covers rounding in any summation order
-            if sum(map(w.__getitem__, pool)) * (1.0 + _SUM_SLACK * len(pool)) <= w[v]:
+            if _pool_cannot_win(w, pool, w[v]):
                 continue
             cand = sorted(pool, key=lambda u: (-w[u], u))
             if len(cand) <= limit:
@@ -174,9 +177,9 @@ class MoveEngine:
     def two_star_moves(self) -> bool:
         """Evaluate S2 pairs; commit and return on the first improving move.
 
-        Each popped pair gets one randomized trial, simulated read-only on
-        the pair's pool; only a success is replayed as real state updates,
-        so a failed pair stays pruned until a real change.
+        Each popped pair whose pool could outweigh it gets one randomized
+        trial, simulated read-only on the pool; only a success is replayed as
+        real state updates, so a failed pair stays pruned until a real change.
         """
         st, s, g = self.state, self.s, self.g
         w = self.w
@@ -191,8 +194,11 @@ class MoveEngine:
             # the three parts are disjoint (1-tight to u, 1-tight to v,
             # 2-tight to both), and every pool node's only member neighbors
             # are u and v, so only the picks themselves close candidates
-            open_now = sorted([*st.one_tight.get(u, ()), *st.one_tight.get(v, ()),
-                               *st.two_tight.get(key, ())])
+            pool = [*st.one_tight.get(u, ()), *st.one_tight.get(v, ()),
+                    *st.two_tight.get(key, ())]
+            if _pool_cannot_win(w, pool, w[u] + w[v]):
+                continue
+            open_now = sorted(pool)
             added: list[int] = []
             gained = 0.0
             while open_now:

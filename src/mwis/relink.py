@@ -9,20 +9,22 @@ steps have been taken (step applied first, then checked). Zero gain counts as
 positive. The schedule (f, c_n, c_p) tightens multiplicatively on stagnation
 and resets on any weight change.
 
-The walk runs on the interstate structure of the guide's copy, built once
-and updated by every flip: a pull gains delta(v), and a drop adds the source
-nodes 1-tight to the dropped member. The walked solution is re-maximalized
-with make_maximal's random draws and returned with its structure, which
-local search then continues from instead of building its own.
+The walk runs on an interstate structure at the guide (the run's live one,
+retargeted, or one built on a copy), updated by every flip: a pull gains
+delta(v), and a drop adds the source nodes 1-tight to the dropped member.
+The walked solution is re-maximalized with make_maximal's random draws and
+returned with its structure, which local search then continues from.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 from .graph import Graph
-from .interstate import InterstateState, add_member, build, remove_member
+from .interstate import InterstateState, add_member, build, remove_member, retarget
 from .solution import Solution
 # no longer called here; perfbench/spans.py still wraps this name until the
 # benchmark reads solver-owned statistics (ROADMAP item 1)
@@ -76,28 +78,34 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
                 params: RelinkParams | None = None,
                 rng: random.Random | None = None,
                 step_log: list[tuple[float, float]] | None = None,
+                live: tuple[Solution, InterstateState] | None = None,
                 ) -> tuple[Solution, InterstateState]:
     """Walk from `guide` toward `source`; return the truncation point and its
     interstate structure.
 
-    Both inputs must be independent. The walk runs on a copy of the guide
-    whose structure is built once; the result is re-maximalized, so the pair
-    can go straight to local_search(..., state=...). If the two solutions are
-    set-equal the walk takes no step. step_log, when given, receives one
-    (gain, weight_after_step) entry per applied step.
+    Both inputs must be independent. The walk runs on a `live` (solution,
+    structure) pair retargeted to the guide, else on a guide copy and a fresh
+    build; the result is re-maximalized, so the pair can go straight to
+    local_search(..., state=...). If the two solutions are set-equal the walk
+    takes no step. step_log gets one (gain, weight_after_step) per step.
     """
     params = params or RelinkParams()
     rng = rng or random.Random()
-    s = guide.copy()
-    st = build(g, s)
+    if live is None:
+        s = guide.copy()
+        st = build(g, s)
+    else:
+        s, st = live
+        retarget(st, g, s, guide)
     src_flags = source._in_set
     cur_flags = s._in_set
 
     # a step flips only nodes of the initial symmetric difference, so the
     # candidates are the non-members of source \ guide (pulls) and the
     # members of guide \ source (drops), read through the current flags
-    to_add = [v for v in source.members() if not cur_flags[v]]
-    to_drop = [v for v in s.members() if not src_flags[v]]
+    differ = list(compress(range(g.n), map(ne, src_flags, cur_flags)))
+    to_add = [v for v in differ if src_flags[v]]
+    to_drop = [v for v in differ if cur_flags[v]]
     w, adj = g.w, g.adj
     delta, one_tight = st.delta, st.one_tight
     w_guide = guide.total_weight
@@ -118,7 +126,7 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
                 best_step = (v, None)
         for v in to_drop:
             if cur_flags[v]:
-                added = sorted(u for u in one_tight.get(v, ()) if src_flags[u])
+                added = sorted(u for u in one_tight[v] if src_flags[u]) if v in one_tight else []
                 gain = -w[v]
                 for u in added:
                     gain += w[u]

@@ -7,7 +7,7 @@ import pytest
 
 from mwis.graph import build_graph
 from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, _pair, \
-    add_member, build, remove_member, state_mismatches
+    add_member, build, remove_member, retarget, state_mismatches
 from mwis.solution import Solution, make_maximal
 
 from conftest import graph_from, random_graph, rows_forced
@@ -445,6 +445,59 @@ class TestVerification:
         s, st = churn(g, rng, steps=500, check_every=50)
         positive = {v for v in range(g.n) if v not in s and st.delta[v] > 0}
         assert positive <= st.s_plus.as_set()
+
+
+class TestExactDelta:
+    def test_delta_exact_at_rho_zero_and_one(self):
+        # a star whose centre and first leaf weigh over 2^53 times the light
+        # leaves: a running sum loses the light weights, build does not
+        g = graph_from(4, [(0, 1), (0, 2), (0, 3)], [1e16, 1e16, 1.0, 1.0])
+        rng = random.Random(8)
+        s = Solution(g)
+        st = build(g, s)
+        for step in range(300):
+            members = s.member_list()
+            free = list(st.free)
+            if members and (not free or rng.random() < 0.5):
+                remove_member(st, g, s, members[rng.randrange(len(members))])
+            else:
+                add_member(st, g, s, free[rng.randrange(len(free))])
+            fresh = build(g, s)
+            for v in range(g.n):
+                if fresh.rho[v] <= 1:
+                    assert st.delta[v] == fresh.delta[v], f"step {step}, node {v}"
+
+
+class TestRetarget:
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_retarget_matches_a_rebuild(self, rows):
+        rng = random.Random(9)
+        with rows_forced(rows):
+            for i in range(60):
+                n = rng.randint(1, 60)
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < rng.choice([0.05, 0.15, 0.3])]
+                # integer weights with zeros, then weights k/10
+                g = graph_from(n, edges, [rng.randint(0, 30) / (1, 10)[i % 2] for _ in range(n)])
+                s = random_independent(g, rng, rng.randint(0, n))
+                st = build(g, s)
+                assert (st.rows is not None) is rows
+                for k in range(6):
+                    target = random_independent(g, rng, rng.randint(0, 2 * n))
+                    if k % 2:
+                        make_maximal(g, target, rng)
+                    # prune the queues as failed move evaluations do
+                    for queue in (st.s_one, st.s_two):
+                        for x in list(queue):
+                            if rng.random() < 0.5:
+                                queue.discard(x)
+                    retarget(st, g, s, target)
+                    assert s._in_set == target._in_set, f"instance {i}"
+                    assert (s.size, s.total_weight) == (target.size, target.total_weight)
+                    assert not state_mismatches(st, g, s, check_pruning=True), f"instance {i}"
+                    # the queues hold what build puts there, in build's order of keys
+                    assert list(st.s_one) == list(st.one_tight)
+                    assert list(st.s_two) == list(st.two_tight)
 
 
 class TestS2Completeness:

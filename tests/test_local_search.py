@@ -9,8 +9,9 @@ import pytest
 
 from mwis.graph import is_edge
 from mwis.interstate import _pair, add_member, build, remove_member, state_mismatches
-from mwis.local_search import LocalSearchParams, MoveEngine, local_search
-from mwis.oracle import exact_mwis
+from mwis.local_search import _SUM_SLACK, LocalSearchParams, MoveEngine, _pool_cannot_win, \
+    local_search
+from mwis.oracle import exact_mwis, max_weight_subset
 from mwis.solution import Solution, is_independent, make_maximal
 
 from conftest import graph_from, random_graph, rows_forced
@@ -451,7 +452,8 @@ class ReferenceOneStar(CountingEngine):
 
 
 class ReferenceTwoStar(MoveEngine):
-    """(2,*) with the pool built as a set from its three parts."""
+    """(2,*) with the pool built as a set from its three parts, and the same
+    weight bound as the shipped move, which skips trials that cannot win."""
 
     def two_star_moves(self):
         st, s, g = self.state, self.s, self.g
@@ -468,6 +470,8 @@ class ReferenceTwoStar(MoveEngine):
             pool.update(st.one_tight.get(v, ()))
             pool.update(st.two_tight.get(key, ()))
             if not pool:
+                continue
+            if sum(w[x] for x in pool) * (1.0 + _SUM_SLACK * len(pool)) <= w[u] + w[v]:
                 continue
             added = []
             gained = 0.0
@@ -644,6 +648,38 @@ class TestShortcutsMatchReference:
             g = random_graph(rng, rng.randint(8, 40), rng.choice([0.1, 0.2, 0.35]), 20)
             start = make_maximal(g, Solution(g), rng).member_list()
             assert_same_run(ReferenceTwoStar, g, start, rng.random())
+
+    def test_two_star_bound_skips_only_pools_that_cannot_win(self):
+        # every mate pair of random states, on integer weights with zeros and
+        # on weights k/10: a pool the bound skips holds no independent
+        # subset heavier than the pair
+        rng = random.Random(25)
+        skipped = tried = ties = 0
+        for i in range(150):
+            n = rng.randint(4, 30)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < rng.choice([0.1, 0.2, 0.35])]
+            weights = [rng.randint(0, rng.choice([1, 3, 10])) for _ in range(n)]
+            g = graph_from(n, edges, [x / 10 for x in weights] if i % 2 else weights)
+            w = g.w
+            for _ in range(3):
+                s = make_maximal(g, Solution(g), rng)
+                st = build(g, s)
+                for (u, v), shared in st.two_tight.items():
+                    pool = sorted({*st.one_tight.get(u, ()), *st.one_tight.get(v, ()), *shared})
+                    target = w[u] + w[v]
+                    if not _pool_cannot_win(w, pool, target):
+                        tried += 1
+                        continue
+                    masks = [sum(1 << j for j, y in enumerate(pool) if is_edge(g, x, y))
+                             for x in pool]
+                    best_w, chosen = max_weight_subset([w[x] for x in pool], masks)
+                    assert best_w <= target, (i, u, v, pool)
+                    assert math.fsum(w[x] for j, x in enumerate(pool)
+                                     if chosen >> j & 1) <= target
+                    skipped += 1
+                    ties += math.fsum(w[x] for x in pool) == target
+        assert skipped > 100 and tried > 100 and ties > 5, (skipped, tried, ties)
 
     def test_aap_neighbour_set_matches_path_scan(self):
         rng = random.Random(24)

@@ -9,7 +9,7 @@ import pytest
 from mwis import driver
 from mwis.driver import RunConfig, run
 from mwis.graph import build_graph
-from mwis.interstate import state_mismatches
+from mwis.interstate import build, state_mismatches
 from mwis.local_search import local_search
 from mwis.relink import RelinkParams, path_relink
 from mwis.solution import Solution, is_independent, make_maximal
@@ -272,10 +272,17 @@ def reference_cases(seed, integer):
         yield g, source, guide, params, rng.random()
 
 
-def walk_both_ways(g, source, guide, params, seed):
-    """(members, step log, random state) of path_relink, then of reference_relink."""
+def live_relink(g, source, guide, *args):
+    """path_relink on a live pair that starts at the source."""
+    start = source.copy()
+    return path_relink(g, source, guide, *args, live=(start, build(g, start)))[0]
+
+
+def walk_all_ways(g, source, guide, params, seed):
+    """(members, step log, random state) of path_relink on a copy of the
+    guide, on a live pair retargeted to it, then of reference_relink."""
     runs = []
-    for walk in (lambda *a: path_relink(*a)[0], reference_relink):
+    for walk in (lambda *a: path_relink(*a)[0], live_relink, reference_relink):
         log = []
         walk_rng = random.Random(seed)
         out = walk(g, source, guide, copy.copy(params), walk_rng, log)
@@ -286,9 +293,11 @@ def walk_both_ways(g, source, guide, params, seed):
 class TestMatchesReference:
     def test_flag_walk_matches_set_walk(self):
         # a pull's gain is the running sum delta, so on fractional weights a
-        # logged figure may differ from the reference's fresh sum in the last bit
+        # logged figure may differ from the reference's fresh sum in the last
+        # bit; a live pair's sums carry its whole history, and may break a
+        # tie between two pulls the other way, so only the copy is compared
         for case in reference_cases(31, integer=False):
-            (members, log, state), (ref_members, ref_log, ref_state) = walk_both_ways(*case)
+            (members, log, state), _, (ref_members, ref_log, ref_state) = walk_all_ways(*case)
             assert members == ref_members and state == ref_state
             assert len(log) == len(ref_log)
             for got, want in zip(log, ref_log):
@@ -296,8 +305,8 @@ class TestMatchesReference:
 
     def test_flag_walk_matches_set_walk_exactly_on_integer_weights(self):
         for case in reference_cases(32, integer=True):
-            runs = walk_both_ways(*case)
-            assert runs[0] == runs[1]
+            runs = walk_all_ways(*case)
+            assert runs[0] == runs[2] and runs[1] == runs[2]
 
 
 class TestHandoff:
@@ -323,7 +332,34 @@ class TestHandoff:
         assert engines, "no move committed"
         assert all(eng.s is s and eng.state is st for eng, s, st in engines)
 
-    def test_one_build_and_no_make_maximal_per_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_one_live_pair_stays_consistent_over_a_run(self, rows, monkeypatch):
+        pairs = []
+        inner = driver.path_relink
+
+        def checked(g, source, guide, *args, **kwargs):
+            s, st = inner(g, source, guide, *args, **kwargs)
+            assert s is kwargs["live"][0] and st is kwargs["live"][1]
+            assert not state_mismatches(st, g, s, check_pruning=True)
+            pairs.append((s, st))
+            return s, st
+
+        monkeypatch.setattr(driver, "path_relink", checked)
+        rng = random.Random(36)
+        with rows_forced(rows):
+            for i in range(4):
+                edges = [(u, v) for u in range(50) for v in range(u + 1, 50) if rng.random() < 0.1]
+                # integer weights, then weights k/10
+                g = build_graph(50, edges, [rng.randint(0, 100) / (1, 10)[i % 2] for _ in range(50)])
+                pairs.clear()
+                # the run also compares the pair with a rebuild after every commit
+                run(g, RunConfig(time_limit=0.003, seed=i, check_interstate_every=1),
+                    clock=FakeClock())
+                assert len(pairs) > 2
+                assert all(p[0] is pairs[0][0] and p[1] is pairs[0][1] for p in pairs)
+                assert (pairs[0][1].rows is not None) is rows
+
+    def test_one_build_per_run_and_none_per_iteration(self, monkeypatch):
         calls = []
 
         def count(module, name):
@@ -334,15 +370,22 @@ class TestHandoff:
                 return inner(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
-        for module in ("mwis.relink", "mwis.local_search"):
+        for module in ("mwis.driver", "mwis.relink", "mwis.local_search"):
             count(importlib.import_module(module), "build")
             count(importlib.import_module(module), "make_maximal")
         count(driver, "path_relink")
         g = random_graph(random.Random(35), 60, 0.1)
-        run(g, RunConfig(time_limit=0.02, seed=1), clock=FakeClock())
-        iterations = " ".join(calls).split("path_relink")[1:]
-        assert len(iterations) > 2
-        assert all(it.split() == ["build"] for it in iterations), calls
+        # a search of the greedy source before relinking sets up its own pair
+        for ls_before, per_iteration in ((False, []), (True, ["make_maximal", "build"])):
+            calls.clear()
+            run(g, RunConfig(time_limit=0.02, seed=1, ls_before_relinking=ls_before),
+                clock=FakeClock())
+            # set-up and the first source search, then each later one, then nothing
+            first, *between, last = " ".join(calls).split("path_relink")
+            assert first.split() == ["make_maximal", "build"] + per_iteration
+            assert len(between) > 2
+            assert all(it.split() == per_iteration for it in between), calls
+            assert not last.split()
 
 
 class TestParamsValidation:

@@ -8,7 +8,7 @@ from .interstate import InterstateState, add_member, build, remove_member, \
     state_mismatches
 from .local_search import LocalSearchParams, MoveEngine, MoveOutcome, local_search
 from .lp_bias import RelaxedSolution, load_relaxed, make_relaxed, sample_biased
-from .oracle import ExactResult, exact_mwis, exact_subset
+from .oracle import ExactResult, exact_mwis
 from .relink import RelinkParams, path_relink
 from .solution import InfeasibleSolutionError, Solution, is_independent, load_solution, \
     make_maximal, save_solution, solutions_equivalent
@@ -20,7 +20,7 @@ __all__ = [
     "InfeasibleSolutionError", "InterstateState", "LocalSearchParams", "MoveEngine",
     "MoveOutcome", "RelaxedSolution", "RelinkParams", "RunConfig", "Solution",
     "TraceEvent", "adaptive_greedy", "add_member", "build", "build_graph",
-    "exact_mwis", "exact_subset", "generate_graph", "greedy", "is_edge",
+    "exact_mwis", "generate_graph", "greedy", "is_edge",
     "is_independent", "load_graph", "load_relaxed", "load_solution", "local_search",
     "make_maximal", "make_relaxed", "path_relink", "random_gnp", "randomized_greedy",
     "remove_member", "run", "sample_biased", "save_graph", "save_solution",

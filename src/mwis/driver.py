@@ -1,10 +1,11 @@
 """Run orchestration: elite set, stagnation schedule, traces, summaries.
 
 The main loop alternates randomized greedy construction, truncated path
-relinking against a random elite solution, and local search on one solution
-and interstate structure kept for the run, until the time limit. The clock
-is injectable so that identical (config, seed) pairs reproduce byte-identical
-traces under a deterministic clock; the CLI uses the real monotonic clock.
+relinking against a random elite solution, and local search on one
+interstate structure, holding the live solution, kept for the run, until the
+time limit. The clock is injectable so that identical (config, seed) pairs
+reproduce byte-identical traces under a deterministic clock; the CLI uses the
+real monotonic clock.
 """
 
 from __future__ import annotations
@@ -47,19 +48,20 @@ class EliteSet:
         return len(self.entries)
 
     def try_add_and_evict(self, s: Solution) -> bool:
+        """Store s itself, not a copy: nothing may mutate it afterwards."""
         fs = s.as_frozenset()
         w = s.total_weight
         if len(self.entries) < self.capacity:
             if any(fs == efs for _, efs in self.entries):
                 return False
-            self.entries.append((s.copy(), fs))
+            self.entries.append((s, fs))
             return True
         evictable = [(i, e, efs) for i, (e, efs) in enumerate(self.entries)
                      if e.total_weight <= w]
         if not evictable:
             return False
         i, _, _ = min(evictable, key=lambda t: (len(t[2] ^ fs), t[1].total_weight, t[0]))
-        self.entries[i] = (s.copy(), fs)
+        self.entries[i] = (s, fs)
         return True
 
     def random_entry(self, rng: random.Random) -> Solution:
@@ -96,7 +98,7 @@ def _interstate_check(every: int):
         nonlocal commits
         commits += 1
         if commits % every == 0:
-            bad = state_mismatches(engine.state, engine.g, engine.s)
+            bad = state_mismatches(engine.state)
             if bad:
                 raise AssertionError(f"interstate drift after {out.kind}: {bad[:4]}")
     return check
@@ -128,10 +130,10 @@ def run(g: Graph, config: RunConfig, clock=None,
     ls_kwargs = dict(deadline=deadline_at, clock=clock,
                      on_commit=_interstate_check(every) if every else None)
 
-    # the run's live pair, made with local_search's own entry draws
+    # the run's one search state, made with local_search's own entry draws
     st = build(g, make_maximal(g, s, rng))
-    # a fresh snapshot that nothing mutates; the elite set stores its own copy
-    best = local_search(g, s, config.ls_params, rng, relaxed, state=st, **ls_kwargs)
+    # a fresh snapshot that nothing mutates, so the elite set keeps it as is
+    best = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
     best_w = best.total_weight
     emit("local-search")
     es = EliteSet(config.elite_capacity)
@@ -140,11 +142,11 @@ def run(g: Graph, config: RunConfig, clock=None,
     while clock() < deadline_at:
         s_g = randomized_greedy(g, config.greedy, rng)
         if config.ls_before_relinking:
-            s_g = local_search(g, s_g, config.ls_params, rng, relaxed, **ls_kwargs)
+            s_g = local_search(s_g, config.ls_params, rng, relaxed, **ls_kwargs)
         s_e = es.random_entry(rng)
-        path_relink(g, s_g, s_e, params, rng, live=(s, st))
+        path_relink(st, s_g, s_e, params, rng)
         emit("relink")
-        s2 = local_search(g, s, config.ls_params, rng, relaxed, state=st, **ls_kwargs)
+        s2 = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
         w2 = s2.total_weight
         stagnated = w2 == best_w
         if stagnated:

@@ -1,6 +1,7 @@
-"""Dynamic companion structure for the current independent set, one per run.
+"""The search state: a solution S over graph g, both held here, and its
+incremental bookkeeping. S changes only through the updates below.
 
-Tracks, for the solution S over graph g:
+Tracks, for S:
   rho(u)      -- |N(u) & S| (0 for members),
   delta(u)    -- w(u) - sum of member-neighbor weights (meaningful for u not in S),
   one_tight   -- per member v, the non-members whose only member neighbor is v,
@@ -91,10 +92,13 @@ def _bitset(flags: np.ndarray) -> int:
 
 
 class InterstateState:
-    __slots__ = ("rho", "delta", "one_tight", "owner", "mates", "two_tight",
+    __slots__ = ("g", "s", "rho", "delta", "one_tight", "owner", "mates", "two_tight",
                  "tt_pair", "s_plus", "s_one", "s_two", "free", "rows", "members")
 
-    def __init__(self, n: int):
+    def __init__(self, g: Graph, s: Solution):
+        n = g.n
+        self.g = g
+        self.s = s
         self.rho: list[int] = [0] * n
         self.delta: list[float] = [0.0] * n
         self.one_tight: dict[int, set[int]] = {}
@@ -113,7 +117,8 @@ class InterstateState:
 
 
 def build(g: Graph, s: Solution) -> InterstateState:
-    """Initialize the structure from scratch in linear time.
+    """Initialize the structure of s from scratch in linear time; s is
+    adopted, not copied, and from then on changes only through the state.
 
     Counts come from the member arcs only, so Python loops run over the
     1-tight and 2-tight nodes alone. Every dict, set and queue is filled as
@@ -122,7 +127,7 @@ def build(g: Graph, s: Solution) -> InterstateState:
     determinism.
     """
     n = g.n
-    st = InterstateState(n)
+    st = InterstateState(g, s)
     flags = np.array(s._in_set, dtype=bool)
     arcs = np.flatnonzero(flags[g.indices])
     rows = np.searchsorted(g.indptr, arcs, side="right") - 1
@@ -180,8 +185,9 @@ def _one_tight_changed(st: InterstateState, member: int, gained: bool) -> None:
         st.s_two.add(_pair(member, m))
 
 
-def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
+def remove_member(st: InterstateState, v: int) -> None:
     """Remove member v from S and propagate all structure updates."""
+    g, s = st.g, st.s
     s.remove(v)
     wv = g.w[v]
     in_set = s._in_set
@@ -253,10 +259,11 @@ def remove_member(st: InterstateState, g: Graph, s: Solution, v: int) -> None:
     st.free.add(v)
 
 
-def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
+def add_member(st: InterstateState, u: int) -> None:
     """Add non-member u (with no member neighbor) to S and propagate updates."""
     assert st.rho[u] == 0, f"add_member: {u} has {st.rho[u]} member neighbor(s)"
-    s.add(u)
+    g = st.g
+    st.s.add(u)
     st.free.discard(u)
     st.s_plus.discard(u)
     if st.rows is not None:
@@ -308,25 +315,26 @@ def add_member(st: InterstateState, g: Graph, s: Solution, u: int) -> None:
                     del st.mates[y]
 
 
-def retarget(st: InterstateState, g: Graph, s: Solution, target: Solution) -> None:
-    """Turn s into target's set, removals first; s_one, s_two and total_weight
-    end as on a copy of target with a fresh build, all eligible for search."""
+def retarget(st: InterstateState, target: Solution) -> None:
+    """Turn st.s into target's set, removals first; s_one, s_two and
+    total_weight end as on a copy of target with a fresh build, all eligible
+    for search."""
+    s = st.s
     in_s, in_t = s._in_set, target._in_set
-    flips = list(compress(range(g.n), map(ne, in_s, in_t)))
+    flips = list(compress(range(st.g.n), map(ne, in_s, in_t)))
     for v in flips:
         if in_s[v]:
-            remove_member(st, g, s, v)
+            remove_member(st, v)
     for v in flips:
         if in_t[v]:
-            add_member(st, g, s, v)
+            add_member(st, v)
     st.s_one = IndexedSet(st.one_tight)
     st.s_two = IndexedSet(st.two_tight)
     s.total_weight = target.total_weight
 
 
-def state_mismatches(st: InterstateState, g: Graph, s: Solution,
-                     check_pruning: bool = False) -> list[str]:
-    """Compare st with a from-scratch rebuild; empty list means consistent.
+def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[str]:
+    """Compare st with a from-scratch rebuild of st.s; empty list means consistent.
 
     delta uses relative tolerance 1e-9; everything else is exact, the member
     bitset included (0 when st keeps no rows). s_plus is
@@ -335,6 +343,7 @@ def state_mismatches(st: InterstateState, g: Graph, s: Solution,
     currently eligible member/pair (valid only when no evaluation has pruned
     them, e.g. in pure add/remove churn).
     """
+    g, s = st.g, st.s
     fresh = build(g, s)
     bad: list[str] = []
     in_set = s._in_set

@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Graph, is_edge
+from .graph import is_edge
 from .interstate import InterstateState, _pair, add_member, build, remove_member
 from .lp_bias import RelaxedSolution, sample_biased
 from .oracle import max_weight_subset
@@ -56,21 +56,21 @@ class MoveOutcome:
 
 
 class MoveEngine:
-    """Owns the (Solution, InterstateState, RNG) triple for one search run."""
+    """Runs the moves on one interstate structure, which holds the graph and
+    the live solution, drawing from one RNG."""
 
-    def __init__(self, g: Graph, s: Solution, rng: random.Random,
+    def __init__(self, state: InterstateState, rng: random.Random,
                  params: LocalSearchParams | None = None,
-                 bias: RelaxedSolution | None = None, on_commit=None,
-                 state: InterstateState | None = None):
-        self.g = g
-        self.s = s
+                 bias: RelaxedSolution | None = None, on_commit=None):
+        self.state = state
+        self.g = state.g
+        self.s = state.s
         self.rng = rng
         self.params = params or LocalSearchParams()
         self.bias = bias
         self.on_commit = on_commit  # called as on_commit(engine, MoveOutcome)
-        self.w = g.w
-        self.adj = g.adj
-        self.state = build(g, s) if state is None else state
+        self.w = self.g.w
+        self.adj = self.g.adj
         floor = self.params.aap_gain_floor
         if floor is None:
             mean = sum(self.w) / len(self.w) if self.w else 0.0
@@ -86,21 +86,21 @@ class MoveEngine:
 
     def _maximalize(self) -> list[int]:
         """Add free nodes in random order until none remain."""
-        st, s = self.state, self.s
+        st = self.state
         added = []
         while len(st.free):
             v = st.free.pop_random(self.rng)
-            add_member(st, self.g, s, v)
+            add_member(st, v)
             added.append(v)
         return added
 
     def _apply(self, kind: str, removed: list[int], added: list[int]) -> None:
         """Remove, then insert, then re-maximalize, then report one move."""
-        st, g, s = self.state, self.g, self.s
+        st = self.state
         for x in removed:
-            remove_member(st, g, s, x)
+            remove_member(st, x)
         for x in added:
-            add_member(st, g, s, x)
+            add_member(st, x)
         self._commit(kind, added + self._maximalize(), removed)
 
     def _commit(self, kind: str, added: list[int], removed: list[int]) -> None:
@@ -294,7 +294,7 @@ class MoveEngine:
 
     def perturb(self) -> None:
         """Force random (optionally LP-biased) nodes into S, then re-maximalize."""
-        st, g, s = self.state, self.g, self.s
+        st = self.state
         added: list[int] = []
         removed: list[int] = []
         for _ in range(self.params.perturb_count):
@@ -303,8 +303,8 @@ class MoveEngine:
                 break
             evicted = self._member_neighbors(target)
             for x in evicted:
-                remove_member(st, g, s, x)
-            add_member(st, g, s, target)
+                remove_member(st, x)
+            add_member(st, target)
             removed += evicted
             added.append(target)
         if added:
@@ -322,16 +322,17 @@ class MoveEngine:
         return outside[rng.randrange(len(outside))]
 
 
-def local_search(g: Graph, s0: Solution, params: LocalSearchParams | None = None,
+def local_search(start: Solution | InterstateState,
+                 params: LocalSearchParams | None = None,
                  rng: random.Random | None = None,
                  bias: RelaxedSolution | None = None, *,
                  deadline: float | None = None, clock=time.monotonic,
-                 on_commit=None, state: InterstateState | None = None) -> Solution:
-    """Run the full move loop from s0 (maximalized on entry); return best seen.
+                 on_commit=None) -> Solution:
+    """Run the full move loop from `start`; return the best solution seen.
 
-    Given the interstate `state` of a maximal s0 (as path_relink returns
-    them), the search runs on s0 and state in place; otherwise it runs on a
-    copy of s0 with a fresh structure.
+    An interstate structure of a maximal solution (as path_relink leaves
+    it) is searched in place. A bare Solution is left as it is: the search
+    runs on a maximalized copy of it with a fresh structure.
 
     The clock is consulted between move procedures only; on deadline the last
     clean snapshot is returned, so outputs are always maximal with delta <= 0
@@ -341,8 +342,11 @@ def local_search(g: Graph, s0: Solution, params: LocalSearchParams | None = None
     """
     params = params or LocalSearchParams()
     rng = rng or random.Random()
-    s = make_maximal(g, s0.copy(), rng) if state is None else s0
-    engine = MoveEngine(g, s, rng, params, bias, on_commit, state)
+    if isinstance(start, Solution):
+        g = start.graph
+        start = build(g, make_maximal(g, start.copy(), rng))
+    engine = MoveEngine(start, rng, params, bias, on_commit)
+    s = engine.s
     # Drain S+ before the first snapshot: every snapshot this function can
     # return then satisfies delta(u) <= 0 outside the set, even on timeout.
     engine.star_one_moves()

@@ -15,7 +15,6 @@ from .graph import Graph
 
 BB_NODE_LIMIT = 30
 ENUM_NODE_LIMIT = 20
-SUBSET_LIMIT = 25
 
 
 @dataclass
@@ -148,19 +147,3 @@ def max_weight_subset(weights: list[float], adj_masks: list[int]) -> tuple[float
 
     return rec((1 << k) - 1)
 
-
-def exact_subset(weights: list[float], conflicts) -> tuple[float, list[int]]:
-    """Optimal independent subset of a candidate pool (<= 25 items).
-
-    conflicts is an iterable of index pairs. Exposed for cross-testing against
-    the local-search exact step, which shares max_weight_subset.
-    """
-    k = len(weights)
-    if k > SUBSET_LIMIT:
-        raise ValueError(f"exact_subset limited to {SUBSET_LIMIT} items, got {k}")
-    adj = [0] * k
-    for i, j in conflicts:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    w, chosen = max_weight_subset(list(weights), adj)
-    return w, [i for i in range(k) if chosen >> i & 1]

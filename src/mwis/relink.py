@@ -9,11 +9,11 @@ steps have been taken (step applied first, then checked). Zero gain counts as
 positive. The schedule (f, c_n, c_p) tightens multiplicatively on stagnation
 and resets on any weight change.
 
-The walk runs on an interstate structure at the guide (the run's live one,
-retargeted, or one built on a copy), updated by every flip: a pull gains
-delta(v), and a drop adds the source nodes 1-tight to the dropped member.
-The walked solution is re-maximalized with make_maximal's random draws and
-returned with its structure, which local search then continues from.
+The walk runs on the interstate structure it is handed, retargeted to the
+guide and updated by every flip: a pull gains delta(v), and a drop adds the
+source nodes 1-tight to the dropped member. The walked solution is
+re-maximalized with make_maximal's random draws and left in the structure,
+which local search then continues from.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import ne
 
-from .graph import Graph
-from .interstate import InterstateState, add_member, build, remove_member, retarget
+from .interstate import InterstateState, add_member, remove_member, retarget
 from .solution import Solution
 # no longer called here; perfbench/spans.py still wraps this name until the
 # benchmark reads solver-owned statistics (ROADMAP item 1)
@@ -74,29 +73,22 @@ class RelinkParams:
         self.c_p = self.c_p0
 
 
-def path_relink(g: Graph, source: Solution, guide: Solution,
+def path_relink(st: InterstateState, source: Solution, guide: Solution,
                 params: RelinkParams | None = None,
                 rng: random.Random | None = None,
-                step_log: list[tuple[float, float]] | None = None,
-                live: tuple[Solution, InterstateState] | None = None,
-                ) -> tuple[Solution, InterstateState]:
-    """Walk from `guide` toward `source`; return the truncation point and its
-    interstate structure.
+                step_log: list[tuple[float, float]] | None = None) -> None:
+    """Retarget st to `guide` and walk it toward `source`, in place, to the
+    truncation point.
 
-    Both inputs must be independent. The walk runs on a `live` (solution,
-    structure) pair retargeted to the guide, else on a guide copy and a fresh
-    build; the result is re-maximalized, so the pair can go straight to
-    local_search(..., state=...). If the two solutions are set-equal the walk
-    takes no step. step_log gets one (gain, weight_after_step) per step.
+    Both inputs must be independent. The walked solution st.s is
+    re-maximalized, so st can go straight to local_search. If the two
+    solutions are set-equal the walk takes no step. step_log gets one
+    (gain, weight_after_step) per step.
     """
     params = params or RelinkParams()
     rng = rng or random.Random()
-    if live is None:
-        s = guide.copy()
-        st = build(g, s)
-    else:
-        s, st = live
-        retarget(st, g, s, guide)
+    retarget(st, guide)
+    g, s = st.g, st.s
     src_flags = source._in_set
     cur_flags = s._in_set
 
@@ -139,12 +131,12 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
         if added is None:
             for x in adj[v]:
                 if cur_flags[x]:
-                    remove_member(st, g, s, x)
-            add_member(st, g, s, v)
+                    remove_member(st, x)
+            add_member(st, v)
         else:
-            remove_member(st, g, s, v)
+            remove_member(st, v)
             for u in added:
-                add_member(st, g, s, u)
+                add_member(st, u)
         if step_log is not None:
             step_log.append((best_gain, s.total_weight))
         if best_gain < 0:
@@ -162,5 +154,4 @@ def path_relink(g: Graph, source: Solution, guide: Solution,
     rng.shuffle(cand)
     for v in cand:
         if st.rho[v] == 0:
-            add_member(st, g, s, v)
-    return s, st
+            add_member(st, v)

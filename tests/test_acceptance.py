@@ -103,15 +103,15 @@ def test_criterion_2_interstate_churn():
         for step in range(1, 10_001):
             if len(s) and rng.random() < 0.45:
                 members = s.member_list()
-                remove_member(st, g, s, members[rng.randrange(len(members))])
+                remove_member(st, members[rng.randrange(len(members))])
             elif len(st.free):
                 free = list(st.free)
-                add_member(st, g, s, free[rng.randrange(len(free))])
+                add_member(st, free[rng.randrange(len(free))])
             elif len(s):
                 members = s.member_list()
-                remove_member(st, g, s, members[rng.randrange(len(members))])
+                remove_member(st, members[rng.randrange(len(members))])
             if step % 100 == 0:
-                bad = state_mismatches(st, g, s, check_pruning=True)
+                bad = state_mismatches(st, check_pruning=True)
                 assert not bad, f"graph {gi} step {step}: {bad[:4]}"
                 checks += 1
     return f"{checks} checkpoints verified"
@@ -138,7 +138,7 @@ def test_criterion_3_splus_contract():
         n = rng.randint(20, 60)
         g = random_gnp(n, rng.uniform(0.1, 0.35), seed=rng.randrange(10**6))
         s = make_maximal(g, Solution(g), rng)
-        local_search(g, s, LocalSearchParams(num_iterations=16), rng,
+        local_search(s, LocalSearchParams(num_iterations=16), rng,
                      on_commit=check)
         instances += 1
     return f"{commits} commits checked on {instances} instances"
@@ -151,7 +151,7 @@ def test_criterion_4_local_optimality():
     for _ in range(30):
         n = rng.randint(12, 40)
         g = random_gnp(n, rng.uniform(0.1, 0.4), seed=rng.randrange(10**6))
-        out = local_search(g, make_maximal(g, Solution(g), rng),
+        out = local_search(make_maximal(g, Solution(g), rng),
                            LocalSearchParams(num_iterations=16), rng)
         outputs += 1
         assert_maximal(g, out)

@@ -216,8 +216,8 @@ class TestRun:
 
         calls = []
 
-        def no_drift(st, g, s):
-            calls.append(s.total_weight)
+        def no_drift(st):
+            calls.append(st.s.total_weight)
             return []
 
         monkeypatch.setattr(driver, "state_mismatches", no_drift)
@@ -230,7 +230,7 @@ class TestRun:
         assert len(calls) == commits // 3
 
         monkeypatch.setattr(driver, "state_mismatches",
-                            lambda st, g, s: ["rho[0]=9 expected 0"])
+                            lambda st: ["rho[0]=9 expected 0"])
         with pytest.raises(AssertionError, match="interstate drift"):
             checked_run(1)
 

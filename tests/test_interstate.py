@@ -16,7 +16,7 @@ from conftest import graph_from, random_graph, rows_forced
 def reference_build(g, s):
     """The per-node loop `build` replaced; it fixes every insertion order."""
     n = g.n
-    st = InterstateState(n)
+    st = InterstateState(g, s)
     flags = np.asarray(s._in_set, dtype=bool)
     rho = np.zeros(n, dtype=np.int64)
     blocked = np.zeros(n, dtype=np.float64)
@@ -187,14 +187,14 @@ def churn(g, rng, steps, check_every=100, check_pruning=True):
         if not do_remove:
             free = list(st.free)
             if free:
-                add_member(st, g, s, free[rng.randrange(len(free))])
+                add_member(st, free[rng.randrange(len(free))])
             elif len(s):
                 do_remove = True
         if do_remove and len(s):
             members = s.member_list()
-            remove_member(st, g, s, members[rng.randrange(len(members))])
+            remove_member(st, members[rng.randrange(len(members))])
         if step % check_every == 0:
-            bad = state_mismatches(st, g, s, check_pruning=check_pruning)
+            bad = state_mismatches(st, check_pruning=check_pruning)
             assert not bad, f"step {step}: {bad[:5]}"
     return s, st
 
@@ -289,66 +289,66 @@ class TestSingleUpdates:
     def test_remove_last_member(self, path3):
         s = Solution(path3, [1])
         st = build(path3, s)
-        remove_member(st, path3, s, 1)
+        remove_member(st, 1)
         assert len(s) == 0
         assert st.rho == [0, 0, 0]
         assert st.delta[1] == 5.0
         assert 1 in st.s_plus
-        assert not state_mismatches(st, path3, s)
+        assert not state_mismatches(st)
 
     def test_remove_dissolves_mates(self, cycle4):
         s = Solution(cycle4, [0, 2])
         st = build(cycle4, s)
-        remove_member(st, cycle4, s, 0)
+        remove_member(st, 0)
         assert st.mates == {} or all(not v for v in st.mates.values())
         assert st.rho[1] == 1 and st.rho[3] == 1
         assert st.one_tight.get(2) == {1, 3}
         assert 2 in st.s_one
-        assert not state_mismatches(st, cycle4, s)
+        assert not state_mismatches(st)
 
     def test_add_creates_one_tight(self, path3):
         s = Solution(path3)
         st = build(path3, s)
-        add_member(st, path3, s, 1)
+        add_member(st, 1)
         assert st.one_tight == {1: {0, 2}}
         assert 1 in st.s_one
         assert st.delta[0] == 3.0 - 5.0
-        assert not state_mismatches(st, path3, s)
+        assert not state_mismatches(st)
 
     def test_add_creates_mate_pair(self, cycle4):
         s = Solution(cycle4, [0])
         st = build(cycle4, s)
-        add_member(st, cycle4, s, 2)
+        add_member(st, 2)
         assert st.mates == {0: {2}, 2: {0}}
         assert st.two_tight == {(0, 2): {1, 3}}
         assert (0, 2) in st.s_two
-        assert not state_mismatches(st, cycle4, s)
+        assert not state_mismatches(st)
 
     def test_add_isolated_only_membership(self):
         g = graph_from(3, [(0, 1)], [1.0, 1.0, 4.0])
         s = Solution(g)
         st = build(g, s)
-        add_member(st, g, s, 2)
+        add_member(st, 2)
         assert st.rho == [0, 0, 0]
         assert not st.one_tight
-        assert not state_mismatches(st, g, s)
+        assert not state_mismatches(st)
 
     def test_remove_then_readd_round_trip(self, cycle4):
         rng = random.Random(0)
         s = make_maximal(cycle4, Solution(cycle4), rng)
         st = build(cycle4, s)
         v = s.member_list()[0]
-        remove_member(st, cycle4, s, v)
-        add_member(st, cycle4, s, v)
-        assert not state_mismatches(st, cycle4, s, check_pruning=True)
+        remove_member(st, v)
+        add_member(st, v)
+        assert not state_mismatches(st, check_pruning=True)
 
     def test_guards(self, path3):
         s = Solution(path3, [1])
         st = build(path3, s)
         with pytest.raises(AssertionError):
-            remove_member(st, path3, s, 0)  # not a member
+            remove_member(st, 0)  # not a member
         with pytest.raises(AssertionError):
-            add_member(st, path3, s, 0)  # would break independence
+            add_member(st, 0)  # would break independence
 
 
 class TestVerification:
@@ -356,7 +356,7 @@ class TestVerification:
         rng = random.Random(1)
         g = random_graph(rng, 50, 0.15)
         s = make_maximal(g, Solution(g), rng)
-        assert not state_mismatches(build(g, s), g, s)
+        assert not state_mismatches(build(g, s))
 
     def test_corruption_detected(self):
         rng = random.Random(2)
@@ -365,7 +365,7 @@ class TestVerification:
         st = build(g, s)
         victim = next(v for v in range(g.n) if v not in s)
         st.rho[victim] += 1
-        assert state_mismatches(st, g, s)
+        assert state_mismatches(st)
 
     def test_delta_tolerance_is_relative(self):
         rng = random.Random(3)
@@ -374,7 +374,7 @@ class TestVerification:
         st = build(g, s)
         victim = next(v for v in range(g.n) if v not in s)
         st.delta[victim] += 1.0  # way beyond 1e-9 relative
-        assert state_mismatches(st, g, s)
+        assert state_mismatches(st)
 
     def test_member_bitset_corruption_detected(self):
         rng = random.Random(7)
@@ -382,14 +382,14 @@ class TestVerification:
         s = make_maximal(g, Solution(g), rng)
         with rows_forced(True):
             st = build(g, s)
-        assert st.rows is g.rows and not state_mismatches(st, g, s)
+        assert st.rows is g.rows and not state_mismatches(st)
         st.members ^= 1 << next(v for v in range(g.n) if v not in s)
-        assert "member bitset differs from the membership flags" in state_mismatches(st, g, s)
+        assert "member bitset differs from the membership flags" in state_mismatches(st)
         with rows_forced(False):
             st = build(g, s)
         assert st.rows is None and st.members == 0
         st.members = 1
-        assert state_mismatches(st, g, s)
+        assert state_mismatches(st)
 
     def test_churn_small(self):
         # with neighbour lists, then with bitset rows and the member bitset
@@ -422,11 +422,11 @@ class TestVerification:
                 free = list(st.free)
                 if members and (not free or rng.random() < 0.45):
                     v = members[rng.randrange(len(members))]
-                    remove_member(st, g, s, v)
+                    remove_member(st, v)
                     reference_remove_member(ref, g, s_ref, v)
                 else:
                     u = free[rng.randrange(len(free))]
-                    add_member(st, g, s, u)
+                    add_member(st, u)
                     reference_add_member(ref, g, s_ref, u)
                 assert ordered(st) == ordered(ref), f"instance {i} step {step}"
                 assert st.delta == ref.delta, f"instance {i} step {step}"
@@ -437,7 +437,7 @@ class TestVerification:
                         x = list(queue)[rng.randrange(len(queue))]
                         queue.discard(x)
                         ref_queue.discard(x)
-            assert not state_mismatches(st, g, s), f"instance {i}"
+            assert not state_mismatches(st), f"instance {i}"
 
     def test_splus_completeness_under_churn(self):
         rng = random.Random(5)
@@ -459,9 +459,9 @@ class TestExactDelta:
             members = s.member_list()
             free = list(st.free)
             if members and (not free or rng.random() < 0.5):
-                remove_member(st, g, s, members[rng.randrange(len(members))])
+                remove_member(st, members[rng.randrange(len(members))])
             else:
-                add_member(st, g, s, free[rng.randrange(len(free))])
+                add_member(st, free[rng.randrange(len(free))])
             fresh = build(g, s)
             for v in range(g.n):
                 if fresh.rho[v] <= 1:
@@ -491,10 +491,10 @@ class TestRetarget:
                         for x in list(queue):
                             if rng.random() < 0.5:
                                 queue.discard(x)
-                    retarget(st, g, s, target)
+                    retarget(st, target)
                     assert s._in_set == target._in_set, f"instance {i}"
                     assert (s.size, s.total_weight) == (target.size, target.total_weight)
-                    assert not state_mismatches(st, g, s, check_pruning=True), f"instance {i}"
+                    assert not state_mismatches(st, check_pruning=True), f"instance {i}"
                     # the queues hold what build puts there, in build's order of keys
                     assert list(st.s_one) == list(st.one_tight)
                     assert list(st.s_two) == list(st.two_tight)
@@ -506,8 +506,8 @@ class TestS2Completeness:
         st = build(cycle4, s)
         st.s_two.discard((0, 2))  # simulate a failed (2,*) evaluation
         # 2-tight neighborhood of {0,2} changes: node 1 leaves it
-        remove_member(st, cycle4, s, 0)
-        add_member(st, cycle4, s, 0)
+        remove_member(st, 0)
+        add_member(st, 0)
         assert (0, 2) in st.s_two
 
     def test_pair_reenters_after_one_tight_change_of_endpoint(self):
@@ -521,7 +521,7 @@ class TestS2Completeness:
         # removing node 3's other blocker changes nothing for 0; instead force a
         # 1-tight gain on endpoint 0 by removing+re-adding member 2's influence:
         # remove member 2 -> node 1 becomes 1-tight to 0 (gain on one_tight(0))
-        remove_member(st, g, s, 2)
+        remove_member(st, 2)
         assert 1 in st.one_tight[0]
-        add_member(st, g, s, 2)  # pair {0,2} reforms and re-enters S2
+        add_member(st, 2)  # pair {0,2} reforms and re-enters S2
         assert (0, 2) in st.s_two

@@ -19,7 +19,7 @@ from conftest import graph_from, random_graph, rows_forced
 
 def engine_on(g, members, seed=0, **kw):
     s = Solution(g, members)
-    return MoveEngine(g, s, random.Random(seed), LocalSearchParams(), **kw)
+    return MoveEngine(build(g, s), random.Random(seed), LocalSearchParams(), **kw)
 
 
 def assert_maximal(g, s):
@@ -51,7 +51,7 @@ class TestStarOne:
         assert eng.star_one_moves()
         assert eng.s.total_weight >= w0 + 3.0
         assert sorted(eng.s.members()) == [0]
-        assert not state_mismatches(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state)
 
     def test_local_optimum_returns_false(self):
         g = graph_from(3, [(0, 1), (0, 2)], [5.0, 3.0, 4.0])
@@ -65,7 +65,7 @@ class TestStarOne:
         for _ in range(30):
             g = random_graph(rng, 30, 0.2)
             s = make_maximal(g, Solution(g), rng)
-            eng = MoveEngine(g, s, rng)
+            eng = MoveEngine(build(g, s), rng)
             eng.star_one_moves()
             for u in range(g.n):
                 if u not in s:
@@ -114,7 +114,7 @@ class TestTwoStar:
         assert sorted(eng.s.members()) == [2, 3, 4]
         assert eng.s.total_weight == 6.0
         assert_maximal(g, eng.s)
-        assert not state_mismatches(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state)
 
     def test_unprofitable_pair_rolls_back_and_prunes(self):
         edges = [(0, 2), (1, 2), (0, 3), (1, 3)]
@@ -124,7 +124,7 @@ class TestTwoStar:
         assert not eng.two_star_moves()
         assert sorted(eng.s.members()) == [0, 1]
         assert len(eng.state.s_two) == 0  # pruned until the next change
-        assert not state_mismatches(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state)
 
     def test_empty_s2_returns_false(self, path3):
         eng = engine_on(path3, [1])
@@ -139,7 +139,7 @@ class TestTwoStar:
         g = graph_from(8, edges, w)
         log = []
         s = Solution(g, [0, 1, 4, 5])
-        eng = MoveEngine(g, s, random.Random(1), LocalSearchParams(),
+        eng = MoveEngine(build(g, s), random.Random(1), LocalSearchParams(),
                          on_commit=lambda _, out: log.append(out))
         assert eng.two_star_moves()
         assert len([o for o in log if o.kind == "two_star"]) == 1
@@ -154,7 +154,7 @@ class TestAap:
         assert sorted(eng.s.members()) == [0, 2]
         assert eng.s.total_weight == 11.0
         assert_maximal(g, eng.s)
-        assert not state_mismatches(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state)
 
     def test_no_flip_when_unprofitable(self):
         g = graph_from(4, [(0, 1), (1, 2), (2, 3)], [4.0, 5.0, 4.0, 5.0])
@@ -172,11 +172,11 @@ class TestAap:
         for _ in range(40):
             g = random_graph(rng, 25, 0.2)
             s = make_maximal(g, Solution(g), rng)
-            eng = MoveEngine(g, s, rng)
+            eng = MoveEngine(build(g, s), rng)
             eng.aap_moves()
             assert is_independent(g, s)
             assert_maximal(g, s)
-            assert not state_mismatches(eng.state, g, s)
+            assert not state_mismatches(eng.state)
 
     def test_accepted_flips_strictly_increase_weight(self):
         rng = random.Random(3)
@@ -184,7 +184,7 @@ class TestAap:
             g = random_graph(rng, 25, 0.25)
             s = make_maximal(g, Solution(g), rng)
             log = []
-            eng = MoveEngine(g, s, rng, on_commit=lambda _, out: log.append(out))
+            eng = MoveEngine(build(g, s), rng, on_commit=lambda _, out: log.append(out))
             w0 = s.total_weight
             if eng.aap_moves():
                 assert s.total_weight > w0
@@ -197,7 +197,7 @@ class TestPerturb:
         eng = engine_on(g, [1, 2])  # only node 0 is outside
         eng.perturb()
         assert sorted(eng.s.members()) == [0]
-        assert not state_mismatches(eng.state, g, eng.s)
+        assert not state_mismatches(eng.state)
 
     def test_edgeless_graph_noop(self):
         g = graph_from(3, [], [1.0, 2.0, 3.0])
@@ -210,17 +210,17 @@ class TestPerturb:
         for _ in range(20):
             g = random_graph(rng, 30, 0.2)
             s = make_maximal(g, Solution(g), rng)
-            eng = MoveEngine(g, s, rng,
+            eng = MoveEngine(build(g, s), rng,
                              LocalSearchParams(perturb_count=3))
             eng.perturb()
             assert_maximal(g, eng.s)
-            assert not state_mismatches(eng.state, g, eng.s)
+            assert not state_mismatches(eng.state)
 
 
 class TestLocalSearch:
     def test_path_reaches_optimum_from_middle(self, path3):
         s = Solution(path3, [1])
-        out = local_search(path3, s, rng=random.Random(0))
+        out = local_search(s, rng=random.Random(0))
         assert sorted(out.members()) == [0, 2]
         assert out.total_weight == 6.0
 
@@ -230,7 +230,7 @@ class TestLocalSearch:
             g = random_graph(rng, 12, 0.3)
             res = exact_mwis(g)
             s = Solution(g, sorted(res.witness))
-            out = local_search(g, s, rng=random.Random(seed))
+            out = local_search(s, rng=random.Random(seed))
             assert out.total_weight == res.weight
 
     def test_output_contract_delta_and_maximality(self):
@@ -238,7 +238,7 @@ class TestLocalSearch:
         for _ in range(25):
             g = random_graph(rng, 24, 0.2)
             s = make_maximal(g, Solution(g), rng)
-            out = local_search(g, s, LocalSearchParams(num_iterations=8), rng)
+            out = local_search(s, LocalSearchParams(num_iterations=8), rng)
             assert_maximal(g, out)
             for u in range(g.n):
                 if u not in out:
@@ -250,7 +250,7 @@ class TestLocalSearch:
         rng = random.Random(7)
         for _ in range(15):
             g = random_graph(rng, 20, 0.25)
-            out = local_search(g, make_maximal(g, Solution(g), rng),
+            out = local_search(make_maximal(g, Solution(g), rng),
                                LocalSearchParams(num_iterations=8), rng)
             for v in out.members():
                 pool = one_tight_of(g, out, v)
@@ -278,7 +278,7 @@ class TestLocalSearch:
                 weights["w"] = engine.s.total_weight
                 assert is_independent(engine.g, engine.s)
 
-            local_search(g, s, LocalSearchParams(num_iterations=6),
+            local_search(s, LocalSearchParams(num_iterations=6),
                          rng, on_commit=check)
 
     def test_move_outcome_replays_solution(self):
@@ -304,7 +304,7 @@ class TestLocalSearch:
                 snapshots.append(now)
 
             with rows_forced(rows):
-                local_search(g, s, LocalSearchParams(num_iterations=6,
+                local_search(s, LocalSearchParams(num_iterations=6,
                                                      perturb_count=perturb_count),
                              rng, on_commit=check)
             assert len(snapshots) > 1
@@ -317,7 +317,7 @@ class TestLocalSearch:
         outs = []
         for _ in range(2):
             log = []
-            outs.append(local_search(g, s, LocalSearchParams(num_iterations=10),
+            outs.append(local_search(s, LocalSearchParams(num_iterations=10),
                                      random.Random(77),
                                      on_commit=lambda _, out: log.append(out)))
             logs.append([(o.kind, tuple(o.nodes_added), tuple(o.nodes_removed))
@@ -330,7 +330,7 @@ class TestLocalSearch:
         for _ in range(20):
             g = random_graph(rng, 20, 0.3)
             s = make_maximal(g, Solution(g), rng)
-            out = local_search(g, s, LocalSearchParams(num_iterations=4), rng)
+            out = local_search(s, LocalSearchParams(num_iterations=4), rng)
             assert out.total_weight >= s.total_weight
 
     def test_deadline_exit_is_graceful(self):
@@ -342,7 +342,7 @@ class TestLocalSearch:
             ticks["t"] += 1.0
             return ticks["t"]
 
-        out = local_search(g, s, rng=random.Random(0), deadline=3.0, clock=clock)
+        out = local_search(s, rng=random.Random(0), deadline=3.0, clock=clock)
         assert_maximal(g, out)
         for u in range(g.n):
             if u not in out:
@@ -358,7 +358,7 @@ class TestLocalSearch:
             g = random_graph(rng, n, rng.choice([0.2, 0.5]))
             start = make_maximal(g, Solution(g), rng)
             t0 = time.perf_counter()
-            out = local_search(g, start, rng=random.Random(i))
+            out = local_search(start, rng=random.Random(i))
             assert time.perf_counter() - t0 < 0.5
             if out.total_weight == exact_mwis(g).weight:
                 hits += 1
@@ -370,10 +370,10 @@ class TestLocalSearch:
         kinds = []
 
         def check(engine, out):
-            assert not state_mismatches(engine.state, g, engine.s)
+            assert not state_mismatches(engine.state)
             kinds.append(out.kind)
 
-        local_search(g, s, LocalSearchParams(num_iterations=6),
+        local_search(s, LocalSearchParams(num_iterations=6),
                      random.Random(3), on_commit=check)
         assert "perturb" in kinds
 
@@ -387,17 +387,17 @@ class TestLocalSearch:
 class TestDegenerateInputs:
     def test_empty_graph(self):
         g = graph_from(0, [], [])
-        out = local_search(g, Solution(g), rng=random.Random(0))
+        out = local_search(Solution(g), rng=random.Random(0))
         assert out.size == 0 and out.total_weight == 0.0
 
     def test_single_node(self):
         g = graph_from(1, [], [7.0])
-        out = local_search(g, Solution(g), rng=random.Random(0))
+        out = local_search(Solution(g), rng=random.Random(0))
         assert sorted(out.members()) == [0]
 
     def test_all_zero_weights(self):
         g = graph_from(4, [(0, 1), (2, 3)], [0.0] * 4)
-        out = local_search(g, Solution(g),
+        out = local_search(Solution(g),
                            LocalSearchParams(num_iterations=2), random.Random(0))
         assert out.total_weight == 0.0
         assert_maximal(g, out)
@@ -442,9 +442,9 @@ class ReferenceOneStar(CountingEngine):
             else:
                 best_w, chosen = self._greedy_subset(cand)
             if best_w > w[v]:
-                remove_member(st, self.g, s, v)
+                remove_member(st, v)
                 for u in chosen:
-                    add_member(st, self.g, s, u)
+                    add_member(st, u)
                 extra = self._maximalize()
                 self._commit("one_star", chosen + extra, [v])
                 improved = True
@@ -482,10 +482,10 @@ class ReferenceTwoStar(MoveEngine):
                 gained += w[c]
                 open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
             if gained > w[u] + w[v]:
-                remove_member(st, g, s, u)
-                remove_member(st, g, s, v)
+                remove_member(st, u)
+                remove_member(st, v)
                 for c in added:
-                    add_member(st, g, s, c)
+                    add_member(st, c)
                 extra = self._maximalize()
                 net_added = [x for x in added + extra if x not in (u, v)]
                 net_removed = [x for x in (u, v) if x not in set(extra)]
@@ -550,9 +550,9 @@ class ReferenceAap(MoveEngine):
         flip_in = path_in[:best_pairs]
         flip_out = path_out[:best_pairs]
         for m in flip_in:
-            remove_member(st, g, self.s, m)
+            remove_member(st, m)
         for o in flip_out:
-            add_member(st, g, self.s, o)
+            add_member(st, o)
         extra = self._maximalize()
         self._commit("aap", flip_out + extra, flip_in)
         return True
@@ -569,7 +569,7 @@ def replay(engine_cls, g, members, seed, rounds=4):
     rng = random.Random(seed)
     s = Solution(g, members)
     log = []
-    eng = engine_cls(g, s, rng, LocalSearchParams(exact_recursion_limit=5),
+    eng = engine_cls(build(g, s), rng, LocalSearchParams(exact_recursion_limit=5),
                      on_commit=lambda _, out: log.append(
                          (out.kind, out.nodes_added, out.nodes_removed, out.gain)))
     for _ in range(rounds):
@@ -578,7 +578,7 @@ def replay(engine_cls, g, members, seed, rounds=4):
         eng.one_star_moves()
         eng.two_star_moves()
         eng.perturb()
-    assert not state_mismatches(eng.state, g, s)
+    assert not state_mismatches(eng.state)
     return (log, s.member_list(), rng.getstate()), eng
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mwis.graph import build_graph
-from mwis.oracle import exact_mwis, exact_subset
+from mwis.oracle import exact_mwis, max_weight_subset
 
 from conftest import graph_from, random_graph
 
@@ -93,30 +93,29 @@ class TestSuperOptimality:
             g = random_graph(rng, rng.randint(6, 16), rng.uniform(0.15, 0.5))
             opt = exact_mwis(g).weight
             for s in (greedy(g), adaptive_greedy(g), randomized_greedy(g, rng=rng),
-                      local_search(g, make_maximal(g, Solution(g), rng), rng=rng)):
+                      local_search(make_maximal(g, Solution(g), rng), rng=rng)):
                 assert s.total_weight <= opt + 1e-9
+
+
+def chosen_items(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class TestExactSubset:
     def test_no_conflicts_takes_everything(self):
-        w, chosen = exact_subset([1.0, 2.0, 3.0], [])
-        assert w == 6.0 and sorted(chosen) == [0, 1, 2]
+        w, chosen = max_weight_subset([1.0, 2.0, 3.0], [0, 0, 0])
+        assert w == 6.0 and chosen_items(chosen) == [0, 1, 2]
 
     def test_complete_conflicts_takes_heaviest(self):
-        w, chosen = exact_subset([1.0, 5.0, 3.0], [(0, 1), (0, 2), (1, 2)])
-        assert w == 5.0 and chosen == [1]
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            exact_subset([1.0] * 26, [])
+        g = graph_from(3, [(0, 1), (0, 2), (1, 2)], [1.0, 5.0, 3.0])
+        w, chosen = max_weight_subset(g.weights.tolist(), g.rows)
+        assert w == 5.0 and chosen_items(chosen) == [1]
 
     def test_matches_exact_mwis_on_random_pools(self):
         rng = random.Random(9)
         for _ in range(500):
             k = rng.randint(1, 12)
             g = random_graph(rng, k, rng.uniform(0.1, 0.7))
-            conflicts = [(u, int(v)) for u in range(k)
-                         for v in g.neighbors(u).tolist() if u < v]
-            w, chosen = exact_subset(g.weights.tolist(), conflicts)
+            w, chosen = max_weight_subset(g.weights.tolist(), g.rows)
             assert w == exact_mwis(g).weight
-            assert sum(g.node_weight(v) for v in chosen) == w
+            assert sum(g.node_weight(v) for v in chosen_items(chosen)) == w

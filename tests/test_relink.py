@@ -27,6 +27,14 @@ def matching_graph(k: int, w_left: float, w_right: float):
     return g, source, guide
 
 
+def relink(g, source, guide, *args):
+    """path_relink on a fresh structure at a copy of the guide; returns the
+    walked solution."""
+    st = build(g, guide.copy())
+    path_relink(st, source, guide, *args)
+    return st.s
+
+
 class TestSchedule:
     def test_single_stagnation_values(self):
         p = RelinkParams()
@@ -74,14 +82,14 @@ class TestSchedule:
 class TestWalk:
     def test_identical_solutions_returned_unchanged(self, path3):
         s = make_maximal(path3, Solution(path3, [1]), random.Random(0))
-        out, _ = path_relink(path3, s, s.copy(), RelinkParams(), random.Random(0))
+        out = relink(path3, s, s.copy(), RelinkParams(), random.Random(0))
         assert out.as_frozenset() == s.as_frozenset()
 
     def test_positive_budget_stops_after_first_positive_step(self):
         # every step pulls a heavier source node: all gains positive
         g, source, guide = matching_graph(6, w_left=1.0, w_right=2.0)
         log = []
-        out, _ = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out = relink(g, source, guide, RelinkParams(), random.Random(0), log)
         assert len(log) == 1        # pos count 1 > c_p = 0.1 stops the walk
         assert log[0][0] > 0
         assert len(out.as_frozenset() ^ guide.as_frozenset()) == 2
@@ -90,7 +98,7 @@ class TestWalk:
         # tiny negative steps: the f-rule stays quiet, c_n = 1.0 stops at 2
         g, source, guide = matching_graph(8, w_left=1000.0, w_right=999.9)
         log = []
-        out, _ = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out = relink(g, source, guide, RelinkParams(), random.Random(0), log)
         assert len(log) == 2        # neg count 2 > c_n = 1.0
         assert all(gain < 0 for gain, _ in log)
         assert len(out.as_frozenset() ^ guide.as_frozenset()) == 4
@@ -103,7 +111,7 @@ class TestWalk:
         params = RelinkParams()
         for k in range(6):
             log = []
-            path_relink(g, source, guide, params, random.Random(0), log)
+            relink(g, source, guide, params, random.Random(0), log)
             steps.append(len(log))
             params.on_stagnation()
             params.on_stagnation()
@@ -114,7 +122,7 @@ class TestWalk:
         # big negative steps: first step already drops below f
         g, source, guide = matching_graph(8, w_left=1000.0, w_right=1.0)
         log = []
-        path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        relink(g, source, guide, RelinkParams(), random.Random(0), log)
         assert len(log) == 1
         gain, w_after = log[0]
         assert w_after / guide.total_weight < 0.9998
@@ -123,7 +131,7 @@ class TestWalk:
         g, source, guide = matching_graph(10, w_left=1000.0, w_right=999.9)
         log = []
         params = RelinkParams(budget_mode="fraction")
-        path_relink(g, source, guide, params, random.Random(0), log)
+        relink(g, source, guide, params, random.Random(0), log)
         # c_n * |symdiff| = 1.0 * 20 -> never binds; walk reaches the source
         assert len(log) == 10
 
@@ -133,7 +141,7 @@ class TestWalk:
         guide = Solution(g, [1, 3])   # weight 13
         source = Solution(g, [0, 2])  # weight 20
         log = []
-        out, _ = path_relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out = relink(g, source, guide, RelinkParams(), random.Random(0), log)
         # pulling 0 (gain +6) beats pulling 2 (gain +1); one positive step, stop
         assert log[0][0] == 6.0
         assert 0 in out.as_frozenset()
@@ -144,7 +152,7 @@ class TestWalk:
             g = random_graph(rng, 30, 0.15)
             a = make_maximal(g, Solution(g), rng)
             b = make_maximal(g, Solution(g), rng)
-            out, _ = path_relink(g, a, b, RelinkParams(), rng)
+            out = relink(g, a, b, RelinkParams(), rng)
             assert is_independent(g, out)
             flags = [v in out for v in range(g.n)]
             for v in range(g.n):
@@ -156,14 +164,14 @@ class TestWalk:
         g = random_graph(rng, 30, 0.15)
         a = make_maximal(g, Solution(g), rng)
         b = make_maximal(g, Solution(g), rng)
-        o1, _ = path_relink(g, a, b, RelinkParams(), random.Random(5))
-        o2, _ = path_relink(g, a, b, RelinkParams(), random.Random(5))
+        o1 = relink(g, a, b, RelinkParams(), random.Random(5))
+        o2 = relink(g, a, b, RelinkParams(), random.Random(5))
         assert o1.as_frozenset() == o2.as_frozenset()
 
     def test_walk_can_reach_source_exactly(self):
         g, source, guide = matching_graph(3, w_left=5.0, w_right=5.0)
         params = RelinkParams(c_n0=100.0, c_p0=99.0, f0=1e-12)
-        out, _ = path_relink(g, source, guide, params, random.Random(0))
+        out = relink(g, source, guide, params, random.Random(0))
         assert out.as_frozenset() == source.as_frozenset()
 
 
@@ -273,16 +281,17 @@ def reference_cases(seed, integer):
 
 
 def live_relink(g, source, guide, *args):
-    """path_relink on a live pair that starts at the source."""
-    start = source.copy()
-    return path_relink(g, source, guide, *args, live=(start, build(g, start)))[0]
+    """path_relink on a structure that starts at the source."""
+    st = build(g, source.copy())
+    path_relink(st, source, guide, *args)
+    return st.s
 
 
 def walk_all_ways(g, source, guide, params, seed):
     """(members, step log, random state) of path_relink on a copy of the
-    guide, on a live pair retargeted to it, then of reference_relink."""
+    guide, on a structure retargeted to it, then of reference_relink."""
     runs = []
-    for walk in (lambda *a: path_relink(*a)[0], live_relink, reference_relink):
+    for walk in (relink, live_relink, reference_relink):
         log = []
         walk_rng = random.Random(seed)
         out = walk(g, source, guide, copy.copy(params), walk_rng, log)
@@ -316,33 +325,35 @@ class TestHandoff:
             for i, (g, source, guide, params, seed) in enumerate(reference_cases(33, integer=False)):
                 if i == 120:
                     break
-                out, st = path_relink(g, source, guide, params, random.Random(seed))
+                st = build(g, guide.copy())
+                path_relink(st, source, guide, params, random.Random(seed))
                 assert (st.rows is not None) is rows
-                assert not state_mismatches(st, g, out, check_pruning=True), f"case {i}"
+                assert not state_mismatches(st, check_pruning=True), f"case {i}"
 
     def test_local_search_runs_on_the_state_it_is_handed(self):
         rng = random.Random(34)
         engines = []
         for _ in range(10):
             g = random_graph(rng, 40, 0.1)
-            walked, st = path_relink(g, make_maximal(g, Solution(g), rng),
-                                     make_maximal(g, Solution(g), rng), RelinkParams(), rng)
-            local_search(g, walked, rng=rng, state=st,
-                         on_commit=lambda eng, _: engines.append((eng, walked, st)))
+            source = make_maximal(g, Solution(g), rng)
+            guide = make_maximal(g, Solution(g), rng)
+            st = build(g, guide.copy())
+            path_relink(st, source, guide, RelinkParams(), rng)
+            local_search(st, rng=rng, on_commit=lambda eng, _, st=st: engines.append((eng, st)))
         assert engines, "no move committed"
-        assert all(eng.s is s and eng.state is st for eng, s, st in engines)
+        assert all(eng.state is st and eng.s is st.s for eng, st in engines)
 
     @pytest.mark.parametrize("rows", [False, True])
     def test_one_live_pair_stays_consistent_over_a_run(self, rows, monkeypatch):
         pairs = []
         inner = driver.path_relink
 
-        def checked(g, source, guide, *args, **kwargs):
-            s, st = inner(g, source, guide, *args, **kwargs)
-            assert s is kwargs["live"][0] and st is kwargs["live"][1]
-            assert not state_mismatches(st, g, s, check_pruning=True)
+        def checked(st, source, guide, *args, **kwargs):
+            s = st.s
+            inner(st, source, guide, *args, **kwargs)
+            assert st.s is s
+            assert not state_mismatches(st, check_pruning=True)
             pairs.append((s, st))
-            return s, st
 
         monkeypatch.setattr(driver, "path_relink", checked)
         rng = random.Random(36)
@@ -370,8 +381,9 @@ class TestHandoff:
                 return inner(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
-        for module in ("mwis.driver", "mwis.relink", "mwis.local_search"):
+        for module in ("mwis.driver", "mwis.local_search"):
             count(importlib.import_module(module), "build")
+        for module in ("mwis.driver", "mwis.relink", "mwis.local_search"):
             count(importlib.import_module(module), "make_maximal")
         count(driver, "path_relink")
         g = random_graph(random.Random(35), 60, 0.1)

@@ -60,7 +60,7 @@ def test_local_search_same_with_rows_and_lists():
         def search():
             rng = random.Random(i)
             log = []
-            best = local_search(g, Solution(g), LocalSearchParams(num_iterations=8), rng,
+            best = local_search(Solution(g), LocalSearchParams(num_iterations=8), rng,
                                 relaxed, on_commit=recorded(log))
             return log, best.member_list(), best.total_weight, rng.getstate()
 
@@ -75,10 +75,10 @@ def test_run_same_with_rows_and_lists(monkeypatch):
     calls = []
     inner = driver.local_search
 
-    def logged(g, s, params, rng, bias, **kw):
+    def logged(start, params, rng, bias, **kw):
         assert kw["on_commit"] is None
         log = []
-        out = inner(g, s, params, rng, bias, **dict(kw, on_commit=recorded(log)))
+        out = inner(start, params, rng, bias, **dict(kw, on_commit=recorded(log)))
         calls.append((log, out.member_list(), rng.getstate()))
         return out
 

@@ -4,14 +4,14 @@ from .driver import EliteSet, RunConfig, TraceEvent, run
 from .generate import GenSpec, generate_graph, random_gnp
 from .graph import Graph, GraphFormatError, build_graph, is_edge, load_graph, save_graph
 from .greedy import GreedyConfig, adaptive_greedy, greedy, randomized_greedy
-from .interstate import InterstateState, add_member, build, remove_member, \
+from .interstate import InterstateState, add_member, build, make_maximal, remove_member, \
     state_mismatches
 from .local_search import LocalSearchParams, MoveEngine, MoveOutcome, local_search
 from .lp_bias import RelaxedSolution, load_relaxed, make_relaxed, sample_biased
 from .oracle import ExactResult, exact_mwis
 from .relink import RelinkParams, path_relink
 from .solution import InfeasibleSolutionError, Solution, is_independent, load_solution, \
-    make_maximal, save_solution, solutions_equivalent
+    save_solution, solutions_equivalent
 
 __version__ = "0.1.0"
 

@@ -145,8 +145,14 @@ def _cmd_report(args) -> int:
     for path in args.traces:
         rows = []
         with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                rows.append((float(row["elapsed_s"]), float(row["best_weight"])))
+            reader = csv.DictReader(f)
+            if not {"elapsed_s", "best_weight", "event"} <= set(reader.fieldnames or ()):
+                raise ValueError(f"{path}: not a trace CSV (expected elapsed_s,best_weight,event)")
+            for row in reader:
+                try:
+                    rows.append((float(row["elapsed_s"]), float(row["best_weight"])))
+                except (TypeError, ValueError) as e:  # TypeError: a short row
+                    raise ValueError(f"{path}:{reader.line_num}: {e}") from None
         if not rows:
             print(f"error: empty trace {path}", file=sys.stderr)
             return EXIT_INPUT

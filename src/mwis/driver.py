@@ -16,14 +16,15 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field
+from operator import ne
 
 from .graph import Graph
 from .greedy import GreedyConfig, build_initial, randomized_greedy
-from .interstate import build, state_mismatches
+from .interstate import build, make_maximal, state_mismatches
 from .local_search import LocalSearchParams, local_search
 from .lp_bias import RelaxedSolution
 from .relink import RelinkParams, path_relink
-from .solution import Solution, make_maximal, solutions_equivalent
+from .solution import Solution, solutions_equivalent
 
 log = logging.getLogger(__name__)
 
@@ -42,31 +43,31 @@ class EliteSet:
         if capacity < 1:
             raise ValueError("elite capacity must be >= 1")
         self.capacity = capacity
-        self.entries: list[tuple[Solution, frozenset[int]]] = []
+        self.entries: list[Solution] = []
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def try_add_and_evict(self, s: Solution) -> bool:
-        """Store s itself, not a copy: nothing may mutate it afterwards."""
-        fs = s.as_frozenset()
-        w = s.total_weight
+        """Store s itself, not a copy: nothing may mutate it afterwards. When
+        full, replace the lighter-or-equal entry that differs from s in the
+        fewest nodes, then the lightest, then the first."""
+        flags = s._in_set
         if len(self.entries) < self.capacity:
-            if any(fs == efs for _, efs in self.entries):
+            if any(e._in_set == flags for e in self.entries):
                 return False
-            self.entries.append((s, fs))
+            self.entries.append(s)
             return True
-        evictable = [(i, e, efs) for i, (e, efs) in enumerate(self.entries)
-                     if e.total_weight <= w]
+        evictable = [(sum(map(ne, e._in_set, flags)), e.total_weight, i)
+                     for i, e in enumerate(self.entries) if e.total_weight <= s.total_weight]
         if not evictable:
             return False
-        i, _, _ = min(evictable, key=lambda t: (len(t[2] ^ fs), t[1].total_weight, t[0]))
-        self.entries[i] = (s, fs)
+        self.entries[min(evictable)[2]] = s
         return True
 
     def random_entry(self, rng: random.Random) -> Solution:
         assert self.entries, "elite set is empty"
-        return self.entries[rng.randrange(len(self.entries))][0]
+        return self.entries[rng.randrange(len(self.entries))]
 
 
 @dataclass
@@ -130,8 +131,9 @@ def run(g: Graph, config: RunConfig, clock=None,
     ls_kwargs = dict(deadline=deadline_at, clock=clock,
                      on_commit=_interstate_check(every) if every else None)
 
-    # the run's one search state, made with local_search's own entry draws
-    st = build(g, make_maximal(g, s, rng))
+    # the run's one search state, made as local_search makes one
+    st = build(g, s)
+    make_maximal(st, rng)
     # a fresh snapshot that nothing mutates, so the elite set keeps it as is
     best = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
     best_w = best.total_weight

@@ -7,7 +7,8 @@ Tracks, for S:
   one_tight   -- per member v, the non-members whose only member neighbor is v,
   mates/two_tight -- member pairs {u,v} sharing non-members with N(w) & S == {u,v},
   s_plus/s_one/s_two -- pruning queues for the (*,1), (1,*) and (2,*) moves,
-  free        -- non-members with rho == 0 (fuel for re-maximalization),
+  free        -- non-members with rho == 0, a plain set; make_maximal, the
+                 one maximalization routine, inserts them in random order,
   rows/members -- on dense graphs, the graph's bitset neighbour rows and S as
                  a bitset, for the rho->2 pair (rows also for AAP's path).
 
@@ -109,7 +110,7 @@ class InterstateState:
         self.s_plus = IndexedSet()
         self.s_one = IndexedSet()
         self.s_two = IndexedSet()
-        self.free = IndexedSet()
+        self.free: set[int] = set()
         # g.rows when the density rule picks bitsets (is_dense), else
         # None; members is S as a bitset, kept only while rows is set
         self.rows: list[int] | None = None
@@ -160,7 +161,7 @@ def build(g: Graph, s: Solution) -> InterstateState:
         st.two_tight.setdefault(key, set()).add(v)
         st.tt_pair[v] = key
 
-    st.free = IndexedSet(np.flatnonzero(outside & (rho == 0)).tolist())
+    st.free = set(np.flatnonzero(outside & (rho == 0)).tolist())
     st.s_plus = IndexedSet(np.flatnonzero(outside & (delta > 0)).tolist())
     st.s_one = IndexedSet(st.one_tight)
     st.s_two = IndexedSet(st.two_tight)
@@ -315,6 +316,20 @@ def add_member(st: InterstateState, u: int) -> None:
                     del st.mates[y]
 
 
+def make_maximal(st: InterstateState, rng: random.Random) -> list[int]:
+    """Insert free nodes in uniformly random order until st.s is maximal;
+    return them in insertion order. The draws: the free nodes ascending,
+    one shuffle, then an insert of each node still free at its turn."""
+    cand = sorted(st.free)
+    rng.shuffle(cand)
+    added = []
+    for v in cand:
+        if st.rho[v] == 0:
+            add_member(st, v)
+            added.append(v)
+    return added
+
+
 def retarget(st: InterstateState, target: Solution) -> None:
     """Turn st.s into target's set, removals first; s_one, s_two and
     total_weight end as on a copy of target with a fresh build, all eligible
@@ -339,7 +354,7 @@ def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[s
     delta uses relative tolerance 1e-9; everything else is exact, the member
     bitset included (0 when st keeps no rows). s_plus is
     checked for completeness only (stale extra entries are legal). With
-    check_pruning, s_one/s_two/free are additionally required to cover every
+    check_pruning, s_one/s_two are additionally required to cover every
     currently eligible member/pair (valid only when no evaluation has pruned
     them, e.g. in pure add/remove churn).
     """
@@ -366,7 +381,7 @@ def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[s
         bad.append("mate sets differ")
     if {k: v for k, v in st.two_tight.items() if v} != fresh.two_tight:
         bad.append("two_tight sets differ")
-    if st.free.as_set() != fresh.free.as_set():
+    if st.free != fresh.free:
         bad.append("free sets differ")
     expected = 0 if st.rows is None else _bitset(np.array(in_set, dtype=bool))
     if st.members != expected:

@@ -16,10 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graph import is_edge
-from .interstate import InterstateState, _pair, add_member, build, remove_member
+from .interstate import InterstateState, _pair, add_member, build, make_maximal, remove_member
 from .lp_bias import RelaxedSolution, sample_biased
 from .oracle import max_weight_subset
-from .solution import Solution, make_maximal
+from .solution import Solution
 
 # relative rounding allowance per summand when bounding a pool's weight sum
 _SUM_SLACK = 4 * sys.float_info.epsilon
@@ -84,16 +84,6 @@ class MoveEngine:
         in_set = self.s._in_set
         return [x for x in self.adj[v] if in_set[x]]
 
-    def _maximalize(self) -> list[int]:
-        """Add free nodes in random order until none remain."""
-        st = self.state
-        added = []
-        while len(st.free):
-            v = st.free.pop_random(self.rng)
-            add_member(st, v)
-            added.append(v)
-        return added
-
     def _apply(self, kind: str, removed: list[int], added: list[int]) -> None:
         """Remove, then insert, then re-maximalize, then report one move."""
         st = self.state
@@ -101,7 +91,7 @@ class MoveEngine:
             remove_member(st, x)
         for x in added:
             add_member(st, x)
-        self._commit(kind, added + self._maximalize(), removed)
+        self._commit(kind, added + make_maximal(st, self.rng), removed)
 
     def _commit(self, kind: str, added: list[int], removed: list[int]) -> None:
         """Report the net change: each list holds the nodes inserted and
@@ -308,7 +298,7 @@ class MoveEngine:
             removed += evicted
             added.append(target)
         if added:
-            self._commit("perturb", added + self._maximalize(), removed)
+            self._commit("perturb", added + make_maximal(st, self.rng), removed)
 
     def _perturb_target(self) -> int | None:
         s, n, rng, bias = self.s, self.g.n, self.rng, self.bias
@@ -332,7 +322,7 @@ def local_search(start: Solution | InterstateState,
 
     An interstate structure of a maximal solution (as path_relink leaves
     it) is searched in place. A bare Solution is left as it is: the search
-    runs on a maximalized copy of it with a fresh structure.
+    runs on a fresh structure of a copy of it, maximalized by make_maximal.
 
     The clock is consulted between move procedures only; on deadline the last
     clean snapshot is returned, so outputs are always maximal with delta <= 0
@@ -343,8 +333,8 @@ def local_search(start: Solution | InterstateState,
     params = params or LocalSearchParams()
     rng = rng or random.Random()
     if isinstance(start, Solution):
-        g = start.graph
-        start = build(g, make_maximal(g, start.copy(), rng))
+        start = build(start.graph, start.copy())
+        make_maximal(start, rng)
     engine = MoveEngine(start, rng, params, bias, on_commit)
     s = engine.s
     # Drain S+ before the first snapshot: every snapshot this function can

@@ -12,8 +12,8 @@ and resets on any weight change.
 The walk runs on the interstate structure it is handed, retargeted to the
 guide and updated by every flip: a pull gains delta(v), and a drop adds the
 source nodes 1-tight to the dropped member. The walked solution is
-re-maximalized with make_maximal's random draws and left in the structure,
-which local search then continues from.
+re-maximalized in the structure by interstate.make_maximal, and local search
+then continues from that structure.
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import ne
 
-from .interstate import InterstateState, add_member, remove_member, retarget
+from .interstate import InterstateState, add_member, make_maximal, remove_member, retarget
 from .solution import Solution
-# no longer called here; perfbench/spans.py still wraps this name until the
-# benchmark reads solver-owned statistics (ROADMAP item 1)
-from .solution import make_maximal  # noqa: F401
 
 F0 = 0.9998
 CN0 = 1.0
@@ -148,10 +145,4 @@ def path_relink(st: InterstateState, source: Solution, guide: Solution,
         if w_guide > 0 and s.total_weight / w_guide < params.f:
             break
 
-    # make_maximal's draws: the free nodes ascending, one shuffle, and an
-    # insert while still free
-    cand = sorted(st.free)
-    rng.shuffle(cand)
-    for v in cand:
-        if st.rho[v] == 0:
-            add_member(st, v)
+    make_maximal(st, rng)

@@ -1,16 +1,15 @@
-"""Independent-set representation, validation, maximalization, equivalence.
+"""Independent-set representation, validation, equivalence and files.
 
 A Solution is one membership flag per node plus a cached size and total
 weight. add/remove are O(1), copy is one list copy, and members() scans the
-flags, so members always come out in ascending node order.
+flags, so members always come out in ascending node order. Maximalization
+needs the free nodes, which the search state tracks, so it lives there
+(interstate.make_maximal).
 """
 
 from __future__ import annotations
 
-import random
 from itertools import compress
-
-import numpy as np
 
 from .graph import Graph, GraphFormatError
 
@@ -80,29 +79,6 @@ def is_independent(g: Graph, s: Solution) -> bool:
     flags = s._in_set
     adj = g.adj
     return not any(flags[u] for v in s.members() for u in adj[v])
-
-
-def free_nodes(g: Graph, s: Solution) -> list[int]:
-    """Nodes outside s with no neighbor in s, in ascending order."""
-    flags = np.array(s._in_set, dtype=bool)
-    # prefix counts of member arcs: a row holds a member neighbor iff the
-    # count rises across it
-    seen = np.zeros(len(g.indices) + 1, dtype=np.int64)
-    np.cumsum(flags[g.indices], out=seen[1:])
-    blocked = seen[g.indptr[1:]] != seen[g.indptr[:-1]]
-    return np.flatnonzero(~(flags | blocked)).tolist()
-
-
-def make_maximal(g: Graph, s: Solution, rng: random.Random) -> Solution:
-    """Insert free nodes in uniformly random order until s is maximal."""
-    cand = free_nodes(g, s)
-    rng.shuffle(cand)
-    flags = s._in_set
-    adj = g.adj
-    for v in cand:
-        if not any(flags[u] for u in adj[v]):
-            s.add(v)
-    return s
 
 
 def solutions_equivalent(g: Graph, s1: Solution, s2: Solution,

@@ -52,8 +52,14 @@ def random_graph(rng: random.Random, n: int, p: float, max_w: int = 100) -> Grap
     return build_graph(n, edges, weights)
 
 
-def random_maximal(g: Graph, rng: random.Random):
-    from mwis.solution import Solution, make_maximal
-
-    s = Solution(g)
-    return make_maximal(g, s, rng)
+def maximal(g: Graph, s, rng: random.Random):
+    """Make s maximal in place and return it, with the solver's draws
+    (interstate.make_maximal): the free nodes ascending, one shuffle, then an
+    insert of each node that still has no member neighbour."""
+    flags, adj = s._in_set, g.adj
+    cand = [v for v in range(g.n) if not flags[v] and not any(flags[u] for u in adj[v])]
+    rng.shuffle(cand)
+    for v in cand:
+        if not any(flags[u] for u in adj[v]):
+            s.add(v)
+    return s

@@ -26,7 +26,9 @@ from mwis.local_search import LocalSearchParams, local_search
 from mwis.lp_bias import make_relaxed, sample_biased
 from mwis.oracle import exact_mwis
 from mwis.relink import RelinkParams
-from mwis.solution import Solution, is_independent, make_maximal
+from mwis.solution import Solution, is_independent
+
+from conftest import maximal
 
 
 def criterion(num, name):
@@ -137,7 +139,7 @@ def test_criterion_3_splus_contract():
     while time.monotonic() < deadline:
         n = rng.randint(20, 60)
         g = random_gnp(n, rng.uniform(0.1, 0.35), seed=rng.randrange(10**6))
-        s = make_maximal(g, Solution(g), rng)
+        s = maximal(g, Solution(g), rng)
         local_search(s, LocalSearchParams(num_iterations=16), rng,
                      on_commit=check)
         instances += 1
@@ -151,7 +153,7 @@ def test_criterion_4_local_optimality():
     for _ in range(30):
         n = rng.randint(12, 40)
         g = random_gnp(n, rng.uniform(0.1, 0.4), seed=rng.randrange(10**6))
-        out = local_search(make_maximal(g, Solution(g), rng),
+        out = local_search(maximal(g, Solution(g), rng),
                            LocalSearchParams(num_iterations=16), rng)
         outputs += 1
         assert_maximal(g, out)

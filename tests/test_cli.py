@@ -212,3 +212,17 @@ class TestReport:
         t1.write_text("elapsed_s,best_weight,event\n0.1,5.0,final\n")
         out = json.loads(run_cli("report", "--threshold", "99", str(t1)).stdout)
         assert out["t_star"] is None
+
+    def test_csv_without_trace_columns_exits_one(self, tmp_path, capsys):
+        t1 = tmp_path / "r1.csv"
+        t1.write_text("a,b\n1,2\n")
+        assert main(["report", "--threshold", "1", str(t1)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {t1}: not a trace CSV (expected elapsed_s,best_weight,event)\n"
+
+    @pytest.mark.parametrize("bad_row", ["0.2,x,final", "0.2"])
+    def test_bad_number_names_file_and_line(self, tmp_path, capsys, bad_row):
+        t1 = tmp_path / "r1.csv"
+        t1.write_text(f"elapsed_s,best_weight,event\n0.1,5.0,init\n{bad_row}\n")
+        assert main(["report", "--threshold", "1", str(t1)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {t1}:3: ")

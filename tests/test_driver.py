@@ -41,9 +41,9 @@ class TestEliteSet:
         es = EliteSet(1)
         assert es.try_add_and_evict(solution_of(g, [0]))          # w=10
         assert es.try_add_and_evict(solution_of(g, [1]))          # w=12 evicts
-        assert [e.total_weight for e, _ in es.entries] == [12.0]
+        assert [e.total_weight for e in es.entries] == [12.0]
         assert not es.try_add_and_evict(solution_of(g, [2]))      # w=9 rejected
-        assert [e.total_weight for e, _ in es.entries] == [12.0]
+        assert [e.total_weight for e in es.entries] == [12.0]
 
     def test_duplicate_rejected_when_not_full(self):
         g = graph_from(3, [], [5.0, 6.0, 7.0])
@@ -59,7 +59,7 @@ class TestEliteSet:
         es.try_add_and_evict(solution_of(g, [2, 3]))        # w=8
         # candidate {0, 4}: similar to {0,1} (symdiff 2) vs {2,3} (symdiff 4)
         assert es.try_add_and_evict(solution_of(g, [0, 4]))
-        sets = [fs for _, fs in es.entries]
+        sets = [e.as_frozenset() for e in es.entries]
         assert frozenset({0, 4}) in sets and frozenset({2, 3}) in sets
 
     def test_identical_entry_replaced_when_full(self):
@@ -89,6 +89,52 @@ class TestEliteSet:
         es.try_add_and_evict(solution_of(g, [1]))
         rng = random.Random(0)
         assert all(es.random_entry(rng).as_frozenset() == {1} for _ in range(20))
+
+
+class FrozensetEliteSet:
+    """The elite set as it was, with a frozenset of each entry beside it."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = []
+
+    def try_add_and_evict(self, s):
+        fs = s.as_frozenset()
+        w = s.total_weight
+        if len(self.entries) < self.capacity:
+            if any(fs == efs for _, efs in self.entries):
+                return False
+            self.entries.append((s, fs))
+            return True
+        evictable = [(i, e, efs) for i, (e, efs) in enumerate(self.entries)
+                     if e.total_weight <= w]
+        if not evictable:
+            return False
+        i, _, _ = min(evictable, key=lambda t: (len(t[2] ^ fs), t[1].total_weight, t[0]))
+        self.entries[i] = (s, fs)
+        return True
+
+
+class TestEliteSetMatchesFrozensetReference:
+    def test_same_decisions_and_entries(self):
+        # few nodes and few weight values, so that equal sets, equal weights
+        # and equal distances all come up; every insert is a new object
+        rng = random.Random(61)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            g = graph_from(n, [], [float(rng.randint(1, rng.choice([1, 2, 4]))) for _ in range(n)])
+            capacity = rng.randint(1, 4)
+            es, ref = EliteSet(capacity), FrozensetEliteSet(capacity)
+            for _ in range(rng.randint(1, 25)):
+                s = Solution(g, [v for v in range(n) if rng.random() < 0.5])
+                full = len(ref.entries) == capacity
+                added = es.try_add_and_evict(s)
+                assert added == ref.try_add_and_evict(s)
+                assert len(es.entries) == len(ref.entries)
+                assert all(a is b for a, (b, _) in zip(es.entries, ref.entries))
+                outcomes.add((full, added))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestRun:

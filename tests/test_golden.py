@@ -17,8 +17,16 @@ skip the randomized trial on a pool too light to beat its pair. The live
 structure's dicts and sets hold their entries in the order of its history,
 so the refilled queues and the sets the moves iterate come out in another
 order; a skipped trial draws no random numbers, so the stream shifts. Walks
-are unchanged on these integer weights. A change that alters results on
-purpose must update GOLDEN and say why in CHANGES.md.
+are unchanged on these integer weights.
+
+It was re-pinned once more when one routine, interstate.make_maximal, took
+over every maximalization. Only the move engine's re-maximalization after a
+committed move changed its draws: uniform pops from the free nodes became the
+free nodes ascending, one shuffle, then an insert of each node still free.
+Both pick each next node uniformly among those still free, so the search is
+the same in distribution, but the random stream differs. With the engine's
+uniform pops put back, the previous hash still holds. A change that alters
+results on purpose must update GOLDEN and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from mwis.lp_bias import make_relaxed
 
 from conftest import FakeClock
 
-GOLDEN = "1fe1b304485e4b9e357a0cd393b299e7da625849526dc5e93bfd8ce7c3271622"
+GOLDEN = "2f130d330d1b2b0346616c697c8db792b141ca8156ce0073c5b13afb42ec1330"
 
 MODES = ("deterministic", "randomized", "adaptive")
 

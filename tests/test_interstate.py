@@ -7,10 +7,10 @@ import pytest
 
 from mwis.graph import build_graph
 from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, _pair, \
-    add_member, build, remove_member, retarget, state_mismatches
-from mwis.solution import Solution, make_maximal
+    add_member, build, make_maximal, remove_member, retarget, state_mismatches
+from mwis.solution import Solution
 
-from conftest import graph_from, random_graph, rows_forced
+from conftest import graph_from, maximal, random_graph, rows_forced
 
 
 def reference_build(g, s):
@@ -160,11 +160,12 @@ def reference_add_member(st, g, s, u):
 
 
 def ordered(st):
-    """Everything of a state whose iteration order the moves depend on."""
+    """Everything of a state whose iteration order the moves depend on, and
+    the free nodes, which make_maximal reads in ascending order."""
     def sets(d):
         return [(k, list(v)) for k, v in d.items()]
     return (st.rho, st.owner, list(st.tt_pair.items()), sets(st.one_tight),
-            sets(st.mates), sets(st.two_tight), list(st.free), list(st.s_plus),
+            sets(st.mates), sets(st.two_tight), sorted(st.free), list(st.s_plus),
             list(st.s_one), list(st.s_two))
 
 
@@ -268,7 +269,7 @@ class TestBuild:
             tries = rng.choice([0, n // 4, 3 * n]) if n else 0
             s = random_independent(g, rng, tries)
             if rng.random() < 0.5:
-                make_maximal(g, s, rng)
+                maximal(g, s, rng)
             st, ref = build(g, s), reference_build(g, s)
             assert ordered(st) == ordered(ref), f"instance {i}"
             if i % 3:
@@ -335,7 +336,7 @@ class TestSingleUpdates:
 
     def test_remove_then_readd_round_trip(self, cycle4):
         rng = random.Random(0)
-        s = make_maximal(cycle4, Solution(cycle4), rng)
+        s = maximal(cycle4, Solution(cycle4), rng)
         st = build(cycle4, s)
         v = s.member_list()[0]
         remove_member(st, v)
@@ -355,13 +356,13 @@ class TestVerification:
     def test_fresh_state_verifies(self):
         rng = random.Random(1)
         g = random_graph(rng, 50, 0.15)
-        s = make_maximal(g, Solution(g), rng)
+        s = maximal(g, Solution(g), rng)
         assert not state_mismatches(build(g, s))
 
     def test_corruption_detected(self):
         rng = random.Random(2)
         g = random_graph(rng, 30, 0.2)
-        s = make_maximal(g, Solution(g), rng)
+        s = maximal(g, Solution(g), rng)
         st = build(g, s)
         victim = next(v for v in range(g.n) if v not in s)
         st.rho[victim] += 1
@@ -370,7 +371,7 @@ class TestVerification:
     def test_delta_tolerance_is_relative(self):
         rng = random.Random(3)
         g = random_graph(rng, 20, 0.3, max_w=10**6)
-        s = make_maximal(g, Solution(g), rng)
+        s = maximal(g, Solution(g), rng)
         st = build(g, s)
         victim = next(v for v in range(g.n) if v not in s)
         st.delta[victim] += 1.0  # way beyond 1e-9 relative
@@ -379,7 +380,7 @@ class TestVerification:
     def test_member_bitset_corruption_detected(self):
         rng = random.Random(7)
         g = random_graph(rng, 30, 0.2)
-        s = make_maximal(g, Solution(g), rng)
+        s = maximal(g, Solution(g), rng)
         with rows_forced(True):
             st = build(g, s)
         assert st.rows is g.rows and not state_mismatches(st)
@@ -485,7 +486,7 @@ class TestRetarget:
                 for k in range(6):
                     target = random_independent(g, rng, rng.randint(0, 2 * n))
                     if k % 2:
-                        make_maximal(g, target, rng)
+                        maximal(g, target, rng)
                     # prune the queues as failed move evaluations do
                     for queue in (st.s_one, st.s_two):
                         for x in list(queue):
@@ -498,6 +499,70 @@ class TestRetarget:
                     # the queues hold what build puts there, in build's order of keys
                     assert list(st.s_one) == list(st.one_tight)
                     assert list(st.s_two) == list(st.two_tight)
+
+
+class Recorded(Solution):
+    """A Solution that lists its insertions, in order, from its creation on."""
+
+    __slots__ = ("inserted",)
+
+    def __init__(self, s):
+        self.inserted = []
+        super().__init__(s.graph, s.members())
+        self.inserted.clear()
+
+    def add(self, v):
+        super().add(v)
+        self.inserted.append(v)
+
+
+def uniform_pops(st, rng):
+    """Re-maximalization by uniform pops from the free nodes, as the engine
+    once did it: the same distribution as make_maximal, another stream."""
+    added = []
+    while st.free:
+        v = sorted(st.free)[rng.randrange(len(st.free))]
+        add_member(st, v)
+        added.append(v)
+    return added
+
+
+class TestMakeMaximal:
+    @staticmethod
+    def mismatches(routine):
+        """Cases where `routine` on a state differs from the test helper
+        `maximal` on its set: in the nodes inserted and their order, the
+        members or the random state afterwards. Each target set (empty,
+        partial or maximal) is tried on a fresh build of it and on a state
+        that reached it through random churn."""
+        rng = random.Random(41)
+        bad = []
+        for i in range(150):
+            n = rng.randint(1, 50)
+            g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.15, 0.4]),
+                             max_w=rng.choice([0, 1, 100]))
+            target = random_independent(g, rng, (0, rng.randint(1, n), 0)[i % 3])
+            if i % 3 == 2:
+                maximal(g, target, rng)
+            _, churned = churn(g, rng, steps=rng.randint(0, 3 * n), check_every=10**9)
+            retarget(churned, target)
+            for st in (build(g, target.copy()), churned):
+                seed = rng.random()
+                ref, ref_rng = Recorded(target), random.Random(seed)
+                maximal(g, ref, ref_rng)
+                st_rng = random.Random(seed)
+                added = routine(st, st_rng)
+                if (added, st.s.member_list(), st_rng.getstate()) != \
+                        (ref.inserted, ref.member_list(), ref_rng.getstate()):
+                    bad.append(i)
+                assert not state_mismatches(st, check_pruning=True), f"instance {i}"
+        return bad
+
+    def test_matches_the_helper_on_fresh_and_churned_states(self):
+        assert self.mismatches(make_maximal) == []
+
+    def test_the_comparison_rejects_uniform_pops(self):
+        assert self.mismatches(uniform_pops)
 
 
 class TestS2Completeness:

@@ -8,13 +8,14 @@ import time
 import pytest
 
 from mwis.graph import is_edge
-from mwis.interstate import _pair, add_member, build, remove_member, state_mismatches
+from mwis.interstate import _pair, add_member, build, make_maximal, remove_member, \
+    state_mismatches
 from mwis.local_search import _SUM_SLACK, LocalSearchParams, MoveEngine, _pool_cannot_win, \
     local_search
 from mwis.oracle import exact_mwis, max_weight_subset
-from mwis.solution import Solution, is_independent, make_maximal
+from mwis.solution import Solution, is_independent
 
-from conftest import graph_from, random_graph, rows_forced
+from conftest import graph_from, maximal, random_graph, rows_forced
 
 
 def engine_on(g, members, seed=0, **kw):
@@ -64,7 +65,7 @@ class TestStarOne:
         rng = random.Random(0)
         for _ in range(30):
             g = random_graph(rng, 30, 0.2)
-            s = make_maximal(g, Solution(g), rng)
+            s = maximal(g, Solution(g), rng)
             eng = MoveEngine(build(g, s), rng)
             eng.star_one_moves()
             for u in range(g.n):
@@ -171,7 +172,7 @@ class TestAap:
         rng = random.Random(2)
         for _ in range(40):
             g = random_graph(rng, 25, 0.2)
-            s = make_maximal(g, Solution(g), rng)
+            s = maximal(g, Solution(g), rng)
             eng = MoveEngine(build(g, s), rng)
             eng.aap_moves()
             assert is_independent(g, s)
@@ -182,7 +183,7 @@ class TestAap:
         rng = random.Random(3)
         for _ in range(40):
             g = random_graph(rng, 25, 0.25)
-            s = make_maximal(g, Solution(g), rng)
+            s = maximal(g, Solution(g), rng)
             log = []
             eng = MoveEngine(build(g, s), rng, on_commit=lambda _, out: log.append(out))
             w0 = s.total_weight
@@ -209,7 +210,7 @@ class TestPerturb:
         rng = random.Random(4)
         for _ in range(20):
             g = random_graph(rng, 30, 0.2)
-            s = make_maximal(g, Solution(g), rng)
+            s = maximal(g, Solution(g), rng)
             eng = MoveEngine(build(g, s), rng,
                              LocalSearchParams(perturb_count=3))
             eng.perturb()
@@ -237,7 +238,7 @@ class TestLocalSearch:
         rng = random.Random(6)
         for _ in range(25):
             g = random_graph(rng, 24, 0.2)
-            s = make_maximal(g, Solution(g), rng)
+            s = maximal(g, Solution(g), rng)
             out = local_search(s, LocalSearchParams(num_iterations=8), rng)
             assert_maximal(g, out)
             for u in range(g.n):
@@ -250,7 +251,7 @@ class TestLocalSearch:
         rng = random.Random(7)
         for _ in range(15):
             g = random_graph(rng, 20, 0.25)
-            out = local_search(make_maximal(g, Solution(g), rng),
+            out = local_search(maximal(g, Solution(g), rng),
                                LocalSearchParams(num_iterations=8), rng)
             for v in out.members():
                 pool = one_tight_of(g, out, v)
@@ -269,7 +270,7 @@ class TestLocalSearch:
         rng = random.Random(8)
         for _ in range(10):
             g = random_graph(rng, 24, 0.2)
-            s = make_maximal(g, Solution(g), rng)
+            s = maximal(g, Solution(g), rng)
             weights = {"w": s.total_weight}
 
             def check(engine, out):
@@ -289,7 +290,7 @@ class TestLocalSearch:
         kinds = set()
         for perturb_count, rows, _ in itertools.product([1, 3], [False, True], range(4)):
             g = random_graph(rng, rng.randint(16, 40), rng.choice([0.1, 0.2, 0.35]))
-            s = make_maximal(g, Solution(g), rng)
+            s = maximal(g, Solution(g), rng)
             snapshots = [s.as_frozenset()]
 
             def check(engine, out):
@@ -312,7 +313,7 @@ class TestLocalSearch:
 
     def test_fixed_seed_reproduces_run(self):
         g = random_graph(random.Random(10), 30, 0.2)
-        s = make_maximal(g, Solution(g), random.Random(1))
+        s = maximal(g, Solution(g), random.Random(1))
         logs = []
         outs = []
         for _ in range(2):
@@ -329,7 +330,7 @@ class TestLocalSearch:
         rng = random.Random(11)
         for _ in range(20):
             g = random_graph(rng, 20, 0.3)
-            s = make_maximal(g, Solution(g), rng)
+            s = maximal(g, Solution(g), rng)
             out = local_search(s, LocalSearchParams(num_iterations=4), rng)
             assert out.total_weight >= s.total_weight
 
@@ -356,7 +357,7 @@ class TestLocalSearch:
         for i in range(200):
             n = rng.randint(8, 16)
             g = random_graph(rng, n, rng.choice([0.2, 0.5]))
-            start = make_maximal(g, Solution(g), rng)
+            start = maximal(g, Solution(g), rng)
             t0 = time.perf_counter()
             out = local_search(start, rng=random.Random(i))
             assert time.perf_counter() - t0 < 0.5
@@ -366,7 +367,7 @@ class TestLocalSearch:
 
     def test_interstate_checked_during_search(self):
         g = random_graph(random.Random(14), 30, 0.2)
-        s = make_maximal(g, Solution(g), random.Random(2))
+        s = maximal(g, Solution(g), random.Random(2))
         kinds = []
 
         def check(engine, out):
@@ -445,7 +446,7 @@ class ReferenceOneStar(CountingEngine):
                 remove_member(st, v)
                 for u in chosen:
                     add_member(st, u)
-                extra = self._maximalize()
+                extra = make_maximal(self.state, self.rng)
                 self._commit("one_star", chosen + extra, [v])
                 improved = True
         return improved
@@ -486,7 +487,7 @@ class ReferenceTwoStar(MoveEngine):
                 remove_member(st, v)
                 for c in added:
                     add_member(st, c)
-                extra = self._maximalize()
+                extra = make_maximal(self.state, self.rng)
                 net_added = [x for x in added + extra if x not in (u, v)]
                 net_removed = [x for x in (u, v) if x not in set(extra)]
                 self._commit("two_star", net_added, net_removed)
@@ -553,7 +554,7 @@ class ReferenceAap(MoveEngine):
             remove_member(st, m)
         for o in flip_out:
             add_member(st, o)
-        extra = self._maximalize()
+        extra = make_maximal(self.state, self.rng)
         self._commit("aap", flip_out + extra, flip_in)
         return True
 
@@ -595,7 +596,7 @@ class TestShortcutsMatchReference:
         ours = ref = 0
         for _ in range(60):
             g = tenths_graph(rng, rng.randint(8, 40), rng.choice([0.08, 0.15, 0.3]))
-            start = make_maximal(g, Solution(g), rng).member_list()
+            start = maximal(g, Solution(g), rng).member_list()
             eng, ref_eng = assert_same_run(ReferenceOneStar, g, start, rng.random())
             ours += eng.subset_calls
             ref += ref_eng.subset_calls
@@ -646,7 +647,7 @@ class TestShortcutsMatchReference:
         rng = random.Random(23)
         for _ in range(60):
             g = random_graph(rng, rng.randint(8, 40), rng.choice([0.1, 0.2, 0.35]), 20)
-            start = make_maximal(g, Solution(g), rng).member_list()
+            start = maximal(g, Solution(g), rng).member_list()
             assert_same_run(ReferenceTwoStar, g, start, rng.random())
 
     def test_two_star_bound_skips_only_pools_that_cannot_win(self):
@@ -663,7 +664,7 @@ class TestShortcutsMatchReference:
             g = graph_from(n, edges, [x / 10 for x in weights] if i % 2 else weights)
             w = g.w
             for _ in range(3):
-                s = make_maximal(g, Solution(g), rng)
+                s = maximal(g, Solution(g), rng)
                 st = build(g, s)
                 for (u, v), shared in st.two_tight.items():
                     pool = sorted({*st.one_tight.get(u, ()), *st.one_tight.get(v, ()), *shared})
@@ -685,5 +686,5 @@ class TestShortcutsMatchReference:
         rng = random.Random(24)
         for _ in range(60):
             g = random_graph(rng, rng.randint(8, 50), rng.choice([0.05, 0.15, 0.3]))
-            start = make_maximal(g, Solution(g), rng).member_list()
+            start = maximal(g, Solution(g), rng).member_list()
             assert_same_run(ReferenceAap, g, start, rng.random())

@@ -8,7 +8,7 @@ import pytest
 from mwis.graph import build_graph
 from mwis.oracle import exact_mwis, max_weight_subset
 
-from conftest import graph_from, random_graph
+from conftest import graph_from, maximal, random_graph
 
 
 def brute_force(g):
@@ -86,14 +86,14 @@ class TestSuperOptimality:
     def test_no_heuristic_beats_the_oracle(self):
         from mwis.greedy import adaptive_greedy, greedy, randomized_greedy
         from mwis.local_search import local_search
-        from mwis.solution import Solution, make_maximal
+        from mwis.solution import Solution
 
         rng = random.Random(31)
         for _ in range(40):
             g = random_graph(rng, rng.randint(6, 16), rng.uniform(0.15, 0.5))
             opt = exact_mwis(g).weight
             for s in (greedy(g), adaptive_greedy(g), randomized_greedy(g, rng=rng),
-                      local_search(make_maximal(g, Solution(g), rng), rng=rng)):
+                      local_search(maximal(g, Solution(g), rng), rng=rng)):
                 assert s.total_weight <= opt + 1e-9
 
 

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from mwis.graph import build_graph
-from mwis.solution import InfeasibleSolutionError, Solution, free_nodes, \
-    is_independent, load_solution, make_maximal, save_solution, solutions_equivalent
+from mwis.interstate import build, make_maximal
+from mwis.solution import InfeasibleSolutionError, Solution, is_independent, load_solution, \
+    save_solution, solutions_equivalent
 
-from conftest import graph_from, random_graph
+from conftest import graph_from, maximal, random_graph
 
 
 class TestBasics:
@@ -69,32 +70,24 @@ class TestBasics:
 
 
 class TestMakeMaximal:
+    """The solver's one maximalization routine, on a state built over s;
+    tests/test_interstate.py::TestMakeMaximal pins its draws."""
+
     def test_forced_completion(self, cycle4):
         s = Solution(cycle4, [0])
-        make_maximal(cycle4, s, random.Random(0))
+        assert make_maximal(build(cycle4, s), random.Random(0)) == [2]
         assert sorted(s.members()) == [0, 2]
 
     def test_already_maximal_unchanged(self, path3):
         s = Solution(path3, [1])
-        make_maximal(path3, s, random.Random(0))
+        assert make_maximal(build(path3, s), random.Random(0)) == []
         assert sorted(s.members()) == [1]
 
     def test_isolated_nodes_all_added(self):
         g = graph_from(3, [], [1.0, 2.0, 3.0])
-        s = make_maximal(g, Solution(g), random.Random(0))
+        s = Solution(g)
+        make_maximal(build(g, s), random.Random(0))
         assert sorted(s.members()) == [0, 1, 2]
-
-    def test_free_nodes_match_loop_reference(self):
-        rng = random.Random(12)
-        for _ in range(300):
-            n = rng.choice([0, 1, rng.randint(2, 60)])
-            g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.2, 0.6]))
-            # any flags, independent or not
-            s = Solution(g, [v for v in range(n) if rng.random() < rng.random()])
-            flags = s._in_set
-            expect = [v for v, nbrs in enumerate(g.adj)
-                      if not flags[v] and not any(flags[u] for u in nbrs)]
-            assert free_nodes(g, s) == expect
 
     def test_properties_on_random_graphs(self):
         rng = random.Random(11)
@@ -107,7 +100,7 @@ class TestMakeMaximal:
                     s.add(v)
             w_before = s.total_weight
             members_before = s.as_frozenset()
-            make_maximal(g, s, rng)
+            make_maximal(build(g, s), rng)
             assert is_independent(g, s)
             assert members_before <= s.as_frozenset()  # never removes
             assert s.total_weight >= w_before
@@ -123,8 +116,8 @@ class TestEquivalence:
         assert solutions_equivalent(path3, s, s.copy())
 
     def test_weight_mismatch_short_circuits(self, path3):
-        s1 = make_maximal(path3, Solution(path3, [1]), random.Random(0))
-        s2 = make_maximal(path3, Solution(path3, [0, 2]), random.Random(0))
+        s1 = maximal(path3, Solution(path3, [1]), random.Random(0))
+        s2 = maximal(path3, Solution(path3, [0, 2]), random.Random(0))
         assert s1.total_weight != s2.total_weight
         assert not solutions_equivalent(path3, s1, s2)
 
@@ -139,8 +132,8 @@ class TestEquivalence:
         rng = random.Random(3)
         for _ in range(30):
             g = random_graph(rng, 20, 0.25)
-            a = make_maximal(g, Solution(g), rng)
-            b = make_maximal(g, Solution(g), rng)
+            a = maximal(g, Solution(g), rng)
+            b = maximal(g, Solution(g), rng)
             assert solutions_equivalent(g, a, a.copy())
             assert solutions_equivalent(g, a, b) == solutions_equivalent(g, b, a)
 

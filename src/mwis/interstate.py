@@ -14,8 +14,9 @@ Tracks, for S:
 
 s_plus is stale-tolerant: nodes are inserted when delta turns positive and
 purged on pop if delta has since dropped. s_one/s_two are consumed by move
-evaluation and re-fed on any neighborhood change, so their contents depend on
-evaluation history; verification therefore treats them as supersets only.
+evaluation and re-fed on any pool change, retarget's too: an entry out of its
+queue failed on its pool as it is (or, for a member, on a superset of it).
+Verification therefore treats them as supersets only.
 
 Updates are single-node: batch moves are applied as removals first, then
 additions, so S stays independent throughout; retarget (to a new guide) is one.
@@ -331,11 +332,10 @@ def make_maximal(st: InterstateState, rng: random.Random) -> list[int]:
 
 
 def retarget(st: InterstateState, target: Solution) -> None:
-    """Turn st.s into target's set, removals first; s_one, s_two and
-    total_weight end as on a copy of target with a fresh build, all eligible
-    for search."""
-    s = st.s
-    in_s, in_t = s._in_set, target._in_set
+    """Turn st.s into target's set, removals first, with target's total_weight.
+    The queues stand: the flips re-arm each member and pair whose pool they
+    change, so the next search evaluates only what changed."""
+    in_s, in_t = st.s._in_set, target._in_set
     flips = list(compress(range(st.g.n), map(ne, in_s, in_t)))
     for v in flips:
         if in_s[v]:
@@ -343,9 +343,7 @@ def retarget(st: InterstateState, target: Solution) -> None:
     for v in flips:
         if in_t[v]:
             add_member(st, v)
-    st.s_one = IndexedSet(st.one_tight)
-    st.s_two = IndexedSet(st.two_tight)
-    s.total_weight = target.total_weight
+    st.s.total_weight = target.total_weight
 
 
 def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[str]:

@@ -9,8 +9,8 @@ fixed RNG seed fixes the whole move sequence.
 
 from __future__ import annotations
 
+import math
 import random
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from .oracle import max_weight_subset
 from .solution import Solution
 
 # relative rounding allowance per summand when bounding a pool's weight sum
-_SUM_SLACK = 4 * sys.float_info.epsilon
+_SUM_SLACK = 4 * math.ulp(1.0)
 
 
 def _pool_cannot_win(w: list[float], pool, target: float) -> bool:
@@ -108,15 +108,19 @@ class MoveEngine:
     # -- move procedures --------------------------------------------------
 
     def star_one_moves(self) -> bool:
-        """Drain S+: insert each verified positive-delta node, drop its blockers."""
-        st, s = self.state, self.s
+        """Drain S+: insert each positive-delta node, drop its blockers. delta
+        is first made exact (fsum of the blockers), so no loss is ever taken."""
+        st, s, w = self.state, self.s, self.w
         improved = False
         while len(st.s_plus):
             u = st.s_plus.pop_random(self.rng)
             if u in s or st.delta[u] <= 0:
                 continue  # stale entry
-            self._apply("star_one", self._member_neighbors(u), [u])
-            improved = True
+            blockers = self._member_neighbors(u)
+            st.delta[u] = w[u] - math.fsum(map(w.__getitem__, blockers))
+            if st.delta[u] > 0:
+                self._apply("star_one", blockers, [u])
+                improved = True
         return improved
 
     def one_star_moves(self) -> bool:
@@ -320,8 +324,8 @@ def local_search(start: Solution | InterstateState,
                  on_commit=None) -> Solution:
     """Run the full move loop from `start`; return the best solution seen.
 
-    An interstate structure of a maximal solution (as path_relink leaves
-    it) is searched in place. A bare Solution is left as it is: the search
+    A maximal state (as path_relink leaves it) is searched in place, from its
+    pruning queues as they stand. A bare Solution is left as it is: the search
     runs on a fresh structure of a copy of it, maximalized by make_maximal.
 
     The clock is consulted between move procedures only; on deadline the last

@@ -12,8 +12,8 @@ and resets on any weight change.
 The walk runs on the interstate structure it is handed, retargeted to the
 guide and updated by every flip: a pull gains delta(v), and a drop adds the
 source nodes 1-tight to the dropped member. The walked solution is
-re-maximalized in the structure by interstate.make_maximal, and local search
-then continues from that structure.
+re-maximalized by interstate.make_maximal, and local search then continues on
+that structure, whose queues re-arm only what retarget and the walk changed.
 """
 
 from __future__ import annotations

@@ -25,8 +25,15 @@ committed move changed its draws: uniform pops from the free nodes became the
 free nodes ascending, one shuffle, then an insert of each node still free.
 Both pick each next node uniformly among those still free, so the search is
 the same in distribution, but the random stream differs. With the engine's
-uniform pops put back, the previous hash still holds. A change that alters
-results on purpose must update GOLDEN and say why in CHANGES.md.
+uniform pops put back, the previous hash still holds.
+
+It was re-pinned once more when retarget stopped refilling the pruning
+queues: the search after relinking draws only from the entries that retarget
+and the walk re-armed, and from what the previous search left, so it makes
+other draws. With the two refill lines put back, the previous hash still
+holds; so does the exact (*,1) decision, which decides alike on these integer
+weights. A change that alters results on purpose must update GOLDEN and say
+why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from mwis.lp_bias import make_relaxed
 
 from conftest import FakeClock
 
-GOLDEN = "2f130d330d1b2b0346616c697c8db792b141ca8156ce0073c5b13afb42ec1330"
+GOLDEN = "2055c48408fb6f4e005ff1cea44b973de1f668f99f0bd0fb603d646c1ea6b8dc"
 
 MODES = ("deterministic", "randomized", "adaptive")
 

@@ -8,6 +8,7 @@ import pytest
 from mwis.graph import build_graph
 from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, _pair, \
     add_member, build, make_maximal, remove_member, retarget, state_mismatches
+from mwis.local_search import MoveEngine
 from mwis.solution import Solution
 
 from conftest import graph_from, maximal, random_graph, rows_forced
@@ -448,34 +449,78 @@ class TestVerification:
         assert positive <= st.s_plus.as_set()
 
 
+def star_churn(steps):
+    """Random updates on a star whose centre and first leaf weigh over 2^53
+    times the light leaves; yields (step, state) after each update."""
+    g = graph_from(4, [(0, 1), (0, 2), (0, 3)], [1e16, 1e16, 1.0, 1.0])
+    rng = random.Random(8)
+    s = Solution(g)
+    st = build(g, s)
+    for step in range(steps):
+        members = s.member_list()
+        free = list(st.free)
+        if members and (not free or rng.random() < 0.5):
+            remove_member(st, members[rng.randrange(len(members))])
+        else:
+            add_member(st, free[rng.randrange(len(free))])
+        yield step, st
+
+
 class TestExactDelta:
     def test_delta_exact_at_rho_zero_and_one(self):
-        # a star whose centre and first leaf weigh over 2^53 times the light
-        # leaves: a running sum loses the light weights, build does not
-        g = graph_from(4, [(0, 1), (0, 2), (0, 3)], [1e16, 1e16, 1.0, 1.0])
-        rng = random.Random(8)
-        s = Solution(g)
-        st = build(g, s)
-        for step in range(300):
-            members = s.member_list()
-            free = list(st.free)
-            if members and (not free or rng.random() < 0.5):
-                remove_member(st, members[rng.randrange(len(members))])
-            else:
-                add_member(st, free[rng.randrange(len(free))])
-            fresh = build(g, s)
-            for v in range(g.n):
+        # a running sum loses the light weights, build does not
+        for step, st in star_churn(300):
+            fresh = build(st.g, st.s)
+            for v in range(st.g.n):
                 if fresh.rho[v] <= 1:
                     assert st.delta[v] == fresh.delta[v], f"step {step}, node {v}"
+
+    def test_star_one_takes_no_loss_on_a_drifted_delta(self):
+        # after 20 updates the centre's running delta reads 1.0 at rho 2,
+        # where swapping it in for members 1 and 2 loses 1
+        *_, (_, st) = star_churn(20)
+        s = st.s
+        assert (s.member_list(), st.rho[0], st.delta[0]) == ([1, 2], 2, 1.0)
+        moves = []
+        MoveEngine(st, random.Random(1), on_commit=lambda _, out: moves.append(out)).star_one_moves()
+        assert s.member_list() == [1, 2, 3]
+        assert [(out.nodes_added, out.nodes_removed) for out in moves] == [([3], [])]
+
+
+def pool_parts(st, key):
+    """The three parts of a mate pair's (2,*) pool."""
+    u, v = key
+    return (set(st.one_tight.get(u, ())), set(st.one_tight.get(v, ())),
+            set(st.two_tight.get(key, ())))
+
+
+def nearby(g, s, rng, flips):
+    """A copy of s moved by `flips` random steps, each a node dropped or a
+    node pulled in with its member neighbours dropped."""
+    t = s.copy()
+    for _ in range(flips):
+        v = rng.randrange(g.n)
+        if v in t:
+            t.remove(v)
+            continue
+        for u in g.adj[v]:
+            if u in t:
+                t.remove(u)
+        t.add(v)
+    return t
 
 
 class TestRetarget:
     @pytest.mark.parametrize("rows", [False, True])
     def test_retarget_matches_a_rebuild(self, rows):
+        """After retarget, a member with a pool is out of s_one only if that
+        pool is a subset of the one it was pruned on, and a mate pair is out
+        of s_two only if its pool parts are those it was pruned on."""
         rng = random.Random(9)
+        checks = 0
         with rows_forced(rows):
             for i in range(60):
-                n = rng.randint(1, 60)
+                n = rng.randint(1, 100)
                 edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                          if rng.random() < rng.choice([0.05, 0.15, 0.3])]
                 # integer weights with zeros, then weights k/10
@@ -483,22 +528,39 @@ class TestRetarget:
                 s = random_independent(g, rng, rng.randint(0, n))
                 st = build(g, s)
                 assert (st.rows is not None) is rows
-                for k in range(6):
-                    target = random_independent(g, rng, rng.randint(0, 2 * n))
-                    if k % 2:
+                pruned_one, pruned_two = {}, {}  # the pools each entry was pruned on
+                for k in range(12):
+                    # a far target, then targets a few relink steps away
+                    if k % 4 == 0:
+                        target = random_independent(g, rng, rng.randint(0, 2 * n))
+                    else:
+                        target = nearby(g, s, rng, rng.randint(1, 4))
+                    if k % 4 != 2:
                         maximal(g, target, rng)
                     # prune the queues as failed move evaluations do
-                    for queue in (st.s_one, st.s_two):
-                        for x in list(queue):
-                            if rng.random() < 0.5:
-                                queue.discard(x)
+                    share = rng.choice([0.5, 1.0])
+                    for v in list(st.s_one):
+                        if rng.random() < share:
+                            st.s_one.discard(v)
+                            pruned_one[v] = set(st.one_tight.get(v, ()))
+                    for key in list(st.s_two):
+                        if rng.random() < share:
+                            st.s_two.discard(key)
+                            pruned_two[key] = pool_parts(st, key)
                     retarget(st, target)
                     assert s._in_set == target._in_set, f"instance {i}"
                     assert (s.size, s.total_weight) == (target.size, target.total_weight)
-                    assert not state_mismatches(st, check_pruning=True), f"instance {i}"
-                    # the queues hold what build puts there, in build's order of keys
-                    assert list(st.s_one) == list(st.one_tight)
-                    assert list(st.s_two) == list(st.two_tight)
+                    assert not state_mismatches(st), f"instance {i}"
+                    for v, pool in st.one_tight.items():
+                        if pool and v not in st.s_one:
+                            checks += 1
+                            assert pool <= pruned_one.get(v, set()), f"instance {i}, member {v}"
+                    for key in st.two_tight:
+                        if key not in st.s_two:
+                            checks += 1
+                            assert pool_parts(st, key) == pruned_two.get(key), \
+                                f"instance {i}, pair {key}"
+        assert checks > 800
 
 
 class Recorded(Solution):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import importlib
+import math
 import random
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from mwis import driver
 from mwis.driver import RunConfig, run
 from mwis.graph import build_graph
-from mwis.interstate import build, state_mismatches
-from mwis.local_search import local_search
+from mwis.interstate import IndexedSet, build, state_mismatches
+from mwis.local_search import MoveEngine, local_search
 from mwis.relink import RelinkParams, path_relink
 from mwis.solution import Solution, is_independent
 
@@ -318,6 +319,21 @@ class TestMatchesReference:
             assert runs[0] == runs[2] and runs[1] == runs[2]
 
 
+def winning_pools_left_out(st, max_pool=None):
+    """Members out of s_one whose 1-tight pool (of at most max_pool nodes)
+    the (1,*) move, evaluating it as the engine does, would swap in for them."""
+    engine, w = MoveEngine(st, random.Random(0)), st.g.w
+    bad = []
+    for v, pool in st.one_tight.items():
+        if pool and v not in st.s_one and len(pool) <= (max_pool or len(pool)):
+            cand = sorted(pool, key=lambda u: (-w[u], u))
+            exact = len(cand) <= engine.params.exact_recursion_limit
+            evaluate = engine._exact_subset if exact else engine._greedy_subset
+            if evaluate(cand)[0] > w[v]:
+                bad.append(v)
+    return bad
+
+
 class TestHandoff:
     @pytest.mark.parametrize("rows", [False, True])
     def test_returned_state_matches_a_rebuild(self, rows):
@@ -352,7 +368,10 @@ class TestHandoff:
             s = st.s
             inner(st, source, guide, *args, **kwargs)
             assert st.s is s
-            assert not state_mismatches(st, check_pruning=True)
+            # the queues carry the last search's evaluations, so they cover
+            # the eligible members only up to what that search refused
+            assert not state_mismatches(st)
+            assert not winning_pools_left_out(st)
             pairs.append((s, st))
 
         monkeypatch.setattr(driver, "path_relink", checked)
@@ -369,6 +388,49 @@ class TestHandoff:
                 assert len(pairs) > 2
                 assert all(p[0] is pairs[0][0] and p[1] is pairs[0][1] for p in pairs)
                 assert (pairs[0][1].rows is not None) is rows
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_searches_on_the_live_pair_end_locally_optimal(self, rows, monkeypatch):
+        """Every search that ends before the deadline returns a maximal set
+        with no improving (*,1) move by exact sums and no improving (1,*)
+        move on a pool of at most 7 nodes: acceptance criterion 4's checks
+        on searches that start from relinking's state and its queues. Each
+        walk's queues are checked as in the test above, on more inputs."""
+        outputs = []
+        search, relink = driver.local_search, driver.path_relink
+
+        def checked_search(start, *args, deadline, clock, **kwargs):
+            out = search(start, *args, deadline=deadline, clock=clock, **kwargs)
+            if clock() < deadline:  # so no check of the clock inside ended it
+                outputs.append(out)
+            return out
+
+        def checked_relink(st, *args, **kwargs):
+            relink(st, *args, **kwargs)
+            assert not winning_pools_left_out(st)
+
+        monkeypatch.setattr(driver, "local_search", checked_search)
+        monkeypatch.setattr(driver, "path_relink", checked_relink)
+        rng = random.Random(37)
+        with rows_forced(rows):
+            for i in range(6):
+                edges = [(u, v) for u in range(60) for v in range(u + 1, 60)
+                         if rng.random() < rng.choice([0.05, 0.1, 0.2])]
+                # integer weights, then weights k/10
+                g = build_graph(60, edges, [rng.randint(0, 100) / (1, 10)[i % 2] for _ in range(60)])
+                run(g, RunConfig(time_limit=0.01, seed=i, elite_capacity=1 + i % 3,
+                                 ls_before_relinking=i % 3 == 2), clock=FakeClock())
+        assert len(outputs) > 20
+        for out in outputs:
+            g, w, flags = out.graph, out.graph.w, out._in_set
+            assert is_independent(g, out)
+            for u in range(g.n):
+                if not flags[u]:
+                    blockers = [w[x] for x in g.adj[u] if flags[x]]
+                    assert blockers and w[u] <= math.fsum(blockers), f"node {u}"
+            st = build(g, out.copy())
+            st.s_one = IndexedSet()
+            assert not winning_pools_left_out(st, max_pool=7)
 
     def test_one_build_per_run_and_none_per_iteration(self, monkeypatch):
         calls = []

@@ -22,7 +22,7 @@ from .graph import GraphFormatError, load_graph, save_graph
 from .greedy import GREEDY_MODES, GreedyConfig
 from .local_search import LocalSearchParams
 from .lp_bias import DEFAULT_EPSILON, load_relaxed
-from .relink import BUDGET_MODES, RelinkParams
+from .relink import RelinkParams
 from .solution import InfeasibleSolutionError, load_solution, save_solution
 
 EXIT_OK = 0
@@ -59,8 +59,6 @@ def _add_solve_parser(sub) -> None:
     p.add_argument("--relink-cp0", type=float, default=rl.c_p0)
     p.add_argument("--relink-f-decay", type=float, default=rl.f_decay)
     p.add_argument("--relink-budget-growth", type=float, default=rl.budget_growth)
-    p.add_argument("--relink-budget-mode", default=rl.budget_mode,
-                   choices=BUDGET_MODES)
     p.add_argument("--lp-epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--check-interstate-every", type=int, default=rc.check_interstate_every,
                    help="debug: verify the interstate graph every N committed moves")
@@ -82,8 +80,7 @@ def _config_for(args) -> RunConfig:
             perturb_count=args.perturb_count),
         relink_params=RelinkParams(
             f0=args.relink_f0, c_n0=args.relink_cn0, c_p0=args.relink_cp0,
-            f_decay=args.relink_f_decay, budget_growth=args.relink_budget_growth,
-            budget_mode=args.relink_budget_mode),
+            f_decay=args.relink_f_decay, budget_growth=args.relink_budget_growth),
         check_interstate_every=args.check_interstate_every,
     )
 

@@ -13,10 +13,13 @@ Tracks, for S:
                  a bitset, for the rho->2 pair (rows also for AAP's path).
 
 s_plus is stale-tolerant: nodes are inserted when delta turns positive and
-purged on pop if delta has since dropped. s_one/s_two are consumed by move
-evaluation and re-fed on any pool change, retarget's too: an entry out of its
-queue failed on its pool as it is (or, for a member, on a superset of it).
-Verification therefore treats them as supersets only.
+purged on pop if delta has since dropped. s_one/s_two hold only live entries:
+s_one members with a 1-tight pool, s_two keys of two_tight; the updates
+discard an entry the moment it dies, so the moves pop them unchecked. They
+are consumed by move evaluation and re-fed on any pool change, retarget's
+too: an entry out of its queue failed on its pool as it is (or, for a
+member, on a superset of it). Verification therefore checks that every
+entry is live, and only with check_pruning that every live one is queued.
 
 Updates are single-node: batch moves are applied as removals first, then
 additions, so S stays independent throughout; retarget (to a new guide) is one.
@@ -79,9 +82,6 @@ class IndexedSet:
             self._pos[last] = i
         del self._pos[x]
         return x
-
-    def as_set(self) -> set:
-        return set(self._items)
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -351,10 +351,11 @@ def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[s
 
     delta uses relative tolerance 1e-9; everything else is exact, the member
     bitset included (0 when st keeps no rows). s_plus is
-    checked for completeness only (stale extra entries are legal). With
-    check_pruning, s_one/s_two are additionally required to cover every
-    currently eligible member/pair (valid only when no evaluation has pruned
-    them, e.g. in pure add/remove churn).
+    checked for completeness only (stale extra entries are legal). Every
+    s_one/s_two entry must be live: a member with a 1-tight pool, a key of
+    two_tight. With check_pruning, s_one/s_two are additionally required to
+    cover every currently eligible member/pair (valid only when no
+    evaluation has pruned them, e.g. in pure add/remove churn).
     """
     g, s = st.g, st.s
     fresh = build(g, s)
@@ -384,9 +385,13 @@ def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[s
     expected = 0 if st.rows is None else _bitset(np.array(in_set, dtype=bool))
     if st.members != expected:
         bad.append("member bitset differs from the membership flags")
+    if not all(v in fresh.s_one for v in st.s_one):
+        bad.append("s_one holds a node with no 1-tight pool")
+    if not all(key in fresh.s_two for key in st.s_two):
+        bad.append("s_two holds a pair with no 2-tight node")
     if check_pruning:
-        if not fresh.s_one.as_set() <= st.s_one.as_set():
+        if not all(v in st.s_one for v in fresh.s_one):
             bad.append("s_one lost an eligible member")
-        if not fresh.s_two.as_set() <= st.s_two.as_set():
+        if not all(key in st.s_two for key in fresh.s_two):
             bad.append("s_two lost an eligible pair")
     return bad

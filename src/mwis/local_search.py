@@ -125,17 +125,14 @@ class MoveEngine:
 
     def one_star_moves(self) -> bool:
         """Drain S1: replace a member with a heavier subset of its 1-tight pool."""
-        st, s = self.state, self.s
+        st = self.state
         improved = False
         limit = self.params.exact_recursion_limit
         w = self.w
         while len(st.s_one):
+            # s_one holds only members with a 1-tight pool
             v = st.s_one.pop_random(self.rng)
-            if v not in s:
-                continue
-            pool = st.one_tight.get(v)
-            if not pool:
-                continue
+            pool = st.one_tight[v]
             if _pool_cannot_win(w, pool, w[v]):
                 continue
             cand = sorted(pool, key=lambda u: (-w[u], u))
@@ -175,21 +172,17 @@ class MoveEngine:
         trial, simulated read-only on the pool; only a success is replayed as
         real state updates, so a failed pair stays pruned until a real change.
         """
-        st, s, g = self.state, self.s, self.g
+        st, g = self.state, self.g
         w = self.w
-        in_set = s._in_set
         while len(st.s_two):
+            # s_two holds only live mate pairs, keys of two_tight
             key = st.s_two.pop_random(self.rng)
             u, v = key
-            if not (in_set[u] and in_set[v]):
-                continue
-            if v not in st.mates.get(u, ()):
-                continue  # no longer mates
             # the three parts are disjoint (1-tight to u, 1-tight to v,
             # 2-tight to both), and every pool node's only member neighbors
             # are u and v, so only the picks themselves close candidates
             pool = [*st.one_tight.get(u, ()), *st.one_tight.get(v, ()),
-                    *st.two_tight.get(key, ())]
+                    *st.two_tight[key]]
             if _pool_cannot_win(w, pool, w[u] + w[v]):
                 continue
             open_now = sorted(pool)

@@ -5,9 +5,10 @@ source, each step applying whichever candidate move — pull in a source node
 and drop its blockers, or drop a non-source member and add freed source
 neighbors — maximizes the resulting weight. It truncates when the weight
 factor drops below f, or when more than c_n negative-gain / c_p positive-gain
-steps have been taken (step applied first, then checked). Zero gain counts as
-positive. The schedule (f, c_n, c_p) tightens multiplicatively on stagnation
-and resets on any weight change.
+steps have been taken (step applied first, then checked). The budgets are
+step counts, as the paper defines them, whatever the size of the symmetric
+difference. Zero gain counts as positive. The schedule (f, c_n, c_p) tightens
+multiplicatively on stagnation and resets on any weight change.
 
 The walk runs on the interstate structure it is handed, retargeted to the
 guide and updated by every flip: a pull gains delta(v), and a drop adds the
@@ -21,27 +22,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import ne
+from operator import gt, lt
 
 from .interstate import InterstateState, add_member, make_maximal, remove_member, retarget
 from .solution import Solution
 
-F0 = 0.9998
-CN0 = 1.0
-CP0 = 0.1
-F_DECAY = 0.9998
-BUDGET_GROWTH = 1.5
-BUDGET_MODES = ("absolute", "fraction")
-
 
 @dataclass
 class RelinkParams:
-    f0: float = F0
-    c_n0: float = CN0
-    c_p0: float = CP0
-    f_decay: float = F_DECAY
-    budget_growth: float = BUDGET_GROWTH
-    budget_mode: str = "absolute"  # or "fraction" of |source ^ guide|
+    f0: float = 0.9998
+    c_n0: float = 1.0
+    c_p0: float = 0.1
+    f_decay: float = 0.9998
+    budget_growth: float = 1.5
     # the live schedule: starts at (f0, c_n0, c_p0), moved only by
     # on_stagnation and reset
     f: float = field(init=False)
@@ -55,8 +48,6 @@ class RelinkParams:
             raise ValueError("positive budget must stay below the negative budget")
         if self.budget_growth <= 1.0 or not 0.0 < self.f_decay <= 1.0:
             raise ValueError("bad schedule multipliers")
-        if self.budget_mode not in BUDGET_MODES:
-            raise ValueError(f"unknown budget mode {self.budget_mode!r}")
         self.f, self.c_n, self.c_p = self.f0, self.c_n0, self.c_p0
 
     def on_stagnation(self) -> None:
@@ -71,8 +62,7 @@ class RelinkParams:
 
 
 def path_relink(st: InterstateState, source: Solution, guide: Solution,
-                params: RelinkParams | None = None,
-                rng: random.Random | None = None,
+                params: RelinkParams, rng: random.Random,
                 step_log: list[tuple[float, float]] | None = None) -> None:
     """Retarget st to `guide` and walk it toward `source`, in place, to the
     truncation point.
@@ -82,8 +72,6 @@ def path_relink(st: InterstateState, source: Solution, guide: Solution,
     solutions are set-equal the walk takes no step. step_log gets one
     (gain, weight_after_step) per step.
     """
-    params = params or RelinkParams()
-    rng = rng or random.Random()
     retarget(st, guide)
     g, s = st.g, st.s
     src_flags = source._in_set
@@ -92,15 +80,11 @@ def path_relink(st: InterstateState, source: Solution, guide: Solution,
     # a step flips only nodes of the initial symmetric difference, so the
     # candidates are the non-members of source \ guide (pulls) and the
     # members of guide \ source (drops), read through the current flags
-    differ = list(compress(range(g.n), map(ne, src_flags, cur_flags)))
-    to_add = [v for v in differ if src_flags[v]]
-    to_drop = [v for v in differ if cur_flags[v]]
+    to_add = list(compress(range(g.n), map(gt, src_flags, cur_flags)))
+    to_drop = list(compress(range(g.n), map(lt, src_flags, cur_flags)))
     w, adj = g.w, g.adj
     delta, one_tight = st.delta, st.one_tight
     w_guide = guide.total_weight
-    scale = len(to_add) + len(to_drop) if params.budget_mode == "fraction" else 1.0
-    n_limit = params.c_n * scale
-    p_limit = params.c_p * scale
     neg = pos = 0
 
     while True:
@@ -140,7 +124,7 @@ def path_relink(st: InterstateState, source: Solution, guide: Solution,
             neg += 1
         else:
             pos += 1
-        if neg > n_limit or pos > p_limit:
+        if neg > params.c_n or pos > params.c_p:
             break
         if w_guide > 0 and s.total_weight / w_guide < params.f:
             break

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -13,15 +14,26 @@ from mwis.driver import RunConfig, TraceEvent
 from mwis.generate import GenSpec, generate_graph
 from mwis.graph import load_graph, save_graph
 from mwis.greedy import GREEDY_MODES, GreedyConfig
+from mwis.local_search import LocalSearchParams
 from mwis.lp_bias import DEFAULT_EPSILON
 from mwis.oracle import exact_mwis
-from mwis.relink import BUDGET_MODES, RelinkParams
+from mwis.relink import RelinkParams
 from mwis.solution import Solution
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "mwis.cli", *args],
                           capture_output=True, text=True)
+
+
+def config_fields(cfg, prefix=""):
+    """(dotted name, value) of every field of a config, nested ones included."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from config_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
 
 
 def gen_file(tmp_path, name, spec):
@@ -157,16 +169,65 @@ class TestSolve:
         assert cfg == RunConfig()
         assert relaxed.epsilon == DEFAULT_EPSILON
 
+    def test_tuning_flags_reach_their_config_fields(self, tmp_path, monkeypatch):
+        path, g = gen_file(tmp_path, "s.g",
+                           GenSpec(model="gnp", n=10, p=0.3, seed=8))
+        rs = tmp_path / "rs.txt"
+        rs.write_text("0.5\n" * g.n)
+        seen = []
+
+        def fake_run(graph, cfg, clock=None, initial=None, relaxed=None):
+            seen.append((cfg, relaxed))
+            return Solution(graph), [TraceEvent(0.0, 0.0, "final")]
+
+        monkeypatch.setattr(driver, "run", fake_run)
+        flags = {"--time-limit": "3.5", "--seed": "9", "--elite-size": "3",
+                 "--ls-before-relinking": None, "--greedy-mode": "randomized",
+                 "--greedy-k-fraction": "0.25", "--num-iterations": "5",
+                 "--exact-recursion-limit": "4", "--aap-max-len": "9",
+                 "--aap-gain-floor": "-2.5", "--aap-delta": "7", "--perturb-count": "3",
+                 "--relink-f0": "0.9", "--relink-cn0": "4", "--relink-cp0": "2",
+                 "--relink-f-decay": "0.5", "--relink-budget-growth": "2",
+                 "--check-interstate-every": "6", "--lp-epsilon": "0.01"}
+        argv = ["solve", "--graph", path, "--relaxed", str(rs)]
+        for flag, value in flags.items():
+            argv += [flag] if value is None else [flag, value]
+        assert main(argv) == 0
+        [(cfg, relaxed)] = seen
+        assert cfg == RunConfig(
+            time_limit=3.5, seed=9, ls_before_relinking=True, elite_capacity=3,
+            greedy=GreedyConfig(k_fraction=0.25, mode="randomized"),
+            ls_params=LocalSearchParams(
+                num_iterations=5, exact_recursion_limit=4, aap_max_len=9,
+                aap_gain_floor=-2.5, aap_delta=7.0, perturb_count=3),
+            relink_params=RelinkParams(f0=0.9, c_n0=4.0, c_p0=2.0, f_decay=0.5,
+                                       budget_growth=2.0),
+            check_interstate_every=6)
+        assert relaxed.epsilon == 0.01 != DEFAULT_EPSILON
+        # every config field moved off its default, and every tuning flag was set
+        defaults = dict(config_fields(RunConfig()))
+        assert all(value != defaults[name] for name, value in config_fields(cfg))
+        sub = argparse.ArgumentParser().add_subparsers()
+        _add_solve_parser(sub)
+        options = {a.option_strings[0] for a in sub.choices["solve"]._actions}
+        files = {"-h", "--graph", "--format", "--initial", "--relaxed", "--trace",
+                 "--solution-out"}
+        assert options - files == set(flags)
+
+    def test_relink_budget_mode_flag_is_gone(self, tmp_path, capsys):
+        path, _ = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--graph", path, "--relink-budget-mode", "absolute"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --relink-budget-mode" in capsys.readouterr().err
+
     def test_mode_choices_are_the_config_tuples(self):
         sub = argparse.ArgumentParser().add_subparsers()
         _add_solve_parser(sub)
         choices = {a.dest: a.choices for a in sub.choices["solve"]._actions}
         assert choices["greedy_mode"] == GREEDY_MODES
-        assert choices["relink_budget_mode"] == BUDGET_MODES
         for mode in GREEDY_MODES:
             GreedyConfig(mode=mode)
-        for mode in BUDGET_MODES:
-            RelinkParams(budget_mode=mode)
 
     def test_in_process_entry_point(self, tmp_path, capsys):
         path, g = gen_file(tmp_path, "s.g",

@@ -230,7 +230,7 @@ class TestBuild:
         assert st.mates == {} and st.two_tight == {}
         assert st.delta[0] == 3.0 - 5.0
         assert st.delta[2] == 3.0 - 5.0
-        assert st.s_one.as_set() == {1}
+        assert list(st.s_one) == [1]
         assert len(st.s_plus) == 0
 
     def test_cycle_mate_pair(self, cycle4):
@@ -239,7 +239,7 @@ class TestBuild:
         assert st.mates == {0: {2}, 2: {0}}
         assert st.two_tight == {(0, 2): {1, 3}}
         assert st.one_tight == {}
-        assert st.s_two.as_set() == {(0, 2)}
+        assert list(st.s_two) == [(0, 2)]
 
     def test_edgeless_full_membership(self):
         g = graph_from(4, [], [1.0] * 4)
@@ -284,7 +284,7 @@ class TestBuild:
         s = Solution(g, [0])
         st = build(g, s)
         assert st.delta[1] == 8.0
-        assert st.s_plus.as_set() == {1}
+        assert list(st.s_plus) == [1]
 
 
 class TestSingleUpdates:
@@ -393,6 +393,15 @@ class TestVerification:
         st.members = 1
         assert state_mismatches(st)
 
+    def test_dead_queue_entries_detected(self, cycle4):
+        # the moves pop s_one/s_two unchecked, so a dead entry is drift
+        st = build(cycle4, Solution(cycle4, [0, 2]))
+        assert not state_mismatches(st)
+        st.s_one.add(1)  # a non-member
+        st.s_two.add((0, 1))  # not a mate pair, not a key of two_tight
+        assert state_mismatches(st) == ["s_one holds a node with no 1-tight pool",
+                                        "s_two holds a pair with no 2-tight node"]
+
     def test_churn_small(self):
         # with neighbour lists, then with bitset rows and the member bitset
         for rows in (False, True):
@@ -446,7 +455,7 @@ class TestVerification:
         g = random_graph(rng, 60, 0.15)
         s, st = churn(g, rng, steps=500, check_every=50)
         positive = {v for v in range(g.n) if v not in s and st.delta[v] > 0}
-        assert positive <= st.s_plus.as_set()
+        assert positive <= set(st.s_plus)
 
 
 def star_churn(steps):

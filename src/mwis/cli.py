@@ -44,7 +44,6 @@ def _add_solve_parser(sub) -> None:
     p.add_argument("--trace", default=None, help="trace CSV output path")
     p.add_argument("--solution-out", default=None, help="write best solution node IDs here")
     p.add_argument("--elite-size", type=int, default=rc.elite_capacity)
-    p.add_argument("--ls-before-relinking", action="store_true")
     p.add_argument("--greedy-mode", default=gr.mode,
                    choices=GREEDY_MODES)
     p.add_argument("--greedy-k-fraction", type=float, default=gr.k_fraction)
@@ -53,7 +52,6 @@ def _add_solve_parser(sub) -> None:
     p.add_argument("--aap-max-len", type=int, default=ls.aap_max_len)
     p.add_argument("--aap-gain-floor", type=float, default=ls.aap_gain_floor)
     p.add_argument("--aap-delta", type=float, default=ls.aap_delta)
-    p.add_argument("--perturb-count", type=int, default=ls.perturb_count)
     p.add_argument("--relink-f0", type=float, default=rl.f0)
     p.add_argument("--relink-cn0", type=float, default=rl.c_n0)
     p.add_argument("--relink-cp0", type=float, default=rl.c_p0)
@@ -68,7 +66,6 @@ def _config_for(args) -> RunConfig:
     return RunConfig(
         time_limit=args.time_limit,
         seed=args.seed,
-        ls_before_relinking=args.ls_before_relinking,
         elite_capacity=args.elite_size,
         greedy=GreedyConfig(k_fraction=args.greedy_k_fraction, mode=args.greedy_mode),
         ls_params=LocalSearchParams(
@@ -76,8 +73,7 @@ def _config_for(args) -> RunConfig:
             exact_recursion_limit=args.exact_recursion_limit,
             aap_max_len=args.aap_max_len,
             aap_gain_floor=args.aap_gain_floor,
-            aap_delta=args.aap_delta,
-            perturb_count=args.perturb_count),
+            aap_delta=args.aap_delta),
         relink_params=RelinkParams(
             f0=args.relink_f0, c_n0=args.relink_cn0, c_p0=args.relink_cp0,
             f_decay=args.relink_f_decay, budget_growth=args.relink_budget_growth),
@@ -108,10 +104,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = load_graph(args.graph, args.format)
-    if g.n > oracle.BB_NODE_LIMIT:
-        print(f"error: exact solving limited to n <= {oracle.BB_NODE_LIMIT}, "
-              f"got n={g.n}", file=sys.stderr)
-        return EXIT_INPUT
     res = oracle.exact_mwis(g, method=args.method)
     print(json.dumps({"weight": res.weight, "witness": sorted(res.witness),
                       "explored": res.explored}, sort_keys=True))

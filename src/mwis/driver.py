@@ -74,7 +74,6 @@ class EliteSet:
 class RunConfig:
     time_limit: float = 10.0
     seed: int = 0
-    ls_before_relinking: bool = False
     elite_capacity: int = 1
     greedy: GreedyConfig = field(default_factory=GreedyConfig)
     ls_params: LocalSearchParams = field(default_factory=LocalSearchParams)
@@ -143,8 +142,6 @@ def run(g: Graph, config: RunConfig, clock=None,
 
     while clock() < deadline_at:
         s_g = randomized_greedy(g, config.greedy, rng)
-        if config.ls_before_relinking:
-            s_g = local_search(s_g, config.ls_params, rng, relaxed, **ls_kwargs)
         s_e = es.random_entry(rng)
         path_relink(st, s_g, s_e, params, rng)
         emit("relink")

@@ -50,11 +50,8 @@ def greedy(g: Graph) -> Solution:
     return s
 
 
-def randomized_greedy(g: Graph, cfg: GreedyConfig | None = None,
-                      rng: random.Random | None = None) -> Solution:
+def randomized_greedy(g: Graph, cfg: GreedyConfig, rng: random.Random) -> Solution:
     """At each step add a uniform pick among the top-k live nodes by static eta."""
-    cfg = cfg or GreedyConfig()
-    rng = rng or random.Random()
     s = Solution(g)
     adj = g.adj
     for v in range(g.n):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from .graph import is_edge
@@ -37,11 +36,9 @@ class LocalSearchParams:
     aap_max_len: int = 32           # max vertices on an alternating path
     aap_gain_floor: float | None = None  # None: -10 * mean node weight
     aap_delta: float = 50.0         # half-width of the gain noise
-    perturb_count: int = 1          # nodes forced per perturbation
 
     def __post_init__(self):
-        if self.num_iterations < 1 or self.exact_recursion_limit < 1 \
-                or self.aap_max_len < 1 or self.perturb_count < 1:
+        if self.num_iterations < 1 or self.exact_recursion_limit < 1 or self.aap_max_len < 1:
             raise ValueError("counts must be >= 1")
         if self.aap_delta < 0:
             raise ValueError("aap_delta must be >= 0")
@@ -60,13 +57,13 @@ class MoveEngine:
     the live solution, drawing from one RNG."""
 
     def __init__(self, state: InterstateState, rng: random.Random,
-                 params: LocalSearchParams | None = None,
+                 params: LocalSearchParams,
                  bias: RelaxedSolution | None = None, on_commit=None):
         self.state = state
         self.g = state.g
         self.s = state.s
         self.rng = rng
-        self.params = params or LocalSearchParams()
+        self.params = params
         self.bias = bias
         self.on_commit = on_commit  # called as on_commit(engine, MoveOutcome)
         self.w = self.g.w
@@ -85,23 +82,20 @@ class MoveEngine:
         return [x for x in self.adj[v] if in_set[x]]
 
     def _apply(self, kind: str, removed: list[int], added: list[int]) -> None:
-        """Remove, then insert, then re-maximalize, then report one move."""
+        """Remove, then insert, then re-maximalize, then report the move's net
+        change: the nodes inserted and removed in order of events. Each list
+        holds distinct nodes, and a removed node that re-maximalization puts
+        back goes in neither."""
         st = self.state
         for x in removed:
             remove_member(st, x)
         for x in added:
             add_member(st, x)
-        self._commit(kind, added + make_maximal(st, self.rng), removed)
-
-    def _commit(self, kind: str, added: list[int], removed: list[int]) -> None:
-        """Report the net change: each list holds the nodes inserted and
-        removed in order of events, and a node whose insertions and removals
-        cancel out goes in neither."""
+        added = added + make_maximal(st, self.rng)
         if self.on_commit is not None:
-            net = Counter(added)
-            net.subtract(removed)
-            added = [x for x in dict.fromkeys(added) if net[x] > 0]
-            removed = [x for x in dict.fromkeys(removed) if net[x] < 0]
+            back = set(removed).intersection(added)
+            added = [x for x in added if x not in back]
+            removed = [x for x in removed if x not in back]
             gain = sum(self.w[v] for v in added) - sum(self.w[v] for v in removed)
             self.on_commit(self, MoveOutcome(gain, added, removed, kind))
 
@@ -280,22 +274,11 @@ class MoveEngine:
         return True
 
     def perturb(self) -> None:
-        """Force random (optionally LP-biased) nodes into S, then re-maximalize."""
-        st = self.state
-        added: list[int] = []
-        removed: list[int] = []
-        for _ in range(self.params.perturb_count):
-            target = self._perturb_target()
-            if target is None:
-                break
-            evicted = self._member_neighbors(target)
-            for x in evicted:
-                remove_member(st, x)
-            add_member(st, target)
-            removed += evicted
-            added.append(target)
-        if added:
-            self._commit("perturb", added + make_maximal(st, self.rng), removed)
+        """Force one random (optionally LP-biased) node into S, evicting its
+        member neighbours, then re-maximalize."""
+        target = self._perturb_target()
+        if target is not None:
+            self._apply("perturb", self._member_neighbors(target), [target])
 
     def _perturb_target(self) -> int | None:
         s, n, rng, bias = self.s, self.g.n, self.rng, self.bias
@@ -309,10 +292,8 @@ class MoveEngine:
         return outside[rng.randrange(len(outside))]
 
 
-def local_search(start: Solution | InterstateState,
-                 params: LocalSearchParams | None = None,
-                 rng: random.Random | None = None,
-                 bias: RelaxedSolution | None = None, *,
+def local_search(start: Solution | InterstateState, params: LocalSearchParams,
+                 rng: random.Random, bias: RelaxedSolution | None = None, *,
                  deadline: float | None = None, clock=time.monotonic,
                  on_commit=None) -> Solution:
     """Run the full move loop from `start`; return the best solution seen.
@@ -327,8 +308,6 @@ def local_search(start: Solution | InterstateState,
     on_commit(engine, MoveOutcome) after every committed move, perturbations
     included.
     """
-    params = params or LocalSearchParams()
-    rng = rng or random.Random()
     if isinstance(start, Solution):
         start = build(start.graph, start.copy())
         make_maximal(start, rng)

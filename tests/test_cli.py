@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -19,6 +21,18 @@ from mwis.lp_bias import DEFAULT_EPSILON
 from mwis.oracle import exact_mwis
 from mwis.relink import RelinkParams
 from mwis.solution import Solution
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+# solve options that name files rather than tune the solver
+FILE_OPTIONS = {"-h", "--graph", "--format", "--initial", "--relaxed", "--trace",
+                "--solution-out"}
+
+
+def solve_options() -> set[str]:
+    sub = argparse.ArgumentParser().add_subparsers()
+    _add_solve_parser(sub)
+    return {a.option_strings[0] for a in sub.choices["solve"]._actions}
 
 
 def run_cli(*args):
@@ -95,6 +109,12 @@ class TestExact:
         path, _ = gen_file(tmp_path, "big.g", GenSpec(model="path", n=31, seed=0))
         r = run_cli("exact", "--graph", path)
         assert r.returncode == 1
+
+    def test_enumerate_size_guard_exits_one(self, tmp_path):
+        path, _ = gen_file(tmp_path, "e21.g", GenSpec(model="path", n=21, seed=0))
+        r = run_cli("exact", "--graph", path, "--method", "enumerate")
+        assert r.returncode == 1
+        assert r.stderr == "error: enumeration limited to n <= 20, got n=21\n"
 
     def test_methods_agree(self, tmp_path):
         path, g = gen_file(tmp_path, "e.g",
@@ -182,24 +202,24 @@ class TestSolve:
 
         monkeypatch.setattr(driver, "run", fake_run)
         flags = {"--time-limit": "3.5", "--seed": "9", "--elite-size": "3",
-                 "--ls-before-relinking": None, "--greedy-mode": "randomized",
+                 "--greedy-mode": "randomized",
                  "--greedy-k-fraction": "0.25", "--num-iterations": "5",
                  "--exact-recursion-limit": "4", "--aap-max-len": "9",
-                 "--aap-gain-floor": "-2.5", "--aap-delta": "7", "--perturb-count": "3",
+                 "--aap-gain-floor": "-2.5", "--aap-delta": "7",
                  "--relink-f0": "0.9", "--relink-cn0": "4", "--relink-cp0": "2",
                  "--relink-f-decay": "0.5", "--relink-budget-growth": "2",
                  "--check-interstate-every": "6", "--lp-epsilon": "0.01"}
         argv = ["solve", "--graph", path, "--relaxed", str(rs)]
         for flag, value in flags.items():
-            argv += [flag] if value is None else [flag, value]
+            argv += [flag, value]
         assert main(argv) == 0
         [(cfg, relaxed)] = seen
         assert cfg == RunConfig(
-            time_limit=3.5, seed=9, ls_before_relinking=True, elite_capacity=3,
+            time_limit=3.5, seed=9, elite_capacity=3,
             greedy=GreedyConfig(k_fraction=0.25, mode="randomized"),
             ls_params=LocalSearchParams(
                 num_iterations=5, exact_recursion_limit=4, aap_max_len=9,
-                aap_gain_floor=-2.5, aap_delta=7.0, perturb_count=3),
+                aap_gain_floor=-2.5, aap_delta=7.0),
             relink_params=RelinkParams(f0=0.9, c_n0=4.0, c_p0=2.0, f_decay=0.5,
                                        budget_growth=2.0),
             check_interstate_every=6)
@@ -207,12 +227,16 @@ class TestSolve:
         # every config field moved off its default, and every tuning flag was set
         defaults = dict(config_fields(RunConfig()))
         assert all(value != defaults[name] for name, value in config_fields(cfg))
-        sub = argparse.ArgumentParser().add_subparsers()
-        _add_solve_parser(sub)
-        options = {a.option_strings[0] for a in sub.choices["solve"]._actions}
-        files = {"-h", "--graph", "--format", "--initial", "--relaxed", "--trace",
-                 "--solution-out"}
-        assert options - files == set(flags)
+        assert solve_options() - FILE_OPTIONS == set(flags)
+
+    def test_readme_names_exactly_the_tuning_flags(self):
+        text = open(README, encoding="utf-8").read()
+        start = text.index("Useful `solve` flags")
+        paragraph = text[start:text.index("\n\n", start)]
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", paragraph))
+        options = solve_options()
+        assert named <= options, named - options
+        assert named - FILE_OPTIONS == options - FILE_OPTIONS
 
     def test_relink_budget_mode_flag_is_gone(self, tmp_path, capsys):
         path, _ = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))

@@ -32,8 +32,14 @@ queues: the search after relinking draws only from the entries that retarget
 and the walk re-armed, and from what the previous search left, so it makes
 other draws. With the two refill lines put back, the previous hash still
 holds; so does the exact (*,1) decision, which decides alike on these integer
-weights. A change that alters results on purpose must update GOLDEN and say
-why in CHANGES.md.
+weights.
+
+It was re-pinned once more when RunConfig lost ls_before_relinking, which
+five of the runs below set to search each greedy source before relinking.
+No result of a default run changed: the new hash is the one the previous
+code gives when the only edit to golden_runs is dropping that field, so
+those five runs now take the default loop. A change that alters results on
+purpose must update GOLDEN and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from mwis.lp_bias import make_relaxed
 
 from conftest import FakeClock
 
-GOLDEN = "2055c48408fb6f4e005ff1cea44b973de1f668f99f0bd0fb603d646c1ea6b8dc"
+GOLDEN = "0144d97a828d0f8a369523fe53b3fc289c8811aaacae5351ebb1aaaac261e5c5"
 
 MODES = ("deterministic", "randomized", "adaptive")
 
@@ -62,7 +68,6 @@ def golden_runs():
                        w_lo=0 if i % 5 == 4 else 1, w_hi=200)
         cfg = RunConfig(time_limit=0.005, seed=i,
                         elite_capacity=3 if i % 2 else 1,
-                        ls_before_relinking=i % 4 == 1,
                         greedy=GreedyConfig(k_fraction=rng.choice([0.05, 0.1, 0.3]),
                                             mode=MODES[i % 3]))
         relaxed = make_relaxed([rng.random() for _ in range(n)]) if i % 3 == 2 else None

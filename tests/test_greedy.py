@@ -223,6 +223,13 @@ class TestRandomizedGreedy:
         with pytest.raises(ValueError):
             GreedyConfig(mode="bogus")
 
+    def test_no_unseeded_or_default_fallbacks(self, path3):
+        # without a seeded RNG the construction could not be repeated
+        with pytest.raises(TypeError):
+            randomized_greedy(path3, GreedyConfig())
+        with pytest.raises(TypeError):
+            randomized_greedy(path3, rng=random.Random(0))
+
 
 class TestAdaptiveGreedy:
     def test_path_immediate_zero_degree_add(self, path3):

@@ -8,7 +8,7 @@ import pytest
 from mwis.graph import build_graph
 from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, _pair, \
     add_member, build, make_maximal, remove_member, retarget, state_mismatches
-from mwis.local_search import MoveEngine
+from mwis.local_search import LocalSearchParams, MoveEngine
 from mwis.solution import Solution
 
 from conftest import graph_from, maximal, random_graph, rows_forced
@@ -491,7 +491,7 @@ class TestExactDelta:
         s = st.s
         assert (s.member_list(), st.rho[0], st.delta[0]) == ([1, 2], 2, 1.0)
         moves = []
-        MoveEngine(st, random.Random(1), on_commit=lambda _, out: moves.append(out)).star_one_moves()
+        MoveEngine(st, random.Random(1), LocalSearchParams(), on_commit=lambda _, out: moves.append(out)).star_one_moves()
         assert s.member_list() == [1, 2, 3]
         assert [(out.nodes_added, out.nodes_removed) for out in moves] == [([3], [])]
 

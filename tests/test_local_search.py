@@ -8,8 +8,7 @@ import time
 import pytest
 
 from mwis.graph import is_edge
-from mwis.interstate import _pair, add_member, build, make_maximal, remove_member, \
-    state_mismatches
+from mwis.interstate import _pair, build, state_mismatches
 from mwis.local_search import _SUM_SLACK, LocalSearchParams, MoveEngine, _pool_cannot_win, \
     local_search
 from mwis.oracle import exact_mwis, max_weight_subset
@@ -66,7 +65,7 @@ class TestStarOne:
         for _ in range(30):
             g = random_graph(rng, 30, 0.2)
             s = maximal(g, Solution(g), rng)
-            eng = MoveEngine(build(g, s), rng)
+            eng = MoveEngine(build(g, s), rng, LocalSearchParams())
             eng.star_one_moves()
             for u in range(g.n):
                 if u not in s:
@@ -145,6 +144,25 @@ class TestTwoStar:
         assert eng.two_star_moves()
         assert len([o for o in log if o.kind == "two_star"]) == 1
 
+    def test_member_put_back_by_maximalization_is_in_neither_list(self):
+        # mates 0,1 (w1) share the 2-tight node 2 (w0.5); 3 and 4 (w1.5) are
+        # 1-tight to 0 and adjacent to 2. A trial that picks 3 and 4 wins and
+        # leaves 1 free, so re-maximalization inserts 1 again: the outcome
+        # removes 0 only
+        edges = [(0, 2), (1, 2), (0, 3), (0, 4), (2, 3), (2, 4)]
+        g = graph_from(5, edges, [1.0, 1.0, 0.5, 1.5, 1.5])
+        outcomes = []
+        for seed in range(20):
+            log = []
+            eng = engine_on(g, [0, 1], seed, on_commit=lambda _, out: log.append(out))
+            if eng.two_star_moves():
+                outcomes.append((log, sorted(eng.s.members())))
+        assert outcomes
+        for log, members in outcomes:
+            [out] = log
+            assert members == [1, 3, 4]
+            assert (out.nodes_removed, sorted(out.nodes_added), out.gain) == ([0], [3, 4], 2.0)
+
 
 class TestAap:
     def test_profitable_path_flip(self):
@@ -173,7 +191,7 @@ class TestAap:
         for _ in range(40):
             g = random_graph(rng, 25, 0.2)
             s = maximal(g, Solution(g), rng)
-            eng = MoveEngine(build(g, s), rng)
+            eng = MoveEngine(build(g, s), rng, LocalSearchParams())
             eng.aap_moves()
             assert is_independent(g, s)
             assert_maximal(g, s)
@@ -185,7 +203,8 @@ class TestAap:
             g = random_graph(rng, 25, 0.25)
             s = maximal(g, Solution(g), rng)
             log = []
-            eng = MoveEngine(build(g, s), rng, on_commit=lambda _, out: log.append(out))
+            eng = MoveEngine(build(g, s), rng, LocalSearchParams(),
+                             on_commit=lambda _, out: log.append(out))
             w0 = s.total_weight
             if eng.aap_moves():
                 assert s.total_weight > w0
@@ -211,8 +230,7 @@ class TestPerturb:
         for _ in range(20):
             g = random_graph(rng, 30, 0.2)
             s = maximal(g, Solution(g), rng)
-            eng = MoveEngine(build(g, s), rng,
-                             LocalSearchParams(perturb_count=3))
+            eng = MoveEngine(build(g, s), rng, LocalSearchParams())
             eng.perturb()
             assert_maximal(g, eng.s)
             assert not state_mismatches(eng.state)
@@ -221,7 +239,7 @@ class TestPerturb:
 class TestLocalSearch:
     def test_path_reaches_optimum_from_middle(self, path3):
         s = Solution(path3, [1])
-        out = local_search(s, rng=random.Random(0))
+        out = local_search(s, LocalSearchParams(), random.Random(0))
         assert sorted(out.members()) == [0, 2]
         assert out.total_weight == 6.0
 
@@ -231,7 +249,7 @@ class TestLocalSearch:
             g = random_graph(rng, 12, 0.3)
             res = exact_mwis(g)
             s = Solution(g, sorted(res.witness))
-            out = local_search(s, rng=random.Random(seed))
+            out = local_search(s, LocalSearchParams(), random.Random(seed))
             assert out.total_weight == res.weight
 
     def test_output_contract_delta_and_maximality(self):
@@ -284,11 +302,10 @@ class TestLocalSearch:
 
     def test_move_outcome_replays_solution(self):
         # each outcome is the exact net change of its move, without repeats,
-        # and its gain is the weight change (integer weights sum exactly);
-        # three nodes per perturbation can evict and re-insert one another
+        # and its gain is the weight change (integer weights sum exactly)
         rng = random.Random(9)
         kinds = set()
-        for perturb_count, rows, _ in itertools.product([1, 3], [False, True], range(4)):
+        for rows, _ in itertools.product([False, True], range(8)):
             g = random_graph(rng, rng.randint(16, 40), rng.choice([0.1, 0.2, 0.35]))
             s = maximal(g, Solution(g), rng)
             snapshots = [s.as_frozenset()]
@@ -305,9 +322,7 @@ class TestLocalSearch:
                 snapshots.append(now)
 
             with rows_forced(rows):
-                local_search(s, LocalSearchParams(num_iterations=6,
-                                                     perturb_count=perturb_count),
-                             rng, on_commit=check)
+                local_search(s, LocalSearchParams(num_iterations=6), rng, on_commit=check)
             assert len(snapshots) > 1
         assert kinds == {"star_one", "one_star", "two_star", "aap", "perturb"}
 
@@ -343,7 +358,7 @@ class TestLocalSearch:
             ticks["t"] += 1.0
             return ticks["t"]
 
-        out = local_search(s, rng=random.Random(0), deadline=3.0, clock=clock)
+        out = local_search(s, LocalSearchParams(), random.Random(0), deadline=3.0, clock=clock)
         assert_maximal(g, out)
         for u in range(g.n):
             if u not in out:
@@ -359,7 +374,7 @@ class TestLocalSearch:
             g = random_graph(rng, n, rng.choice([0.2, 0.5]))
             start = maximal(g, Solution(g), rng)
             t0 = time.perf_counter()
-            out = local_search(start, rng=random.Random(i))
+            out = local_search(start, LocalSearchParams(), random.Random(i))
             assert time.perf_counter() - t0 < 0.5
             if out.total_weight == exact_mwis(g).weight:
                 hits += 1
@@ -384,16 +399,27 @@ class TestLocalSearch:
         with pytest.raises(ValueError):
             LocalSearchParams(aap_delta=-1.0)
 
+    def test_no_unseeded_or_default_fallbacks(self, path3):
+        # a call without a seeded RNG or without params cannot be repeated
+        # or tuned, so it is an error rather than a fresh random.Random()
+        s = Solution(path3, [1])
+        with pytest.raises(TypeError):
+            local_search(s, LocalSearchParams())
+        with pytest.raises(TypeError):
+            local_search(s, rng=random.Random(0))
+        with pytest.raises(TypeError):
+            MoveEngine(build(path3, s), random.Random(0))
+
 
 class TestDegenerateInputs:
     def test_empty_graph(self):
         g = graph_from(0, [], [])
-        out = local_search(Solution(g), rng=random.Random(0))
+        out = local_search(Solution(g), LocalSearchParams(), random.Random(0))
         assert out.size == 0 and out.total_weight == 0.0
 
     def test_single_node(self):
         g = graph_from(1, [], [7.0])
-        out = local_search(Solution(g), rng=random.Random(0))
+        out = local_search(Solution(g), LocalSearchParams(), random.Random(0))
         assert sorted(out.members()) == [0]
 
     def test_all_zero_weights(self):
@@ -443,11 +469,7 @@ class ReferenceOneStar(CountingEngine):
             else:
                 best_w, chosen = self._greedy_subset(cand)
             if best_w > w[v]:
-                remove_member(st, v)
-                for u in chosen:
-                    add_member(st, u)
-                extra = make_maximal(self.state, self.rng)
-                self._commit("one_star", chosen + extra, [v])
+                self._apply("one_star", [v], chosen)
                 improved = True
         return improved
 
@@ -483,14 +505,7 @@ class ReferenceTwoStar(MoveEngine):
                 gained += w[c]
                 open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
             if gained > w[u] + w[v]:
-                remove_member(st, u)
-                remove_member(st, v)
-                for c in added:
-                    add_member(st, c)
-                extra = make_maximal(self.state, self.rng)
-                net_added = [x for x in added + extra if x not in (u, v)]
-                net_removed = [x for x in (u, v) if x not in set(extra)]
-                self._commit("two_star", net_added, net_removed)
+                self._apply("two_star", [u, v], added)
                 return True
         return False
 
@@ -548,14 +563,7 @@ class ReferenceAap(MoveEngine):
             u = mate
         if best_gain <= 0:
             return False
-        flip_in = path_in[:best_pairs]
-        flip_out = path_out[:best_pairs]
-        for m in flip_in:
-            remove_member(st, m)
-        for o in flip_out:
-            add_member(st, o)
-        extra = make_maximal(self.state, self.rng)
-        self._commit("aap", flip_out + extra, flip_in)
+        self._apply("aap", path_in[:best_pairs], path_out[:best_pairs])
         return True
 
 

@@ -84,16 +84,16 @@ class TestExactMwis:
 
 class TestSuperOptimality:
     def test_no_heuristic_beats_the_oracle(self):
-        from mwis.greedy import adaptive_greedy, greedy, randomized_greedy
-        from mwis.local_search import local_search
+        from mwis.greedy import GreedyConfig, adaptive_greedy, greedy, randomized_greedy
+        from mwis.local_search import LocalSearchParams, local_search
         from mwis.solution import Solution
 
         rng = random.Random(31)
         for _ in range(40):
             g = random_graph(rng, rng.randint(6, 16), rng.uniform(0.15, 0.5))
             opt = exact_mwis(g).weight
-            for s in (greedy(g), adaptive_greedy(g), randomized_greedy(g, rng=rng),
-                      local_search(maximal(g, Solution(g), rng), rng=rng)):
+            for s in (greedy(g), adaptive_greedy(g), randomized_greedy(g, GreedyConfig(), rng),
+                      local_search(maximal(g, Solution(g), rng), LocalSearchParams(), rng)):
                 assert s.total_weight <= opt + 1e-9
 
 

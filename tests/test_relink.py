@@ -11,7 +11,7 @@ from mwis import driver
 from mwis.driver import RunConfig, run
 from mwis.graph import build_graph
 from mwis.interstate import IndexedSet, build, state_mismatches
-from mwis.local_search import MoveEngine, local_search
+from mwis.local_search import LocalSearchParams, MoveEngine, local_search
 from mwis.relink import RelinkParams, path_relink
 from mwis.solution import Solution, is_independent
 
@@ -312,7 +312,7 @@ class TestMatchesReference:
 def winning_pools_left_out(st, max_pool=None):
     """Members out of s_one whose 1-tight pool (of at most max_pool nodes)
     the (1,*) move, evaluating it as the engine does, would swap in for them."""
-    engine, w = MoveEngine(st, random.Random(0)), st.g.w
+    engine, w = MoveEngine(st, random.Random(0), LocalSearchParams()), st.g.w
     bad = []
     for v, pool in st.one_tight.items():
         if pool and v not in st.s_one and len(pool) <= (max_pool or len(pool)):
@@ -345,7 +345,7 @@ class TestHandoff:
             guide = maximal(g, Solution(g), rng)
             st = build(g, guide.copy())
             path_relink(st, source, guide, RelinkParams(), rng)
-            local_search(st, rng=rng, on_commit=lambda eng, _, st=st: engines.append((eng, st)))
+            local_search(st, LocalSearchParams(), rng, on_commit=lambda eng, _, st=st: engines.append((eng, st)))
         assert engines, "no move committed"
         assert all(eng.state is st and eng.s is st.s for eng, st in engines)
 
@@ -408,8 +408,8 @@ class TestHandoff:
                          if rng.random() < rng.choice([0.05, 0.1, 0.2])]
                 # integer weights, then weights k/10
                 g = build_graph(60, edges, [rng.randint(0, 100) / (1, 10)[i % 2] for _ in range(60)])
-                run(g, RunConfig(time_limit=0.01, seed=i, elite_capacity=1 + i % 3,
-                                 ls_before_relinking=i % 3 == 2), clock=FakeClock())
+                run(g, RunConfig(time_limit=0.01, seed=i, elite_capacity=1 + i % 3),
+                    clock=FakeClock())
         assert len(outputs) > 20
         for out in outputs:
             g, w, flags = out.graph, out.graph.w, out._in_set
@@ -440,18 +440,13 @@ class TestHandoff:
             count(importlib.import_module(module), "make_maximal")
         count(driver, "path_relink")
         g = random_graph(random.Random(35), 60, 0.1)
-        # a search of the greedy source before relinking sets up its own pair
-        for ls_before, per_iteration in ((False, []), (True, ["build"])):
-            calls.clear()
-            run(g, RunConfig(time_limit=0.02, seed=1, ls_before_relinking=ls_before),
-                clock=FakeClock())
-            # set-up and the first source search, then after each walk its
-            # closing make_maximal and the next source search, then nothing
-            first, *between, last = " ".join(calls).split("path_relink")
-            assert first.split() == ["build", "make_maximal"] + per_iteration
-            assert len(between) > 2
-            assert all(it.split() == ["make_maximal"] + per_iteration for it in between), calls
-            assert last.split() == ["make_maximal"]
+        run(g, RunConfig(time_limit=0.02, seed=1), clock=FakeClock())
+        # set-up, then after each walk its closing make_maximal, then nothing
+        first, *between, last = " ".join(calls).split("path_relink")
+        assert first.split() == ["build", "make_maximal"]
+        assert len(between) > 2
+        assert all(it.split() == ["make_maximal"] for it in between), calls
+        assert last.split() == ["make_maximal"]
 
 
 class TestParamsValidation:

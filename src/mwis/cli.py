@@ -2,7 +2,7 @@
 
 Subcommands:
   solve     run the full metaheuristic on a graph file
-  exact     brute-force optimum for small graphs (n <= 30)
+  exact     exact optimum for small graphs (n <= 30; n <= 20 to enumerate)
   generate  write a synthetic instance in edge-list format
   report    cross-run t* statistic from trace CSV files
 
@@ -19,7 +19,7 @@ import sys
 from . import driver, generate, oracle
 from .driver import RunConfig
 from .graph import GraphFormatError, load_graph, save_graph
-from .greedy import GREEDY_MODES, GreedyConfig
+from .greedy import GreedyConfig
 from .local_search import LocalSearchParams
 from .lp_bias import DEFAULT_EPSILON, load_relaxed
 from .relink import RelinkParams
@@ -43,9 +43,6 @@ def _add_solve_parser(sub) -> None:
     p.add_argument("--relaxed", default=None, help="relaxed LP solution file")
     p.add_argument("--trace", default=None, help="trace CSV output path")
     p.add_argument("--solution-out", default=None, help="write best solution node IDs here")
-    p.add_argument("--elite-size", type=int, default=rc.elite_capacity)
-    p.add_argument("--greedy-mode", default=gr.mode,
-                   choices=GREEDY_MODES)
     p.add_argument("--greedy-k-fraction", type=float, default=gr.k_fraction)
     p.add_argument("--num-iterations", type=int, default=ls.num_iterations)
     p.add_argument("--exact-recursion-limit", type=int, default=ls.exact_recursion_limit)
@@ -66,8 +63,7 @@ def _config_for(args) -> RunConfig:
     return RunConfig(
         time_limit=args.time_limit,
         seed=args.seed,
-        elite_capacity=args.elite_size,
-        greedy=GreedyConfig(k_fraction=args.greedy_k_fraction, mode=args.greedy_mode),
+        greedy=GreedyConfig(k_fraction=args.greedy_k_fraction),
         ls_params=LocalSearchParams(
             num_iterations=args.num_iterations,
             exact_recursion_limit=args.exact_recursion_limit,
@@ -165,11 +161,13 @@ def main(argv=None) -> int:
 
     _add_solve_parser(sub)
 
-    p = sub.add_parser("exact", help="brute-force optimum (n <= 30)")
+    p = sub.add_parser("exact", help="exact optimum for small graphs")
     p.add_argument("--graph", required=True)
     p.add_argument("--format", default="edge-list", choices=["edge-list", "metis"])
     p.add_argument("--method", default="branch-and-bound",
-                   choices=["branch-and-bound", "enumerate"])
+                   choices=["branch-and-bound", "enumerate"],
+                   help=f"branch-and-bound takes n <= {oracle.BB_NODE_LIMIT}, "
+                        f"enumerate n <= {oracle.ENUM_NODE_LIMIT}")
 
     p = sub.add_parser("generate", help="write a synthetic instance")
     p.add_argument("--model", required=True,
@@ -187,19 +185,13 @@ def main(argv=None) -> int:
     p.add_argument("traces", nargs="+")
 
     args = parser.parse_args(argv)
+    command = {"solve": _cmd_solve, "exact": _cmd_exact,
+               "generate": _cmd_generate, "report": _cmd_report}[args.command]
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "exact":
-            return _cmd_exact(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return command(args)
     except (GraphFormatError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
-"""Run orchestration: elite set, stagnation schedule, traces, summaries.
+"""Run orchestration: relinking guide, stagnation schedule, traces, summaries.
 
-The main loop alternates randomized greedy construction, truncated path
-relinking against a random elite solution, and local search on one
-interstate structure, holding the live solution, kept for the run, until the
-time limit. The clock is injectable so that identical (config, seed) pairs
-reproduce byte-identical traces under a deterministic clock; the CLI uses the
-real monotonic clock.
+From the initial solution, given or adaptive greedy, the main loop alternates
+randomized greedy construction, truncated path relinking from S* (the latest
+local optimum of the best weight so far) and local search on one interstate
+structure, kept for the run, until the time limit. The clock is injectable so
+that identical (config, seed) pairs reproduce byte-identical traces under a
+deterministic clock; the CLI uses the real monotonic clock.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field
-from operator import ne
 
+from . import greedy
 from .graph import Graph
-from .greedy import GreedyConfig, build_initial, randomized_greedy
+from .greedy import GreedyConfig, randomized_greedy
 from .interstate import build, make_maximal, state_mismatches
 from .local_search import LocalSearchParams, local_search
 from .lp_bias import RelaxedSolution
@@ -37,44 +37,29 @@ class TraceEvent:
 
 
 class EliteSet:
-    """Bounded store of locally optimal solutions with similarity eviction."""
+    """Holds S*, the relinking guide: the latest local optimum of the best
+    weight found so far. perfbench wraps both methods by name."""
 
-    def __init__(self, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("elite capacity must be >= 1")
-        self.capacity = capacity
-        self.entries: list[Solution] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __init__(self):
+        self.entry: Solution | None = None
 
     def try_add_and_evict(self, s: Solution) -> bool:
-        """Store s itself, not a copy: nothing may mutate it afterwards. When
-        full, replace the lighter-or-equal entry that differs from s in the
-        fewest nodes, then the lightest, then the first."""
-        flags = s._in_set
-        if len(self.entries) < self.capacity:
-            if any(e._in_set == flags for e in self.entries):
-                return False
-            self.entries.append(s)
-            return True
-        evictable = [(sum(map(ne, e._in_set, flags)), e.total_weight, i)
-                     for i, e in enumerate(self.entries) if e.total_weight <= s.total_weight]
-        if not evictable:
+        """Store s itself, not a copy, unless it is lighter than the entry."""
+        if self.entry is not None and s.total_weight < self.entry.total_weight:
             return False
-        self.entries[min(evictable)[2]] = s
+        self.entry = s
         return True
 
     def random_entry(self, rng: random.Random) -> Solution:
-        assert self.entries, "elite set is empty"
-        return self.entries[rng.randrange(len(self.entries))]
+        # randrange(1) draws a variable number of bits; later draws rely on it
+        rng.randrange(1)
+        return self.entry
 
 
 @dataclass
 class RunConfig:
     time_limit: float = 10.0
     seed: int = 0
-    elite_capacity: int = 1
     greedy: GreedyConfig = field(default_factory=GreedyConfig)
     ls_params: LocalSearchParams = field(default_factory=LocalSearchParams)
     relink_params: RelinkParams = field(default_factory=RelinkParams)
@@ -83,8 +68,6 @@ class RunConfig:
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be > 0")
-        if self.elite_capacity < 1:
-            raise ValueError("elite_capacity must be >= 1")
         if self.check_interstate_every < 0:
             raise ValueError("check_interstate_every must be >= 0")
 
@@ -119,7 +102,8 @@ def run(g: Graph, config: RunConfig, clock=None,
     t0 = clock()
     deadline_at = t0 + config.time_limit
 
-    s = initial.copy() if initial is not None else build_initial(g, config.greedy, rng)
+    # looked up on the module at call time, where perfbench wraps it
+    s = initial.copy() if initial is not None else greedy.adaptive_greedy(g)
     best_w = s.total_weight
 
     def emit(event: str) -> None:
@@ -133,11 +117,11 @@ def run(g: Graph, config: RunConfig, clock=None,
     # the run's one search state, made as local_search makes one
     st = build(g, s)
     make_maximal(st, rng)
-    # a fresh snapshot that nothing mutates, so the elite set keeps it as is
+    # a fresh snapshot that nothing mutates, so S* can be it
     best = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
     best_w = best.total_weight
     emit("local-search")
-    es = EliteSet(config.elite_capacity)
+    es = EliteSet()
     es.try_add_and_evict(best)
 
     while clock() < deadline_at:

@@ -1,6 +1,7 @@
-"""Greedy initial-solution builders: deterministic, randomized, adaptive.
+"""Greedy constructors: deterministic, randomized, adaptive.
 
-All three rank candidates by eta(v) = w(v)/degree(v). Zero-degree nodes never
+A run starts from adaptive_greedy and relinks toward randomized_greedy. All
+three rank candidates by eta(v) = w(v)/degree(v). Zero-degree nodes never
 enter the ranking; they are added up front, so eta is always finite.
 """
 
@@ -15,21 +16,16 @@ from dataclasses import dataclass
 from .graph import Graph, is_dense
 from .solution import Solution
 
-GREEDY_MODES = ("deterministic", "randomized", "adaptive")
-
 
 @dataclass
 class GreedyConfig:
     """k_fraction: fraction of the live nodes forming the random-pick pool."""
 
     k_fraction: float = 0.10
-    mode: str = "adaptive"  # one of GREEDY_MODES
 
     def __post_init__(self):
         if not 0.0 < self.k_fraction <= 1.0:
             raise ValueError("k_fraction must be in (0, 1]")
-        if self.mode not in GREEDY_MODES:
-            raise ValueError(f"unknown greedy mode {self.mode!r}")
 
 
 def greedy(g: Graph) -> Solution:
@@ -148,11 +144,3 @@ def adaptive_greedy(g: Graph) -> Solution:
                 dy = rdeg[y]
                 heapq.heappush(heap, (-w[y] / dy, y, dy))
     return s
-
-
-def build_initial(g: Graph, cfg: GreedyConfig, rng: random.Random) -> Solution:
-    if cfg.mode == "deterministic":
-        return greedy(g)
-    if cfg.mode == "randomized":
-        return randomized_greedy(g, cfg, rng)
-    return adaptive_greedy(g)

@@ -1,6 +1,6 @@
 """Adaptive truncated greedy path relinking.
 
-The walk starts at the guide (elite) solution and moves toward the greedy
+The walk starts at the guide solution S* and moves toward the greedy
 source, each step applying whichever candidate move — pull in a source node
 and drop its blockers, or drop a non-source member and add freed source
 neighbors — maximizes the resulting weight. It truncates when the weight
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import gt, lt
+from operator import ne
 
 from .interstate import InterstateState, add_member, make_maximal, remove_member, retarget
 from .solution import Solution
@@ -80,8 +80,9 @@ def path_relink(st: InterstateState, source: Solution, guide: Solution,
     # a step flips only nodes of the initial symmetric difference, so the
     # candidates are the non-members of source \ guide (pulls) and the
     # members of guide \ source (drops), read through the current flags
-    to_add = list(compress(range(g.n), map(gt, src_flags, cur_flags)))
-    to_drop = list(compress(range(g.n), map(lt, src_flags, cur_flags)))
+    diff = list(compress(range(g.n), map(ne, src_flags, cur_flags)))
+    to_add = [v for v in diff if src_flags[v]]
+    to_drop = [v for v in diff if not src_flags[v]]
     w, adj = g.w, g.adj
     delta, one_tight = st.delta, st.one_tight
     w_guide = guide.total_weight

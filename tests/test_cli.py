@@ -10,12 +10,12 @@ import sys
 
 import pytest
 
-from mwis import driver
+from mwis import driver, oracle
 from mwis.cli import _add_solve_parser, main
 from mwis.driver import RunConfig, TraceEvent
 from mwis.generate import GenSpec, generate_graph
 from mwis.graph import load_graph, save_graph
-from mwis.greedy import GREEDY_MODES, GreedyConfig
+from mwis.greedy import GreedyConfig
 from mwis.local_search import LocalSearchParams
 from mwis.lp_bias import DEFAULT_EPSILON
 from mwis.oracle import exact_mwis
@@ -116,6 +116,15 @@ class TestExact:
         assert r.returncode == 1
         assert r.stderr == "error: enumeration limited to n <= 20, got n=21\n"
 
+    def test_help_names_both_size_limits(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "BB_NODE_LIMIT", 31)
+        monkeypatch.setattr(oracle, "ENUM_NODE_LIMIT", 19)
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
+        assert "branch-and-bound takes n <= 31, enumerate n <= 19" in out
+
     def test_methods_agree(self, tmp_path):
         path, g = gen_file(tmp_path, "e.g",
                            GenSpec(model="gnp", n=14, p=0.3, seed=3))
@@ -201,8 +210,7 @@ class TestSolve:
             return Solution(graph), [TraceEvent(0.0, 0.0, "final")]
 
         monkeypatch.setattr(driver, "run", fake_run)
-        flags = {"--time-limit": "3.5", "--seed": "9", "--elite-size": "3",
-                 "--greedy-mode": "randomized",
+        flags = {"--time-limit": "3.5", "--seed": "9",
                  "--greedy-k-fraction": "0.25", "--num-iterations": "5",
                  "--exact-recursion-limit": "4", "--aap-max-len": "9",
                  "--aap-gain-floor": "-2.5", "--aap-delta": "7",
@@ -215,8 +223,7 @@ class TestSolve:
         assert main(argv) == 0
         [(cfg, relaxed)] = seen
         assert cfg == RunConfig(
-            time_limit=3.5, seed=9, elite_capacity=3,
-            greedy=GreedyConfig(k_fraction=0.25, mode="randomized"),
+            time_limit=3.5, seed=9, greedy=GreedyConfig(k_fraction=0.25),
             ls_params=LocalSearchParams(
                 num_iterations=5, exact_recursion_limit=4, aap_max_len=9,
                 aap_gain_floor=-2.5, aap_delta=7.0),
@@ -239,19 +246,14 @@ class TestSolve:
         assert named - FILE_OPTIONS == options - FILE_OPTIONS
 
     def test_relink_budget_mode_flag_is_gone(self, tmp_path, capsys):
+        # each removed selector is refused, not silently ignored
         path, _ = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--graph", path, "--relink-budget-mode", "absolute"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --relink-budget-mode" in capsys.readouterr().err
-
-    def test_mode_choices_are_the_config_tuples(self):
-        sub = argparse.ArgumentParser().add_subparsers()
-        _add_solve_parser(sub)
-        choices = {a.dest: a.choices for a in sub.choices["solve"]._actions}
-        assert choices["greedy_mode"] == GREEDY_MODES
-        for mode in GREEDY_MODES:
-            GreedyConfig(mode=mode)
+        for flag, value in (("--relink-budget-mode", "absolute"), ("--elite-size", "3"),
+                            ("--greedy-mode", "randomized")):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--graph", path, flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_in_process_entry_point(self, tmp_path, capsys):
         path, g = gen_file(tmp_path, "s.g",

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
-from scipy import stats
 
 from mwis import driver
 from mwis.driver import EliteSet, RunConfig, run, summarize, trace_csv
@@ -38,103 +38,34 @@ def solution_of(g, members):
 class TestEliteSet:
     def test_capacity_one_evicts_lighter(self):
         g = graph_from(4, [], [10.0, 12.0, 9.0, 1.0])
-        es = EliteSet(1)
+        es = EliteSet()
         assert es.try_add_and_evict(solution_of(g, [0]))          # w=10
         assert es.try_add_and_evict(solution_of(g, [1]))          # w=12 evicts
-        assert [e.total_weight for e in es.entries] == [12.0]
+        assert es.entry.total_weight == 12.0
         assert not es.try_add_and_evict(solution_of(g, [2]))      # w=9 rejected
-        assert [e.total_weight for e in es.entries] == [12.0]
-
-    def test_duplicate_rejected_when_not_full(self):
-        g = graph_from(3, [], [5.0, 6.0, 7.0])
-        es = EliteSet(4)
-        assert es.try_add_and_evict(solution_of(g, [0, 1]))
-        assert not es.try_add_and_evict(solution_of(g, [0, 1]))
-        assert len(es) == 1
-
-    def test_full_set_evicts_most_similar_lighter_entry(self):
-        g = graph_from(6, [], [4.0, 4.0, 4.0, 4.0, 4.0, 100.0])
-        es = EliteSet(2)
-        es.try_add_and_evict(solution_of(g, [0, 1]))        # w=8
-        es.try_add_and_evict(solution_of(g, [2, 3]))        # w=8
-        # candidate {0, 4}: similar to {0,1} (symdiff 2) vs {2,3} (symdiff 4)
-        assert es.try_add_and_evict(solution_of(g, [0, 4]))
-        sets = [e.as_frozenset() for e in es.entries]
-        assert frozenset({0, 4}) in sets and frozenset({2, 3}) in sets
+        assert es.entry.total_weight == 12.0
 
     def test_identical_entry_replaced_when_full(self):
-        g = graph_from(3, [], [5.0, 6.0, 7.0])
-        es = EliteSet(1)
+        g = graph_from(4, [], [5.0, 6.0, 7.0, 6.0])
+        es = EliteSet()
         es.try_add_and_evict(solution_of(g, [1]))
-        assert es.try_add_and_evict(solution_of(g, [1]))  # replaces itself
-        assert len(es) == 1
-
-    def test_random_entry_uniform(self):
-        g = graph_from(8, [], [1.0] * 8)
-        es = EliteSet(4)
-        for i in range(4):
-            es.try_add_and_evict(solution_of(g, [2 * i, 2 * i + 1]))
-        rng = random.Random(3)
-        counts = {}
-        for _ in range(10_000):
-            fs = es.random_entry(rng).as_frozenset()
-            counts[fs] = counts.get(fs, 0) + 1
-        _, p_value = stats.chisquare(list(counts.values()))
-        assert len(counts) == 4
-        assert p_value > 0.001
+        newer = solution_of(g, [1])
+        assert es.try_add_and_evict(newer)  # replaces itself
+        assert es.entry is newer
+        tie = solution_of(g, [3])  # another set of the same weight
+        assert es.try_add_and_evict(tie)
+        assert es.entry is tie
 
     def test_capacity_one_always_returns_single_entry(self):
         g = graph_from(2, [], [1.0, 2.0])
-        es = EliteSet(1)
-        es.try_add_and_evict(solution_of(g, [1]))
-        rng = random.Random(0)
-        assert all(es.random_entry(rng).as_frozenset() == {1} for _ in range(20))
-
-
-class FrozensetEliteSet:
-    """The elite set as it was, with a frozenset of each entry beside it."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.entries = []
-
-    def try_add_and_evict(self, s):
-        fs = s.as_frozenset()
-        w = s.total_weight
-        if len(self.entries) < self.capacity:
-            if any(fs == efs for _, efs in self.entries):
-                return False
-            self.entries.append((s, fs))
-            return True
-        evictable = [(i, e, efs) for i, (e, efs) in enumerate(self.entries)
-                     if e.total_weight <= w]
-        if not evictable:
-            return False
-        i, _, _ = min(evictable, key=lambda t: (len(t[2] ^ fs), t[1].total_weight, t[0]))
-        self.entries[i] = (s, fs)
-        return True
-
-
-class TestEliteSetMatchesFrozensetReference:
-    def test_same_decisions_and_entries(self):
-        # few nodes and few weight values, so that equal sets, equal weights
-        # and equal distances all come up; every insert is a new object
-        rng = random.Random(61)
-        outcomes = set()
-        for _ in range(300):
-            n = rng.randint(1, 7)
-            g = graph_from(n, [], [float(rng.randint(1, rng.choice([1, 2, 4]))) for _ in range(n)])
-            capacity = rng.randint(1, 4)
-            es, ref = EliteSet(capacity), FrozensetEliteSet(capacity)
-            for _ in range(rng.randint(1, 25)):
-                s = Solution(g, [v for v in range(n) if rng.random() < 0.5])
-                full = len(ref.entries) == capacity
-                added = es.try_add_and_evict(s)
-                assert added == ref.try_add_and_evict(s)
-                assert len(es.entries) == len(ref.entries)
-                assert all(a is b for a, (b, _) in zip(es.entries, ref.entries))
-                outcomes.add((full, added))
-        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+        es = EliteSet()
+        s = solution_of(g, [1])
+        es.try_add_and_evict(s)
+        rng, ref = random.Random(0), random.Random(0)
+        for _ in range(20):
+            assert es.random_entry(rng) is s
+            ref.randrange(1)  # each call makes the one draw a pool of one made
+        assert rng.getstate() == ref.getstate()
 
 
 class TestRun:
@@ -241,6 +172,53 @@ class TestRun:
                               for x in g.neighbors(u).tolist() if x in best)
                 assert g.node_weight(u) - blocked <= 1e-9
 
+    def test_each_walk_is_guided_by_the_latest_best_local_optimum(self, monkeypatch):
+        # the guide S* is the latest local optimum of the best weight found
+        # so far: the very object local_search returned, not a copy
+        outputs, walks = [], []
+        search, relink = driver.local_search, driver.path_relink
+
+        def recorded_search(*args, **kwargs):
+            out = search(*args, **kwargs)
+            outputs.append(out)
+            return out
+
+        def recorded_relink(st, source, guide, *args, **kwargs):
+            walks.append((guide, list(outputs)))
+            relink(st, source, guide, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "local_search", recorded_search)
+        monkeypatch.setattr(driver, "path_relink", recorded_relink)
+        rng = random.Random(23)
+        replaced_on_tie = improved = 0
+        for seed in range(6):
+            outputs.clear()
+            walks.clear()
+            g = random_graph(rng, 80, 0.1, max_w=10)
+            run(g, RunConfig(time_limit=0.01, seed=seed), clock=FakeClock())
+            assert len(walks) > 3
+            for guide, before in walks:
+                best_w = max(out.total_weight for out in before)
+                of_best = [out for out in before if out.total_weight == best_w]
+                assert guide is of_best[-1]
+                replaced_on_tie += guide is not of_best[0]
+                improved += of_best[0] is not before[0]
+        assert replaced_on_tie and improved
+
+    def test_start_is_adaptive_greedy_looked_up_on_its_module(self, monkeypatch):
+        # the package attribute mwis.greedy is the function greedy, so the
+        # module comes from importlib; the benchmark wraps the name there
+        greedy_module = importlib.import_module("mwis.greedy")
+        inner, starts = greedy_module.adaptive_greedy, []
+        monkeypatch.setattr(greedy_module, "adaptive_greedy",
+                            lambda g: starts.append(g) or inner(g))
+        g = random_graph(random.Random(24), 20, 0.2)
+        run(g, RunConfig(time_limit=0.002, seed=0), clock=FakeClock())
+        assert starts == [g]
+        run(g, RunConfig(time_limit=0.002, seed=0), clock=FakeClock(),
+            initial=Solution(g))
+        assert starts == [g]  # a given start builds no greedy solution
+
     def test_wall_clock_overrun_bounded(self):
         import time as _time
 
@@ -283,14 +261,10 @@ class TestRun:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(time_limit=0.0)
-        with pytest.raises(ValueError):
-            EliteSet(0)
         # caught when the config is built, before any search runs
-        for bad in (dict(elite_capacity=0), dict(elite_capacity=-2),
-                    dict(check_interstate_every=-1)):
-            with pytest.raises(ValueError):
-                RunConfig(**bad)
-        RunConfig(elite_capacity=1, check_interstate_every=0)
+        with pytest.raises(ValueError):
+            RunConfig(check_interstate_every=-1)
+        RunConfig(check_interstate_every=0)
 
 
 class TestSummary:

@@ -38,8 +38,16 @@ It was re-pinned once more when RunConfig lost ls_before_relinking, which
 five of the runs below set to search each greedy source before relinking.
 No result of a default run changed: the new hash is the one the previous
 code gives when the only edit to golden_runs is dropping that field, so
-those five runs now take the default loop. A change that alters results on
-purpose must update GOLDEN and say why in CHANGES.md.
+those five runs now take the default loop.
+
+It was re-pinned once more when RunConfig lost elite_capacity and
+GreedyConfig lost mode: a run relinks from one guide, S*, and starts from
+adaptive greedy. Ten runs below kept three elite solutions and fourteen
+started from the static or the randomized greedy. No result of a default run
+changed: the new hash is the one the previous code gives when the only edit
+to golden_runs is dropping those two fields, so every run now takes the
+default path. A change that alters results on purpose must update GOLDEN and
+say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -54,9 +62,7 @@ from mwis.lp_bias import make_relaxed
 
 from conftest import FakeClock
 
-GOLDEN = "0144d97a828d0f8a369523fe53b3fc289c8811aaacae5351ebb1aaaac261e5c5"
-
-MODES = ("deterministic", "randomized", "adaptive")
+GOLDEN = "788092a72fdb5de3cfe281465e8d92beeab631576054641f3f9b1cc0d1c7e1c1"
 
 
 def golden_runs():
@@ -67,9 +73,7 @@ def golden_runs():
         g = random_gnp(n, rng.choice([0.05, 0.1, 0.2]), seed=9000 + i,
                        w_lo=0 if i % 5 == 4 else 1, w_hi=200)
         cfg = RunConfig(time_limit=0.005, seed=i,
-                        elite_capacity=3 if i % 2 else 1,
-                        greedy=GreedyConfig(k_fraction=rng.choice([0.05, 0.1, 0.3]),
-                                            mode=MODES[i % 3]))
+                        greedy=GreedyConfig(k_fraction=rng.choice([0.05, 0.1, 0.3])))
         relaxed = make_relaxed([rng.random() for _ in range(n)]) if i % 3 == 2 else None
         best, trace = run(g, cfg, clock=FakeClock(), relaxed=relaxed)
         yield trace_csv(trace), best.member_list()

@@ -162,8 +162,8 @@ class TestRandomizedGreedy:
 
     def test_deterministic_under_fixed_seed(self):
         g = random_graph(random.Random(4), 40, 0.2)
-        a = randomized_greedy(g, GreedyConfig(0.25, "randomized"), random.Random(9))
-        b = randomized_greedy(g, GreedyConfig(0.25, "randomized"), random.Random(9))
+        a = randomized_greedy(g, GreedyConfig(0.25), random.Random(9))
+        b = randomized_greedy(g, GreedyConfig(0.25), random.Random(9))
         assert a.as_frozenset() == b.as_frozenset()
 
     def test_full_pool_path_hits_both_outcomes(self, path3):
@@ -190,7 +190,7 @@ class TestRandomizedGreedy:
             n = rng.choice([0, 1, rng.randint(2, 70)])
             g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.15, 0.5]),
                              max_w=rng.choice([1, 3, 100]))
-            cfg = GreedyConfig(rng.choice([0.01, 0.1, 0.37, 1.0]), "randomized")
+            cfg = GreedyConfig(rng.choice([0.01, 0.1, 0.37, 1.0]))
             a, b = random.Random(i), random.Random(i)
             assert randomized_greedy(g, cfg, a).member_list() == \
                 reference_randomized_greedy(g, cfg, b).member_list(), f"instance {i}"
@@ -201,7 +201,7 @@ class TestRandomizedGreedy:
         for seed in range(3):
             g = random_gnp(3000, 0.002, seed=seed)
             for frac in (0.01, 0.1, 1.0):
-                cfg = GreedyConfig(frac, "randomized")
+                cfg = GreedyConfig(frac)
                 a, b = random.Random(seed), random.Random(seed)
                 assert randomized_greedy(g, cfg, a).member_list() == \
                     reference_randomized_greedy(g, cfg, b).member_list(), (seed, frac)
@@ -220,8 +220,6 @@ class TestRandomizedGreedy:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GreedyConfig(k_fraction=0.0)
-        with pytest.raises(ValueError):
-            GreedyConfig(mode="bogus")
 
     def test_no_unseeded_or_default_fallbacks(self, path3):
         # without a seeded RNG the construction could not be repeated

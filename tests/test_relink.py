@@ -408,8 +408,7 @@ class TestHandoff:
                          if rng.random() < rng.choice([0.05, 0.1, 0.2])]
                 # integer weights, then weights k/10
                 g = build_graph(60, edges, [rng.randint(0, 100) / (1, 10)[i % 2] for _ in range(60)])
-                run(g, RunConfig(time_limit=0.01, seed=i, elite_capacity=1 + i % 3),
-                    clock=FakeClock())
+                run(g, RunConfig(time_limit=0.01, seed=i), clock=FakeClock())
         assert len(outputs) > 20
         for out in outputs:
             g, w, flags = out.graph, out.graph.w, out._in_set

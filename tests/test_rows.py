@@ -15,7 +15,6 @@ import pytest
 from mwis import driver
 from mwis.driver import RunConfig, run, trace_csv
 from mwis.graph import build_graph, is_dense
-from mwis.greedy import GreedyConfig
 from mwis.local_search import LocalSearchParams, local_search
 from mwis.lp_bias import make_relaxed
 from mwis.solution import Solution
@@ -84,8 +83,7 @@ def test_run_same_with_rows_and_lists(monkeypatch):
 
     monkeypatch.setattr(driver, "local_search", logged)
     for i, (g, relaxed) in enumerate(instances(42, 8)):
-        cfg = RunConfig(time_limit=0.002, seed=i, elite_capacity=1 + i % 3,
-                        greedy=GreedyConfig(mode=("randomized", "adaptive")[i % 2]))
+        cfg = RunConfig(time_limit=0.002, seed=i)
 
         def solve():
             calls.clear()

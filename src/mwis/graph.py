@@ -19,11 +19,13 @@ same search, bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,7 +143,8 @@ def is_dense(n: int, m: int) -> bool:
 
 
 def build_graph(n: int, edges, weights, parse_warnings: int = 0) -> Graph:
-    """Assemble a Graph from an edge iterable, dropping self-loops/duplicates.
+    """Assemble a Graph from an iterable of (u, v) pairs or an integer (k, 2)
+    array, dropping self-loops/duplicates.
 
     Dropped items add to parse_warnings. Rejects negative or non-finite weights.
     """
@@ -154,7 +157,9 @@ def build_graph(n: int, edges, weights, parse_warnings: int = 0) -> Graph:
     if np.any(w < 0):
         raise GraphFormatError("negative node weight")
 
-    e = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     u, v = e[:, 0], e[:, 1]
     bad = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
     if len(bad):
@@ -183,12 +188,126 @@ def build_graph(n: int, edges, weights, parse_warnings: int = 0) -> Graph:
     return Graph(n=n, m=m, weights=w, indptr=indptr, indices=indices, parse_warnings=warn)
 
 
-def _tokens(path: str, comment: str):
-    with open(path, "r", encoding="utf-8") as f:
+# Files are read in blocks of about 64 KiB that end at a line end, which keeps
+# the reader's temporaries small: a whole-file pass raised the benchmark's
+# peak RSS by a fifth, 256 KiB blocks by a tenth
+_BLOCK = 1 << 16
+
+
+class _Lines(NamedTuple):
+    """The non-blank lines of one block of a file, comments cut."""
+    buf: np.ndarray     # the block's bytes (uint8)
+    start: np.ndarray   # offset of each token
+    end: np.ndarray     # offset past each token
+    first: np.ndarray   # index of each line's first token
+    count: np.ndarray   # tokens on each line
+    lineno: np.ndarray  # 1-based number of each line in the file
+
+    def text(self, i: int) -> str:
+        j = self.first[i]
+        line = self.buf[self.start[j]:self.end[j + self.count[i] - 1]].tobytes()
+        return line.decode("utf-8", "replace")
+
+
+def _read_lines(path: str, comment: bytes, offset: int = 0, lineno: int = 0):
+    """Yield the non-blank lines after byte `offset`, where line `lineno` ends, a
+    block (_Lines) at a time. Lines end at LF, tokens are split on ASCII
+    whitespace, and a comment runs from the byte `comment` to its line's end."""
+    with open(path, "rb") as f:
+        f.seek(offset)
+        while data := f.read(_BLOCK) + f.readline():
+            buf = np.frombuffer(data, dtype=np.uint8)
+            sep = (buf == ord(" ")) | (buf - ord("\t") <= 4)  # \t\n\v\f\r; lower bytes wrap
+            if comment in data:  # a byte whose last mark comes after its last LF
+                at = np.arange(len(buf))
+                sep |= (np.maximum.accumulate(np.where(buf == comment[0], at, -1))
+                        > np.maximum.accumulate(np.where(buf == 10, at, -1)))
+            sep = np.concatenate(([True], sep, [True]))
+            start, end = np.flatnonzero(sep[1:] != sep[:-1]).reshape(-1, 2).T
+            nl = np.flatnonzero(buf == 10)
+            line = np.searchsorted(nl, start)
+            first = np.flatnonzero(np.diff(line, prepend=-1))
+            yield _Lines(buf, start, end, first, np.diff(first, append=len(start)),
+                         lineno + 1 + line[first])
+            lineno += len(nl)
+
+
+def _ids(blk: _Lines, tok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tokens as IDs, an optional '-' then ASCII digits: values and validity
+    (more than 18 digits read as +-(2**63 - 1), outside every range)."""
+    buf, end = blk.buf, blk.end[tok]
+    neg = buf[blk.start[tok]] == ord("-")
+    width = end - blk.start[tok] - neg
+    ok, value = width > 0, np.zeros(len(end), dtype=np.int64)
+    for j in range(1, min(int(width.max(initial=0)), 18) + 1):
+        digit = np.where(width >= j, buf[end - j] - ord("0"), 0)  # bytes below '0' wrap past 9
+        ok &= digit <= 9
+        value += digit.astype(np.int64) * 10 ** (j - 1)
+    for i in np.flatnonzero(width > 18):
+        ok[i], value[i] = buf[end[i] - width[i]:end[i]].tobytes().isdigit(), np.iinfo(np.int64).max
+    return np.where(neg, -value, value), ok
+
+
+def _floats(blk: _Lines, tok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tokens as Python float() reads them: values and validity. A bytes
+    column's astype(float64) is float() but for dropping trailing NULs; if it
+    fails on a bad token, or a token is over 32 bytes, each is read by float()."""
+    start, end = blk.start[tok], blk.end[tok]
+    cols = int((end - start).max(initial=1))
+    if cols <= 32:
+        text = np.lib.stride_tricks.sliding_window_view(
+            np.append(blk.buf, np.zeros(cols, dtype=np.uint8)), cols)[start]
+        text[np.arange(cols) >= (end - start)[:, None]] = 0
+        with contextlib.suppress(ValueError):
+            return text.view(f"S{cols}").ravel().astype(np.float64), blk.buf[end - 1] != 0
+    value, ok = np.zeros(len(start)), np.zeros(len(start), dtype=bool)
+    for i, (s, e) in enumerate(zip(start, end)):
+        with contextlib.suppress(ValueError):
+            value[i], ok[i] = float(blk.buf[s:e].tobytes()), True
+    return value, ok
+
+
+def _placed(v: np.ndarray, valid: np.ndarray, seen: np.ndarray):
+    """Line masks of the IDs v (where `valid`) outside 0..len(seen)-1 and of repeats,
+    and the in-range lines, whose IDs are then marked in `seen`. Repeats are
+    found by a sort: np.unique imports numpy.ma, about 1 MB resident."""
+    outside = valid & ((v < 0) | (v >= len(seen)))
+    lines = np.flatnonzero(valid & ~outside)
+    order = lines[np.argsort(v[lines], kind="stable")]
+    repeat = np.zeros(len(v), dtype=bool)
+    repeat[lines] = seen[v[lines]]
+    repeat[order[1:]] |= v[order[1:]] == v[order[:-1]]
+    seen[v[lines]] = True
+    return outside, repeat, lines
+
+
+def _check(path: str, blk: _Lines, checks) -> None:
+    """Raise for the first line failing one of the (line mask, message(line))
+    checks, with the message of the first check it fails."""
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    if len(bad):
+        message = next(message for mask, message in checks if mask[bad[0]])
+        raise GraphFormatError(f"{path}:{blk.lineno[bad[0]]}: {message(bad[0])}")
+
+
+def _header(path: str, comment: bytes, size, what: str, fmt: str = "0"):
+    """n and m from the first line, if size(its token count) and its third
+    token ("0" if none) is fmt; and the lines after it."""
+    with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
-            line = raw.split(comment, 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+            if head := raw.split(comment, 1)[0].split():
+                at = f"{path}:{lineno}:"
+                if not size(len(head)):
+                    raise GraphFormatError(f"{at} expected header {what}")
+                if not all(t.removeprefix(b"-").isdigit() for t in head[:2]):
+                    raise GraphFormatError(f"{at} bad header {what}")
+                code = (head[2:] or [b"0"])[0].decode("utf-8", "replace")
+                if code != fmt:
+                    raise GraphFormatError(f"{at} unsupported METIS fmt {code!r} (need 10)")
+                if int(head[0]) < 0:
+                    raise GraphFormatError(f"{at} negative node count")
+                return int(head[0]), int(head[1]), _read_lines(path, comment, f.tell(), lineno)
+    raise GraphFormatError(f"{path}: empty file")
 
 
 def load_graph(path: str, fmt: str = "edge-list") -> Graph:
@@ -196,116 +315,95 @@ def load_graph(path: str, fmt: str = "edge-list") -> Graph:
 
     fmt="edge-list": '#' comments; header "n m"; weight lines "w <id> <float>"
     (unlisted nodes default to weight 1.0); edge lines "e <u> <v>" with
-    0-indexed endpoints.
+    0-indexed endpoints; m must be the number of edge lines.
 
     fmt="metis": '%' comments; header "n m fmt" with fmt=10 (node weights);
-    then n lines "<weight> <nbr> <nbr> ...", neighbors 1-indexed.
+    then n lines "<weight> <nbr> <nbr> ...", neighbors 1-indexed; m must be
+    half the number of neighbor entries.
 
-    Self-loops and duplicate edges are dropped (counted in parse_warnings);
-    negative weights are rejected; parse errors carry the line number.
+    Tokens are split on ASCII whitespace and IDs are ASCII digits. Self-loops
+    and duplicate edges are dropped (counted in parse_warnings); negative
+    weights are rejected; parse errors carry the line number.
     """
-    if fmt == "edge-list":
-        return _load_edge_list(path)
-    if fmt == "metis":
-        return _load_metis(path)
-    raise GraphFormatError(f"unknown graph format {fmt!r}")
-
-
-def _load_edge_list(path: str) -> Graph:
-    lines = _tokens(path, "#")
+    if fmt not in ("edge-list", "metis"):
+        raise GraphFormatError(f"unknown graph format {fmt!r}")
+    n, edges, weights, warn = (_load_edge_list if fmt == "edge-list" else _load_metis)(path)
     try:
-        lineno, head = next(lines)
-    except StopIteration:
-        raise GraphFormatError(f"{path}: empty file") from None
-    if len(head) != 2:
-        raise GraphFormatError(f"{path}:{lineno}: expected header 'n m'")
-    try:
-        n, _m_declared = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphFormatError(f"{path}:{lineno}: bad header 'n m'") from None
-    if n < 0:
-        raise GraphFormatError(f"{path}:{lineno}: negative node count")
-
-    weights = np.ones(n, dtype=np.float64)
-    weighted: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for lineno, tok in lines:
-        kind = tok[0]
-        try:
-            if kind == "w":
-                if len(tok) != 3:
-                    raise ValueError
-                v = int(tok[1])
-                if not 0 <= v < n:
-                    raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
-                if v in weighted:
-                    raise GraphFormatError(f"{path}:{lineno}: duplicate weight for node {v}")
-                weighted.add(v)
-                weights[v] = float(tok[2])
-            elif kind == "e":
-                if len(tok) != 3:
-                    raise ValueError
-                edges.append((int(tok[1]), int(tok[2])))
-            else:
-                raise ValueError
-        except GraphFormatError:
-            raise
-        except ValueError:
-            raise GraphFormatError(f"{path}:{lineno}: cannot parse {' '.join(tok)!r}") from None
-    try:
-        return build_graph(n, edges, weights)
+        return build_graph(n, edges, weights, parse_warnings=warn)
     except GraphFormatError as e:
         raise GraphFormatError(f"{path}: {e}") from None
 
 
-def _load_metis(path: str) -> Graph:
-    lines = _tokens(path, "%")
-    try:
-        lineno, head = next(lines)
-    except StopIteration:
-        raise GraphFormatError(f"{path}: empty file") from None
-    if len(head) < 2:
-        raise GraphFormatError(f"{path}:{lineno}: expected header 'n m fmt'")
-    try:
-        n, _m_declared = int(head[0]), int(head[1])
-        code = head[2] if len(head) > 2 else "0"
-    except ValueError:
-        raise GraphFormatError(f"{path}:{lineno}: bad METIS header") from None
-    if code != "10":
-        raise GraphFormatError(f"{path}:{lineno}: unsupported METIS fmt {code!r} (need 10)")
+def _load_edge_list(path: str):
+    n, m, lines = _header(path, b"#", lambda k: k == 2, "'n m'")
+    weights, weighted = np.ones(n), np.zeros(n, dtype=bool)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for blk in lines:
+        f, three = blk.first, blk.count == 3
+        kind = np.where(three & (blk.end[f] - blk.start[f] == 1), blk.buf[blk.start[f]], 0)
+        is_w, is_e = kind == ord("w"), kind == ord("e")
+        v, v_ok = _ids(blk, np.where(three, f + 1, f))  # other lines fail on their length
+        u, u_ok = _ids(blk, np.where(three, f + 2, f))
+        outside, repeat, w_lines = _placed(v, is_w & v_ok, weighted)
+        x, x_ok = _floats(blk, f[w_lines] + 2)
+        bad_x = np.zeros(len(f), dtype=bool)
+        bad_x[w_lines] = ~x_ok
 
-    weights = np.zeros(n, dtype=np.float64)
-    # METIS lists every edge in both endpoints' lines; only a repeat within
-    # one direction (or a self-loop) counts as a warning
-    directed: set[tuple[int, int]] = set()
-    warn = 0
-    row = 0
-    for lineno, tok in lines:
-        if row >= n:
-            raise GraphFormatError(f"{path}:{lineno}: more than {n} vertex lines")
-        try:
-            weights[row] = float(tok[0])
-            for t in tok[1:]:
-                nbr = int(t) - 1
-                if not 0 <= nbr < n:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: neighbor {nbr + 1} out of range 1..{n}")
-                if nbr == row or (row, nbr) in directed:
-                    warn += 1
-                    continue
-                directed.add((row, nbr))
-        except GraphFormatError:
-            raise
-        except ValueError:
-            raise GraphFormatError(f"{path}:{lineno}: cannot parse vertex line") from None
-        row += 1
+        def unparsed(i):
+            return f"cannot parse {' '.join(blk.text(i).split())!r}"
+
+        _check(path, blk, [(~(is_w | is_e) | ~v_ok | (is_e & ~u_ok), unparsed),
+                           (outside, lambda i: f"node {int(blk.text(i).split()[1])} out of range"),
+                           (repeat, lambda i: f"duplicate weight for node {v[i]}"),
+                           (bad_x, unparsed)])
+        weights[v[w_lines]] = x
+        edges.append(np.column_stack((v[is_e], u[is_e])))
+    edges = np.concatenate(edges)
+    if len(edges) != m:
+        raise GraphFormatError(
+            f"{path}: header declares m={m} but the file has {len(edges)} edge lines")
+    return n, edges, weights, 0
+
+
+def _load_metis(path: str):
+    n, m, lines = _header(path, b"%", lambda k: k >= 2, "'n m fmt'", fmt="10")
+    weights, arcs, row = np.zeros(n), [np.zeros(0, dtype=np.int64)], 0  # arcs: row * n + neighbor
+    for blk in lines:
+        f, c = blk.first, blk.count
+        x, x_ok = _floats(blk, f)
+        nbr = np.delete(np.arange(len(blk.start)), f)
+        ids, id_ok = _ids(blk, nbr)
+        bad = ~id_ok | (ids < 1) | (ids > n)
+        line_of = np.repeat(np.arange(len(f)), c - 1)
+
+        def nbr_error(i):  # at line i's first bad entry; f[i] - i entries come before the line
+            j = f[i] - i + np.argmax(bad[f[i] - i:f[i] - i + c[i] - 1])
+            if not id_ok[j]:
+                return "cannot parse vertex line"
+            t = nbr[j]
+            return f"neighbor {int(blk.buf[blk.start[t]:blk.end[t]].tobytes())} out of range 1..{n}"
+
+        _check(path, blk, [(row + np.arange(len(f)) >= n, lambda i: f"more than {n} vertex lines"),
+                           (~x_ok, lambda i: "cannot parse vertex line"),
+                           (np.bincount(line_of[bad], minlength=len(f)) > 0, nbr_error)])
+        weights[row:row + len(f)] = x
+        arcs.append((row + line_of) * n + ids - 1)
+        row += len(f)
     if row != n:
         raise GraphFormatError(f"{path}: expected {n} vertex lines, found {row}")
-    edges = {(u, v) for u, v in directed if u < v or (v, u) not in directed}
-    try:
-        return build_graph(n, sorted(edges), weights, parse_warnings=warn)
-    except GraphFormatError as e:
-        raise GraphFormatError(f"{path}: {e}") from None
+    arcs = np.concatenate(arcs)
+    if len(arcs) != 2 * m:
+        raise GraphFormatError(f"{path}: header declares m={m} but the vertex lines hold "
+                               f"{len(arcs)} neighbor entries, not {2 * m}")
+    # METIS lists every edge in both endpoints' lines; only a repeat within
+    # one line (or a self-loop) counts as a warning
+    u, v = np.divmod(arcs, n)
+    keys = np.sort(arcs[u != v])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    u, v = np.divmod(keys, n)
+    pairs = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    edges = np.column_stack(np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n))
+    return n, edges, weights, len(arcs) - len(keys)
 
 
 def save_graph(g: Graph, path: str, fmt: str = "edge-list") -> None:

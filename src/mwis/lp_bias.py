@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, GraphFormatError
+from .graph import Graph, GraphFormatError, _check, _floats, _ids, _placed, _read_lines
 
 log = logging.getLogger(__name__)
 
@@ -60,42 +60,25 @@ def load_relaxed(path: str, g: Graph, epsilon: float = DEFAULT_EPSILON) -> Relax
     Accepted line forms ('#' comments allowed): "<node_id> <float>" or a bare
     float per line in node order.
     """
-    by_id: dict[int, float] = {}
-    bare: list[float] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            try:
-                if len(tok) == 1:
-                    bare.append(float(tok[0]))
-                    continue
-                if len(tok) != 2:
-                    raise ValueError
-                v, x = int(tok[0]), float(tok[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: cannot parse relaxed value {line!r}") from None
-            if not 0 <= v < g.n:
-                raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
-            if v in by_id:
-                raise GraphFormatError(f"{path}:{lineno}: duplicate node {v}")
-            by_id[v] = x
-    if by_id and bare:
+    by_id, seen, bare = np.zeros(g.n), np.zeros(g.n, dtype=bool), [np.zeros(0)]
+    for blk in _read_lines(path, b"#"):
+        f, c = blk.first, blk.count
+        v, v_ok = _ids(blk, f)
+        x, x_ok = _floats(blk, f + (c == 2))
+        outside, repeat, keyed = _placed(v, (c == 2) & v_ok, seen)
+        _check(path, blk, [((c > 2) | ~x_ok | ((c == 2) & ~v_ok),
+                            lambda i: f"cannot parse relaxed value {blk.text(i)!r}"),
+                           (outside, lambda i: f"node {int(blk.text(i).split()[0])} out of range"),
+                           (repeat, lambda i: f"duplicate node {v[i]}")])
+        by_id[v[keyed]] = x[keyed]
+        bare.append(x[c == 1])
+    bare, keyed = np.concatenate(bare), int(seen.sum())
+    if keyed and len(bare):
         raise GraphFormatError(f"{path}: mixed '<id> <value>' and bare-value lines")
-    if by_id:
-        # every id is in range and distinct, so n of them cover 0..n-1
-        if len(by_id) != g.n:
-            raise GraphFormatError(
-                f"{path}: expected values for nodes 0..{g.n - 1}, got {len(by_id)}")
-        values = [by_id[v] for v in range(g.n)]
-    else:
-        if len(bare) != g.n:
-            raise GraphFormatError(f"{path}: expected {g.n} values, found {len(bare)}")
-        values = bare
-    return make_relaxed(values, epsilon)
+    # the ids are in range and distinct, so n of them cover 0..n-1
+    if (keyed or len(bare)) != g.n:
+        raise GraphFormatError(f"{path}: expected {g.n} values, found {keyed or len(bare)}")
+    return make_relaxed(by_id if keyed else bare, epsilon)
 
 
 def sample_biased(rs: RelaxedSolution, rng: random.Random) -> int:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .graph import Graph, GraphFormatError
+import numpy as np
+
+from .graph import Graph, GraphFormatError, _check, _ids, _placed, _read_lines
 
 
 class InfeasibleSolutionError(GraphFormatError):
@@ -143,21 +145,16 @@ def solutions_equivalent(g: Graph, s1: Solution, s2: Solution,
 
 def load_solution(path: str, g: Graph) -> Solution:
     """Read one node ID per line ('#' comments); fail loudly if not independent."""
-    s = Solution(g)
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                v = int(line)
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: not a node ID: {line!r}") from None
-            if not 0 <= v < g.n:
-                raise GraphFormatError(f"{path}:{lineno}: node {v} out of range")
-            if v in s:
-                raise GraphFormatError(f"{path}:{lineno}: duplicate node {v}")
-            s.add(v)
+    s, seen = Solution(g), np.zeros(g.n, dtype=bool)
+    for blk in _read_lines(path, b"#"):
+        v, v_ok = _ids(blk, blk.first)
+        unparsed = (blk.count != 1) | ~v_ok
+        outside, repeat, _ = _placed(v, ~unparsed, seen)
+        _check(path, blk, [(unparsed, lambda i: f"not a node ID: {blk.text(i)!r}"),
+                           (outside, lambda i: f"node {int(blk.text(i))} out of range"),
+                           (repeat, lambda i: f"duplicate node {v[i]}")])
+        for u in v.tolist():
+            s.add(u)
     if not is_independent(g, s):
         raise InfeasibleSolutionError(f"{path}: solution is not an independent set")
     return s

@@ -1,10 +1,5 @@
-"""Batch command-line front end.
-
-Subcommands:
-  solve     run the full metaheuristic on a graph file
-  exact     exact optimum for small graphs (n <= 30; n <= 20 to enumerate)
-  generate  write a synthetic instance in edge-list format
-  report    cross-run t* statistic from trace CSV files
+"""Batch command-line front end with the subcommands solve, exact, generate and
+report; `mwis <subcommand> --help` lists each one's flags.
 
 Exit codes: 0 success, 1 input error, 2 infeasible initial solution.
 """
@@ -30,63 +25,57 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 
 
+# Each solve tuning flag, by the config class whose field it sets. The flag's
+# default is that field's default; its type is int for an int default and
+# float otherwise (aap_gain_floor's None too).
+SOLVE_FLAGS = {
+    RunConfig: {"--time-limit": "time_limit", "--seed": "seed",
+                "--check-interstate-every": "check_interstate_every"},
+    GreedyConfig: {"--greedy-k-fraction": "k_fraction"},
+    LocalSearchParams: {"--num-iterations": "num_iterations",
+                        "--exact-recursion-limit": "exact_recursion_limit",
+                        "--aap-max-len": "aap_max_len", "--aap-gain-floor": "aap_gain_floor",
+                        "--aap-delta": "aap_delta"},
+    RelinkParams: {"--relink-f0": "f0", "--relink-cn0": "c_n0", "--relink-cp0": "c_p0",
+                   "--relink-f-decay": "f_decay", "--relink-budget-growth": "budget_growth"},
+}
+FLAG_HELP = {"--check-interstate-every":
+             "debug: verify the interstate graph every N committed moves"}
+# the GenSpec fields that generate sets from flags of the same name
+GEN_FIELDS = ("n", "p", "rows", "cols", "seed")
+
+
+def _add_field_flag(p, flag: str, cls, name: str) -> None:
+    default = getattr(cls, name)
+    p.add_argument(flag, default=default, help=FLAG_HELP.get(flag),
+                   type=int if type(default) is int else float)
+
+
 def _add_solve_parser(sub) -> None:
-    """Every solver default comes from its config class (or lp_bias)."""
-    rc, gr = RunConfig, GreedyConfig
-    ls, rl = LocalSearchParams, RelinkParams
     p = sub.add_parser("solve", help="run the metaheuristic solver")
     p.add_argument("--graph", required=True)
     p.add_argument("--format", default="edge-list", choices=["edge-list", "metis"])
-    p.add_argument("--time-limit", type=float, default=rc.time_limit)
-    p.add_argument("--seed", type=int, default=rc.seed)
     p.add_argument("--initial", default=None, help="initial solution file")
     p.add_argument("--relaxed", default=None, help="relaxed LP solution file")
     p.add_argument("--trace", default=None, help="trace CSV output path")
     p.add_argument("--solution-out", default=None, help="write best solution node IDs here")
-    p.add_argument("--greedy-k-fraction", type=float, default=gr.k_fraction)
-    p.add_argument("--num-iterations", type=int, default=ls.num_iterations)
-    p.add_argument("--exact-recursion-limit", type=int, default=ls.exact_recursion_limit)
-    p.add_argument("--aap-max-len", type=int, default=ls.aap_max_len)
-    p.add_argument("--aap-gain-floor", type=float, default=ls.aap_gain_floor)
-    p.add_argument("--aap-delta", type=float, default=ls.aap_delta)
-    p.add_argument("--relink-f0", type=float, default=rl.f0)
-    p.add_argument("--relink-cn0", type=float, default=rl.c_n0)
-    p.add_argument("--relink-cp0", type=float, default=rl.c_p0)
-    p.add_argument("--relink-f-decay", type=float, default=rl.f_decay)
-    p.add_argument("--relink-budget-growth", type=float, default=rl.budget_growth)
-    p.add_argument("--lp-epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--check-interstate-every", type=int, default=rc.check_interstate_every,
-                   help="debug: verify the interstate graph every N committed moves")
+    p.add_argument("--lp-epsilon", type=float, default=DEFAULT_EPSILON)  # not a config field
+    for cls, flags in SOLVE_FLAGS.items():
+        for flag, name in flags.items():
+            _add_field_flag(p, flag, cls, name)
 
 
 def _config_for(args) -> RunConfig:
-    return RunConfig(
-        time_limit=args.time_limit,
-        seed=args.seed,
-        greedy=GreedyConfig(k_fraction=args.greedy_k_fraction),
-        ls_params=LocalSearchParams(
-            num_iterations=args.num_iterations,
-            exact_recursion_limit=args.exact_recursion_limit,
-            aap_max_len=args.aap_max_len,
-            aap_gain_floor=args.aap_gain_floor,
-            aap_delta=args.aap_delta),
-        relink_params=RelinkParams(
-            f0=args.relink_f0, c_n0=args.relink_cn0, c_p0=args.relink_cp0,
-            f_decay=args.relink_f_decay, budget_growth=args.relink_budget_growth),
-        check_interstate_every=args.check_interstate_every,
-    )
+    kw = {cls: {name: getattr(args, flag[2:].replace("-", "_")) for flag, name in flags.items()}
+          for cls, flags in SOLVE_FLAGS.items()}
+    return RunConfig(greedy=GreedyConfig(**kw[GreedyConfig]),
+                     ls_params=LocalSearchParams(**kw[LocalSearchParams]),
+                     relink_params=RelinkParams(**kw[RelinkParams]), **kw[RunConfig])
 
 
 def _cmd_solve(args) -> int:
     g = load_graph(args.graph, args.format)
-    initial = None
-    if args.initial:
-        # infeasibility is its own exit code; surface it before solving
-        try:
-            initial = load_solution(args.initial, g)
-        except InfeasibleSolutionError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+    initial = load_solution(args.initial, g) if args.initial else None
     relaxed = load_relaxed(args.relaxed, g, args.lp_epsilon) if args.relaxed else None
     cfg = _config_for(args)
     best, trace = driver.run(g, cfg, initial=initial, relaxed=relaxed)
@@ -106,19 +95,9 @@ def _cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _parse_weight_rule(text: str) -> dict:
-    parts = text.split(":")
-    if parts[0] == "uniform-int" and len(parts) == 3:
-        return {"weight_rule": "uniform-int", "w_lo": int(parts[1]), "w_hi": int(parts[2])}
-    if parts[0] == "id-mod" and len(parts) == 2:
-        return {"weight_rule": "id-mod", "mod": int(parts[1])}
-    raise ValueError(f"bad weight rule {text!r} (use uniform-int:LO:HI or id-mod:C)")
-
-
 def _cmd_generate(args) -> int:
-    spec = generate.GenSpec(model=args.model, n=args.n, p=args.p,
-                            rows=args.rows, cols=args.cols, seed=args.seed,
-                            **_parse_weight_rule(args.weights))
+    spec = generate.GenSpec(model=args.model, **{k: getattr(args, k) for k in GEN_FIELDS},
+                            **generate.parse_weight_rule(args.weights))
     g = generate.generate_graph(spec)
     save_graph(g, args.out, "edge-list")
     print(f"wrote {args.out}: n={g.n} m={g.m}")
@@ -139,8 +118,7 @@ def _cmd_report(args) -> int:
                 except (TypeError, ValueError) as e:  # TypeError: a short row
                     raise ValueError(f"{path}:{reader.line_num}: {e}") from None
         if not rows:
-            print(f"error: empty trace {path}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"empty trace {path}")
         runs.append((path, rows))
     best_path, best_rows = max(runs, key=lambda r: r[1][-1][1])
     t_star = next((t for t, w in best_rows if w >= args.threshold), None)
@@ -172,12 +150,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("generate", help="write a synthetic instance")
     p.add_argument("--model", required=True,
                    choices=["gnp", "path", "cycle", "star", "grid"])
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--rows", type=int, default=0)
-    p.add_argument("--cols", type=int, default=0)
-    p.add_argument("--weights", default="uniform-int:1:200")
-    p.add_argument("--seed", type=int, default=0)
+    for name in GEN_FIELDS:
+        _add_field_flag(p, f"--{name}", generate.GenSpec, name)
+    p.add_argument("--weights", default=f"uniform-int:{generate.GenSpec.w_lo}:"
+                                        f"{generate.GenSpec.w_hi}")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="compute t* across trace files")
@@ -189,6 +165,9 @@ def main(argv=None) -> int:
                "generate": _cmd_generate, "report": _cmd_report}[args.command]
     try:
         return command(args)
+    except InfeasibleSolutionError as e:  # its own exit code
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (GraphFormatError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

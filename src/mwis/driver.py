@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -66,9 +67,9 @@ class RunConfig:
     check_interstate_every: int = 0  # debug: rebuild-compare every N committed moves
 
     def __post_init__(self):
-        if self.time_limit <= 0:
-            raise ValueError("time_limit must be > 0")
-        if self.check_interstate_every < 0:
+        if not 0 < self.time_limit < math.inf:  # each check fails NaN
+            raise ValueError("time_limit must be finite and > 0")
+        if not self.check_interstate_every >= 0:
             raise ValueError("check_interstate_every must be >= 0")
 
 

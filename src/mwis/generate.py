@@ -80,6 +80,16 @@ def _model_edges(spec: GenSpec, rng: random.Random) -> list[tuple[int, int]]:
     raise ValueError(f"unknown model {spec.model!r}")
 
 
+def parse_weight_rule(text: str) -> dict:
+    """The GenSpec fields that 'uniform-int:LO:HI' or 'id-mod:C' sets."""
+    parts = text.split(":")
+    if parts[0] == "uniform-int" and len(parts) == 3:
+        return {"weight_rule": "uniform-int", "w_lo": int(parts[1]), "w_hi": int(parts[2])}
+    if parts[0] == "id-mod" and len(parts) == 2:
+        return {"weight_rule": "id-mod", "mod": int(parts[1])}
+    raise ValueError(f"bad weight rule {text!r} (use uniform-int:LO:HI or id-mod:C)")
+
+
 def _weights(spec: GenSpec, n: int, rng: random.Random) -> np.ndarray:
     if spec.weight_rule == "uniform-int":
         if spec.w_lo > spec.w_hi:

@@ -192,6 +192,7 @@ def build_graph(n: int, edges, weights, parse_warnings: int = 0) -> Graph:
 # the reader's temporaries small: a whole-file pass raised the benchmark's
 # peak RSS by a fifth, 256 KiB blocks by a tenth
 _BLOCK = 1 << 16
+_SAVE_BATCH = 1 << 14  # nodes, or adjacency entries, whose lines save_graph writes at once
 
 
 class _Lines(NamedTuple):
@@ -407,24 +408,29 @@ def _load_metis(path: str):
 
 
 def save_graph(g: Graph, path: str, fmt: str = "edge-list") -> None:
-    """Write g in the given format (each undirected edge emitted once)."""
-    if fmt == "edge-list":
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"{g.n} {g.m}\n")
-            for v in range(g.n):
-                f.write(f"w {v} {float(g.weights[v])!r}\n")
-            for u in range(g.n):
-                for v in g.neighbors(u):
-                    if u < v:
-                        f.write(f"e {u} {v}\n")
-    elif fmt == "metis":
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"{g.n} {g.m} 10\n")
-            for u in range(g.n):
-                nbrs = " ".join(str(int(v) + 1) for v in g.neighbors(u))
-                f.write(f"{float(g.weights[u])!r} {nbrs}".rstrip() + "\n")
-    else:
+    """Write g in the given format (each undirected edge emitted once), the
+    lines of _SAVE_BATCH nodes or adjacency entries per write."""
+    if fmt not in ("edge-list", "metis"):
         raise GraphFormatError(f"unknown graph format {fmt!r}")
+    ptr, w, b = g.indptr, g.w, _SAVE_BATCH
+    with open(path, "w", encoding="utf-8") as f:
+        if fmt == "edge-list":
+            f.write(f"{g.n} {g.m}\n")
+            for lo in range(0, g.n, b):
+                f.write("".join(map("w {} {!r}\n".format, range(lo, lo + b), w[lo:lo + b])))
+            for a in range(0, len(g.indices), b):
+                v = g.indices[a:a + b]
+                u = np.searchsorted(ptr, np.arange(a, a + len(v)), side="right") - 1
+                up = u < v
+                f.write("".join(map("e {} {}\n".format, u[up].tolist(), v[up].tolist())))
+        else:
+            f.write(f"{g.n} {g.m} 10\n")
+            for lo in range(0, g.n, b):
+                p = ptr[lo:lo + b + 1]
+                ids = list(map(str, (g.indices[p[0]:p[-1]] + 1).tolist()))
+                p = (p - p[0]).tolist()
+                f.write("".join(" ".join([repr(x), *ids[p[i]:p[i + 1]]]) + "\n"
+                                for i, x in enumerate(w[lo:lo + b])))
 
 
 def graphs_equal(a: Graph, b: Graph) -> bool:

@@ -38,10 +38,13 @@ class LocalSearchParams:
     aap_delta: float = 50.0         # half-width of the gain noise
 
     def __post_init__(self):
-        if self.num_iterations < 1 or self.exact_recursion_limit < 1 or self.aap_max_len < 1:
+        counts = (self.num_iterations, self.exact_recursion_limit, self.aap_max_len)
+        if not all(c >= 1 for c in counts):  # each check fails NaN
             raise ValueError("counts must be >= 1")
-        if self.aap_delta < 0:
-            raise ValueError("aap_delta must be >= 0")
+        if not 0 <= self.aap_delta < math.inf:
+            raise ValueError("aap_delta must be finite and >= 0")
+        if self.aap_gain_floor is not None and math.isnan(self.aap_gain_floor):
+            raise ValueError("aap_gain_floor must not be NaN")
 
 
 @dataclass

@@ -10,6 +10,7 @@ search.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -36,8 +37,8 @@ class RelaxedSolution:
 
 def make_relaxed(values, epsilon: float = DEFAULT_EPSILON) -> RelaxedSolution:
     """Validate, clamp to [0,1] (with a warning), and build the prefix index."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:  # NaN fails too
+        raise ValueError("epsilon must be finite and > 0")
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("expected a non-empty 1-d value array")

@@ -42,11 +42,11 @@ class RelinkParams:
     c_p: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.f0 <= 1.0:
+        if not 0.0 < self.f0 <= 1.0:  # each check fails NaN
             raise ValueError("need 0 < f0 <= 1")
-        if self.c_p0 >= self.c_n0:
+        if not self.c_p0 < self.c_n0:
             raise ValueError("positive budget must stay below the negative budget")
-        if self.budget_growth <= 1.0 or not 0.0 < self.f_decay <= 1.0:
+        if not self.budget_growth > 1.0 or not 0.0 < self.f_decay <= 1.0:
             raise ValueError("bad schedule multipliers")
         self.f, self.c_n, self.c_p = self.f0, self.c_n0, self.c_p0
 

@@ -162,5 +162,4 @@ def load_solution(path: str, g: Graph) -> Solution:
 
 def save_solution(s: Solution, path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for v in s.members():
-            f.write(f"{v}\n")
+        f.write("".join([f"{v}\n" for v in s.members()]))

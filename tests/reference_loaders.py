@@ -1,7 +1,8 @@
-"""The per-line file readers that mwis used before its block reader, kept
-unchanged as the reference that tests/test_graph.py checks the readers
-against: the same arrays from valid files, and the same error type and
-"path:line:" prefix from malformed ones.
+"""The per-line file readers and writers that mwis used before its block
+reader and batched writers, kept unchanged as the reference that the tests
+check them against. The readers must give the same arrays from valid files,
+and the same error type and "path:line:" prefix from malformed ones; the
+writers must write the same bytes.
 """
 
 from __future__ import annotations
@@ -182,3 +183,30 @@ def load_solution(path: str, g: Graph) -> Solution:
     if not is_independent(g, s):
         raise InfeasibleSolutionError(f"{path}: solution is not an independent set")
     return s
+
+
+def save_graph(g: Graph, path: str, fmt: str = "edge-list") -> None:
+    """Write g in the given format (each undirected edge emitted once)."""
+    if fmt == "edge-list":
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(f"{g.n} {g.m}\n")
+            for v in range(g.n):
+                f.write(f"w {v} {float(g.weights[v])!r}\n")
+            for u in range(g.n):
+                for v in g.neighbors(u):
+                    if u < v:
+                        f.write(f"e {u} {v}\n")
+    elif fmt == "metis":
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(f"{g.n} {g.m} 10\n")
+            for u in range(g.n):
+                nbrs = " ".join(str(int(v) + 1) for v in g.neighbors(u))
+                f.write(f"{float(g.weights[u])!r} {nbrs}".rstrip() + "\n")
+    else:
+        raise GraphFormatError(f"unknown graph format {fmt!r}")
+
+
+def save_solution(s: Solution, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for v in s.members():
+            f.write(f"{v}\n")

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from mwis import driver, oracle
+from mwis import driver, generate, oracle
 from mwis.cli import _add_solve_parser, main
 from mwis.driver import RunConfig, TraceEvent
 from mwis.generate import GenSpec, generate_graph
@@ -95,6 +95,14 @@ class TestGenerate:
                        "--out", out).returncode == 0
         g = load_graph(out)
         assert g.n == 12 and g.m == 3 * 3 + 2 * 4  # vertical + horizontal
+
+    def test_model_and_out_alone_build_default_spec(self, tmp_path, monkeypatch):
+        seen = []
+        real = generate.generate_graph
+        monkeypatch.setattr(generate, "generate_graph",
+                            lambda spec: seen.append(spec) or real(spec))
+        assert main(["generate", "--model", "path", "--out", str(tmp_path / "d.g")]) == 0
+        assert seen == [GenSpec(model="path")]
 
 
 class TestExact:
@@ -235,6 +243,32 @@ class TestSolve:
         defaults = dict(config_fields(RunConfig()))
         assert all(value != defaults[name] for name, value in config_fields(cfg))
         assert solve_options() - FILE_OPTIONS == set(flags)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--time-limit", "nan"), ("--time-limit", "inf"), ("--relink-cn0", "nan"),
+        ("--relink-cp0", "nan"), ("--relink-budget-growth", "nan"), ("--aap-delta", "nan"),
+        ("--aap-gain-floor", "nan"), ("--lp-epsilon", "nan")])
+    def test_non_finite_setting_exits_one(self, tmp_path, monkeypatch, capsys, flag, value):
+        path, g = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))
+        rs = tmp_path / "rs.txt"
+        rs.write_text("0.5\n" * g.n)
+        seen = []
+
+        def fake_run(graph, cfg, clock=None, initial=None, relaxed=None):
+            seen.append(cfg)
+            return Solution(graph), [TraceEvent(0.0, 0.0, "final")]
+
+        monkeypatch.setattr(driver, "run", fake_run)
+        assert main(["solve", "--graph", path, "--relaxed", str(rs), flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not seen
+
+    def test_nan_time_limit_exits_one(self, tmp_path):
+        path, _ = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))
+        r = run_cli("solve", "--graph", path, "--time-limit", "nan")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: time_limit must be finite and > 0\n"
 
     def test_readme_names_exactly_the_tuning_flags(self):
         text = open(README, encoding="utf-8").read()

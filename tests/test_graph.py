@@ -399,6 +399,36 @@ class TestReadersMatchReference:
                 assert old_err is not None and new_err == old_err, (kind, extra)
 
 
+def writer_graphs():
+    """Graphs with an isolated node 0, and with no edges at all; the weights
+    mix integers, fractions and extreme magnitudes."""
+    rng = random.Random(5)
+    weights = [0.0, 1.0, 0.1, 1e-300, 2.5e17, 1 / 3]
+    for n, p in ((1, 0.0), (50, 0.0), (30, 0.1), (40, 0.5), (200, 0.05)):
+        edges = [(u, v) for u in range(1, n) for v in range(u + 1, n) if rng.random() < p]
+        yield build_graph(n, edges, [rng.choice(weights) * rng.randint(1, 9) for _ in range(n)])
+
+
+class TestWriterMatchesReference:
+    @pytest.mark.parametrize("batch", [1, 7, None], ids=lambda b: f"batch{b or 'default'}")
+    @pytest.mark.parametrize("fmt", ["edge-list", "metis"])
+    def test_same_bytes(self, tmp_path, monkeypatch, fmt, batch):
+        if batch:
+            monkeypatch.setattr(graph_mod, "_SAVE_BATCH", batch)
+        new, old = tmp_path / "new.g", tmp_path / "old.g"
+        for g in writer_graphs():
+            save_graph(g, str(new), fmt)
+            ref.save_graph(g, str(old), fmt)
+            assert new.read_bytes() == old.read_bytes()
+            assert graphs_equal(load_graph(str(new), fmt), g)
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        p = tmp_path / "g.txt"
+        with pytest.raises(GraphFormatError):
+            save_graph(graph_from(2, [(0, 1)]), str(p), "dimacs")
+        assert not p.exists()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_crlf_files_load_like_lf_files(tmp_path, kind):
     rng = random.Random(3)

@@ -1,0 +1,50 @@
+"""Every setting rejects NaN, and the time limit, the LP epsilon and the AAP
+noise must be finite.
+
+A NaN fails every comparison, so a check written as `x <= 0` lets it pass.
+These run under `python -O` too: rejecting outside input must not rest on
+`assert`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from mwis.driver import RunConfig
+from mwis.local_search import LocalSearchParams
+from mwis.lp_bias import make_relaxed
+from mwis.relink import RelinkParams
+
+NAN, INF = math.nan, math.inf
+
+REJECTED = {
+    "time_limit=nan": lambda: RunConfig(time_limit=NAN),
+    "time_limit=inf": lambda: RunConfig(time_limit=INF),
+    "check_interstate_every=nan": lambda: RunConfig(check_interstate_every=NAN),
+    "c_n0=nan": lambda: RelinkParams(c_n0=NAN),
+    "c_p0=nan": lambda: RelinkParams(c_p0=NAN),
+    "budget_growth=nan": lambda: RelinkParams(budget_growth=NAN),
+    "num_iterations=nan": lambda: LocalSearchParams(num_iterations=NAN),
+    "aap_max_len=nan": lambda: LocalSearchParams(aap_max_len=NAN),
+    "aap_delta=nan": lambda: LocalSearchParams(aap_delta=NAN),
+    "aap_delta=inf": lambda: LocalSearchParams(aap_delta=INF),
+    "aap_gain_floor=nan": lambda: LocalSearchParams(aap_gain_floor=NAN),
+    "epsilon=nan": lambda: make_relaxed([0.5, 0.0], epsilon=NAN),
+    "epsilon=inf": lambda: make_relaxed([0.5, 0.0], epsilon=INF),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED)
+def test_rejected(case):
+    with pytest.raises(ValueError):
+        REJECTED[case]()
+
+
+def test_finite_extremes_accepted():
+    # the benchmark's "no wall limit" for fixed-iteration solves
+    assert RunConfig(time_limit=1e5).time_limit == 1e5
+    # no floor on an alternating path's gain
+    assert LocalSearchParams(aap_gain_floor=-INF).aap_gain_floor == -INF
+    assert make_relaxed([0.5, 0.0], epsilon=1e-300).total > 0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import reference_loaders as ref
 from mwis.graph import build_graph
 from mwis.interstate import build, make_maximal
 from mwis.solution import InfeasibleSolutionError, Solution, is_independent, load_solution, \
@@ -144,6 +145,14 @@ class TestEquivalence:
 
 
 class TestSolutionFiles:
+    @pytest.mark.parametrize("members", [[], [0], [0, 2, 5, 9], list(range(0, 30, 2))])
+    def test_writer_matches_reference(self, tmp_path, members):
+        g = graph_from(30, [(v, v + 1) for v in range(29)])
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        save_solution(Solution(g, members), str(new))
+        ref.save_solution(Solution(g, members), str(old))
+        assert new.read_bytes() == old.read_bytes()
+
     def test_round_trip(self, tmp_path, path3):
         s = Solution(path3, [0, 2])
         p = str(tmp_path / "sol.txt")

@@ -16,7 +16,7 @@ from .driver import RunConfig
 from .graph import GraphFormatError, load_graph, save_graph
 from .greedy import GreedyConfig
 from .local_search import LocalSearchParams
-from .lp_bias import DEFAULT_EPSILON, load_relaxed
+from .lp_bias import DEFAULT_EPSILON, check_epsilon, load_relaxed
 from .relink import RelinkParams
 from .solution import InfeasibleSolutionError, load_solution, save_solution
 
@@ -31,7 +31,7 @@ EXIT_INFEASIBLE = 2
 SOLVE_FLAGS = {
     RunConfig: {"--time-limit": "time_limit", "--seed": "seed",
                 "--check-interstate-every": "check_interstate_every"},
-    GreedyConfig: {"--greedy-k-fraction": "k_fraction"},
+    GreedyConfig: {"--greedy-noise": "noise"},
     LocalSearchParams: {"--num-iterations": "num_iterations",
                         "--exact-recursion-limit": "exact_recursion_limit",
                         "--aap-max-len": "aap_max_len", "--aap-gain-floor": "aap_gain_floor",
@@ -74,6 +74,7 @@ def _config_for(args) -> RunConfig:
 
 
 def _cmd_solve(args) -> int:
+    check_epsilon(args.lp_epsilon)  # with or without --relaxed
     g = load_graph(args.graph, args.format)
     initial = load_solution(args.initial, g) if args.initial else None
     relaxed = load_relaxed(args.relaxed, g, args.lp_epsilon) if args.relaxed else None

@@ -30,6 +30,16 @@ class GenSpec:
     mod: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 1.0:  # NaN fails too
+            raise ValueError("p must be in [0, 1]")
+        # gnp reads n and p, grid rows and cols, every other model n alone
+        used = {"gnp": ("n", "p"), "grid": ("rows", "cols")}.get(self.model, ("n",))
+        unused = [f for f in ("n", "p", "rows", "cols")
+                  if f not in used and getattr(self, f) != getattr(GenSpec, f)]
+        if unused:
+            raise ValueError(f"model {self.model!r} does not read {', '.join(unused)}")
+
     def node_count(self) -> int:
         return self.rows * self.cols if self.model == "grid" else self.n
 

@@ -105,14 +105,20 @@ class Graph:
         return out
 
     @cached_property
-    def eta_order(self) -> list[int]:
-        """Non-isolated nodes by eta(v) = w(v)/degree(v) descending, ties by
-        ascending ID; built on first use; treat as read-only.
+    def eta(self) -> tuple[np.ndarray, np.ndarray]:
+        """The non-isolated nodes, ascending, and eta(v) = w(v)/degree(v) of
+        each; built on first use; treat as read-only.
         """
         deg = np.diff(self.indptr)
         nodes = np.flatnonzero(deg)
+        return nodes, self.weights[nodes] / deg[nodes]
+
+    @cached_property
+    def eta_order(self) -> list[int]:
+        """Non-isolated nodes by eta descending, ties by ascending ID; cached."""
+        nodes, eta = self.eta
         # a stable sort keeps equal etas in ascending node order
-        return nodes[np.argsort(-(self.weights[nodes] / deg[nodes]), kind="stable")].tolist()
+        return nodes[np.argsort(-eta, kind="stable")].tolist()
 
 
 def is_edge(g: Graph, u: int, v: int) -> bool:

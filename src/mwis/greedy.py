@@ -1,17 +1,22 @@
-"""Greedy constructors: deterministic, randomized, adaptive.
+"""Greedy constructors: the static scan, its randomized form, and adaptive.
 
 A run starts from adaptive_greedy and relinks toward randomized_greedy. All
 three rank candidates by eta(v) = w(v)/degree(v). Zero-degree nodes never
 enter the ranking; they are added up front, so eta is always finite.
+
+randomized_greedy is GRASP's cost perturbation (Resende and Ribeiro): the
+static scan by eta(v)*(1 + noise*(2u_v - 1)), with uniforms u_v read from the
+run's random.Random as little-endian bytes, so results depend only on (graph,
+config, seed) on either byte order, and numpy.random is never imported.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph, is_dense
 from .solution import Solution
@@ -19,24 +24,25 @@ from .solution import Solution
 
 @dataclass
 class GreedyConfig:
-    """k_fraction: fraction of the live nodes forming the random-pick pool."""
+    """noise: randomized_greedy's relative spread on eta; 0 is the static scan."""
 
-    k_fraction: float = 0.10
+    noise: float = 0.3
 
     def __post_init__(self):
-        if not 0.0 < self.k_fraction <= 1.0:
-            raise ValueError("k_fraction must be in (0, 1]")
+        if not 0.0 <= self.noise < 1.0:  # NaN fails too
+            raise ValueError("noise must be in [0, 1)")
 
 
-def greedy(g: Graph) -> Solution:
-    """Static-degree greedy scan."""
+def greedy(g: Graph, order: list[int] | None = None) -> Solution:
+    """Isolated nodes, then each node of `order` (default g.eta_order) that no
+    earlier pick blocks."""
     s = Solution(g)
     blocked = [False] * g.n
     adj = g.adj
     for v in range(g.n):
         if not adj[v]:
             s.add(v)
-    for v in g.eta_order:
+    for v in g.eta_order if order is None else order:
         if blocked[v]:
             continue
         s.add(v)
@@ -47,42 +53,12 @@ def greedy(g: Graph) -> Solution:
 
 
 def randomized_greedy(g: Graph, cfg: GreedyConfig, rng: random.Random) -> Solution:
-    """At each step add a uniform pick among the top-k live nodes by static eta."""
-    s = Solution(g)
-    adj = g.adj
-    for v in range(g.n):
-        if not adj[v]:
-            s.add(v)
-    order = g.eta_order
-    pos = [-1] * g.n  # position in order while live, -1 once claimed
-    for i, v in enumerate(order):
-        pos[v] = i
-    # window holds every live position below scan, ascending, so its first
-    # k entries are the top-k live nodes
-    window: list[int] = []
-    scan = 0
-    live = len(order)
-    frac, ceil, randrange, add = cfg.k_fraction, math.ceil, rng.randrange, s.add
-    while live:
-        k = max(1, ceil(frac * live))
-        while len(window) < k:
-            if pos[order[scan]] >= 0:
-                window.append(scan)
-            scan += 1
-        j = randrange(k)
-        v = order[window[j]]
-        del window[j]
-        pos[v] = -1
-        live -= 1
-        add(v)
-        for u in adj[v]:
-            i = pos[u]
-            if i >= 0:
-                pos[u] = -1
-                live -= 1
-                if i < scan:
-                    del window[bisect_left(window, i)]
-    return s
+    """The static scan by eta times seeded noise, descending; ties by node ID."""
+    nodes, eta = g.eta
+    # 53-bit uniforms in [0, 1), as random.random() makes them
+    u = (np.frombuffer(rng.randbytes(8 * len(nodes)), "<u8") >> 11) * 2.0 ** -53
+    keys = eta * (1.0 + cfg.noise * (2.0 * u - 1.0))
+    return greedy(g, nodes[np.argsort(-keys, kind="stable")].tolist())
 
 
 def adaptive_greedy(g: Graph) -> Solution:

@@ -35,10 +35,14 @@ class RelaxedSolution:
         return float(self.prefix[-1])
 
 
-def make_relaxed(values, epsilon: float = DEFAULT_EPSILON) -> RelaxedSolution:
-    """Validate, clamp to [0,1] (with a warning), and build the prefix index."""
+def check_epsilon(epsilon: float) -> None:
     if not 0 < epsilon < math.inf:  # NaN fails too
         raise ValueError("epsilon must be finite and > 0")
+
+
+def make_relaxed(values, epsilon: float = DEFAULT_EPSILON) -> RelaxedSolution:
+    """Validate, clamp to [0,1] (with a warning), and build the prefix index."""
+    check_epsilon(epsilon)
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("expected a non-empty 1-d value array")

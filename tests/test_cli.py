@@ -96,6 +96,22 @@ class TestGenerate:
         g = load_graph(out)
         assert g.n == 12 and g.m == 3 * 3 + 2 * 4  # vertical + horizontal
 
+    @pytest.mark.parametrize("args, message", [
+        (("gnp", "--n", "5", "--p", "7"), "p must be in [0, 1]"),
+        (("gnp", "--n", "5", "--p", "-0.5"), "p must be in [0, 1]"),
+        (("gnp", "--n", "5", "--p", "nan"), "p must be in [0, 1]"),
+        (("grid", "--n", "5", "--rows", "2", "--cols", "2"), "model 'grid' does not read n"),
+        (("path", "--n", "5", "--p", "0.5"), "model 'path' does not read p"),
+        (("gnp", "--n", "5", "--rows", "2"), "model 'gnp' does not read rows")],
+        ids=["p=7", "p=-0.5", "p=nan", "grid-n", "path-p", "gnp-rows"])
+    def test_impossible_spec_exits_one(self, tmp_path, capsys, args, message):
+        # a spec no model can honour writes no file: it is not silently
+        # clamped to an edgeless or complete graph, or resized by another field
+        out = tmp_path / "x.g"
+        assert main(["generate", "--model", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_model_and_out_alone_build_default_spec(self, tmp_path, monkeypatch):
         seen = []
         real = generate.generate_graph
@@ -219,7 +235,7 @@ class TestSolve:
 
         monkeypatch.setattr(driver, "run", fake_run)
         flags = {"--time-limit": "3.5", "--seed": "9",
-                 "--greedy-k-fraction": "0.25", "--num-iterations": "5",
+                 "--greedy-noise": "0.25", "--num-iterations": "5",
                  "--exact-recursion-limit": "4", "--aap-max-len": "9",
                  "--aap-gain-floor": "-2.5", "--aap-delta": "7",
                  "--relink-f0": "0.9", "--relink-cn0": "4", "--relink-cp0": "2",
@@ -231,7 +247,7 @@ class TestSolve:
         assert main(argv) == 0
         [(cfg, relaxed)] = seen
         assert cfg == RunConfig(
-            time_limit=3.5, seed=9, greedy=GreedyConfig(k_fraction=0.25),
+            time_limit=3.5, seed=9, greedy=GreedyConfig(noise=0.25),
             ls_params=LocalSearchParams(
                 num_iterations=5, exact_recursion_limit=4, aap_max_len=9,
                 aap_gain_floor=-2.5, aap_delta=7.0),
@@ -261,6 +277,21 @@ class TestSolve:
         monkeypatch.setattr(driver, "run", fake_run)
         assert main(["solve", "--graph", path, "--relaxed", str(rs), flag, value]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not seen
+
+    def test_lp_epsilon_is_checked_without_relaxed_file(self, tmp_path, monkeypatch, capsys):
+        path, _ = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))
+        seen = []
+
+        def fake_run(graph, cfg, clock=None, initial=None, relaxed=None):
+            seen.append(cfg)
+            return Solution(graph), [TraceEvent(0.0, 0.0, "final")]
+
+        monkeypatch.setattr(driver, "run", fake_run)
+        for value in ("nan", "0", "-1", "inf"):
+            assert main(["solve", "--graph", path, "--lp-epsilon", value,
+                         "--time-limit", "0.2"]) == 1
+            assert capsys.readouterr().err == "error: epsilon must be finite and > 0\n"
         assert not seen
 
     def test_nan_time_limit_exits_one(self, tmp_path):

@@ -46,8 +46,15 @@ adaptive greedy. Ten runs below kept three elite solutions and fourteen
 started from the static or the randomized greedy. No result of a default run
 changed: the new hash is the one the previous code gives when the only edit
 to golden_runs is dropping those two fields, so every run now takes the
-default path. A change that alters results on purpose must update GOLDEN and
-say why in CHANGES.md.
+default path.
+
+It was re-pinned once more when randomized_greedy stopped picking uniformly
+among the top-k live nodes by eta and became the static scan over eta times
+seeded noise, with GreedyConfig.k_fraction renamed noise. Every relinking
+source changed, and it draws eight bytes per non-isolated node instead of
+one randrange per pick, so every later draw shifts. The runs below keep
+their three values, now read as noise. A change that alters results on
+purpose must update GOLDEN and say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from mwis.lp_bias import make_relaxed
 
 from conftest import FakeClock
 
-GOLDEN = "788092a72fdb5de3cfe281465e8d92beeab631576054641f3f9b1cc0d1c7e1c1"
+GOLDEN = "940ec4a773f37ba74ccb4b5c3b5c3902c635a378200ab53c708eb36424aa7415"
 
 
 def golden_runs():
@@ -73,7 +80,7 @@ def golden_runs():
         g = random_gnp(n, rng.choice([0.05, 0.1, 0.2]), seed=9000 + i,
                        w_lo=0 if i % 5 == 4 else 1, w_hi=200)
         cfg = RunConfig(time_limit=0.005, seed=i,
-                        greedy=GreedyConfig(k_fraction=rng.choice([0.05, 0.1, 0.3])))
+                        greedy=GreedyConfig(noise=rng.choice([0.05, 0.1, 0.3])))
         relaxed = make_relaxed([rng.random() for _ in range(n)]) if i % 3 == 2 else None
         best, trace = run(g, cfg, clock=FakeClock(), relaxed=relaxed)
         yield trace_csv(trace), best.member_list()

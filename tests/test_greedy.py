@@ -4,6 +4,8 @@ import heapq
 import importlib
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -21,57 +23,21 @@ def reference_eta_order(g):
     return nodes
 
 
-class ReferenceFenwick:
-    """Fenwick tree filled by n point updates, as first written."""
-
-    def __init__(self, n):
-        self.n = n
-        self.tree = [0] * (n + 1)
-        for i in range(1, n + 1):
-            self.tree[i] += 1
-            j = i + (i & -i)
-            if j <= n:
-                self.tree[j] += self.tree[i]
-
-    def remove(self, i):
-        i += 1
-        while i <= self.n:
-            self.tree[i] -= 1
-            i += i & -i
-
-    def select(self, k):
-        pos = 0
-        step = 1 << (self.n.bit_length())
-        rem = k + 1
-        while step:
-            nxt = pos + step
-            if nxt <= self.n and self.tree[nxt] < rem:
-                pos = nxt
-                rem -= self.tree[nxt]
-            step >>= 1
-        return pos
-
-
 def reference_randomized_greedy(g, cfg, rng):
-    s = Solution(g)
-    for v in range(g.n):
-        if not g.adj[v]:
+    """The noisy scan as specified: one little-endian 8-byte draw per
+    non-isolated node, 53-bit uniforms, Python's stable sort on the keys,
+    then a plain scan."""
+    w, adj = g.w, g.adj
+    nodes = [v for v in range(g.n) if adj[v]]
+    data = rng.randbytes(8 * len(nodes))
+    key = {}
+    for i, v in enumerate(nodes):
+        u = (int.from_bytes(data[8 * i:8 * i + 8], "little") >> 11) * 2.0 ** -53
+        key[v] = w[v] / len(adj[v]) * (1.0 + cfg.noise * (2.0 * u - 1.0))
+    s = Solution(g, [v for v in range(g.n) if not adj[v]])
+    for v in sorted(nodes, key=lambda v: -key[v]):
+        if not any(u in s for u in adj[v]):
             s.add(v)
-    order = reference_eta_order(g)
-    if not order:
-        return s
-    pos = {v: i for i, v in enumerate(order)}
-    fen = ReferenceFenwick(len(order))
-    alive = [True] * g.n
-    live = len(order)
-    while live:
-        k = max(1, math.ceil(cfg.k_fraction * live))
-        v = order[fen.select(rng.randrange(k))]
-        for u in [v] + [x for x in g.adj[v] if alive[x]]:
-            alive[u] = False
-            fen.remove(pos[u])
-            live -= 1
-        s.add(v)
     return s
 
 
@@ -154,9 +120,9 @@ class TestDeterministicGreedy:
 
 
 class TestRandomizedGreedy:
-    def test_full_pool_isolated_nodes(self):
+    def test_isolated_nodes_join_at_any_noise(self):
         g = graph_from(2, [], [2.0, 7.0])
-        s = randomized_greedy(g, GreedyConfig(k_fraction=1.0), random.Random(0))
+        s = randomized_greedy(g, GreedyConfig(noise=0.99), random.Random(0))
         assert sorted(s.members()) == [0, 1]
         assert s.total_weight == 9.0
 
@@ -166,10 +132,11 @@ class TestRandomizedGreedy:
         b = randomized_greedy(g, GreedyConfig(0.25), random.Random(9))
         assert a.as_frozenset() == b.as_frozenset()
 
-    def test_full_pool_path_hits_both_outcomes(self, path3):
-        # with k covering all live nodes, both {0,2} (w=6) and {1} (w=5) occur
+    def test_noise_reaches_both_path_outcomes(self, path3):
+        # keys 3u' for the ends and 2.5u' for the middle, u' in [0.7, 1.3):
+        # both {0,2} (w=6) and {1} (w=5) occur
         outcomes = set()
-        cfg = GreedyConfig(k_fraction=1.0)
+        cfg = GreedyConfig(noise=0.3)
         for seed in range(10_000):
             s = randomized_greedy(path3, cfg, random.Random(seed))
             outcomes.add(s.as_frozenset())
@@ -177,35 +144,52 @@ class TestRandomizedGreedy:
                 break
         assert outcomes == {frozenset({0, 2}), frozenset({1})}
 
-    def test_small_pool_reduces_to_greedy(self, path3):
-        # k = max(1, ceil(0.01 * live)) = 1: always the top-eta node
-        cfg = GreedyConfig(k_fraction=0.01)
-        for seed in range(5):
-            s = randomized_greedy(path3, cfg, random.Random(seed))
-            assert sorted(s.members()) == [0, 2]
+    def test_zero_noise_is_static_scan(self):
+        rng = random.Random(12)
+        for i in range(60):
+            g = random_graph(rng, rng.randint(0, 50), rng.choice([0.0, 0.1, 0.3]),
+                             max_w=rng.choice([1, 3, 100]))
+            s, ref = randomized_greedy(g, GreedyConfig(noise=0.0), random.Random(i)), greedy(g)
+            assert s.member_list() == ref.member_list(), f"instance {i}"
+            assert s.total_weight == ref.total_weight, f"instance {i}"  # same add order
 
-    def test_matches_reference_fenwick(self):
+    def test_matches_reference_scan(self):
+        # isolated nodes (p = 0, n = 1), zero weights and eta ties (max_w 1
+        # or 3); zero keys tie at any noise and stay in ascending node order
         rng = random.Random(13)
         for i in range(150):
             n = rng.choice([0, 1, rng.randint(2, 70)])
             g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.15, 0.5]),
                              max_w=rng.choice([1, 3, 100]))
-            cfg = GreedyConfig(rng.choice([0.01, 0.1, 0.37, 1.0]))
+            cfg = GreedyConfig(rng.choice([0.0, 0.05, 0.3, 0.9]))
             a, b = random.Random(i), random.Random(i)
-            assert randomized_greedy(g, cfg, a).member_list() == \
-                reference_randomized_greedy(g, cfg, b).member_list(), f"instance {i}"
+            s, ref = randomized_greedy(g, cfg, a), reference_randomized_greedy(g, cfg, b)
+            assert s.member_list() == ref.member_list(), f"instance {i}"
+            assert s.total_weight == ref.total_weight, f"instance {i}"
             assert a.random() == b.random()  # same number of draws
-        # large enough that the pick window holds hundreds of positions
         from mwis.generate import random_gnp
 
         for seed in range(3):
             g = random_gnp(3000, 0.002, seed=seed)
-            for frac in (0.01, 0.1, 1.0):
-                cfg = GreedyConfig(frac)
+            for noise in (0.05, 0.3, 0.9):
+                cfg = GreedyConfig(noise)
                 a, b = random.Random(seed), random.Random(seed)
                 assert randomized_greedy(g, cfg, a).member_list() == \
-                    reference_randomized_greedy(g, cfg, b).member_list(), (seed, frac)
+                    reference_randomized_greedy(g, cfg, b).member_list(), (seed, noise)
                 assert a.random() == b.random()
+
+    def test_does_not_import_numpy_random(self):
+        # the draws come from the run's random.Random, not a numpy Generator
+        code = """
+import random, sys
+import mwis
+g = mwis.random_gnp(60, 0.1, seed=1)
+mwis.randomized_greedy(g, mwis.GreedyConfig(), random.Random(0))
+print("numpy.random" in sys.modules)
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
     def test_eta_order_matches_reference_and_is_built_once(self):
         rng = random.Random(14)
@@ -218,8 +202,11 @@ class TestRandomizedGreedy:
         assert g.eta_order is g.eta_order
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GreedyConfig(k_fraction=0.0)
+        for noise in (-0.1, -1e-300, 1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="noise"):
+                GreedyConfig(noise=noise)
+        assert GreedyConfig(noise=0.0).noise == 0.0
+        assert GreedyConfig(noise=0.999).noise == 0.999
 
     def test_no_unseeded_or_default_fallbacks(self, path3):
         # without a seeded RNG the construction could not be repeated

@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     except InfeasibleSolutionError as e:  # its own exit code
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (GraphFormatError, FileNotFoundError, ValueError) as e:
+    except (GraphFormatError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, GraphFormatError, _check, _floats, _ids, _placed, _read_lines
+from .formats import GraphFormatError, read_relaxed
+from .graph import Graph
 
 log = logging.getLogger(__name__)
 
@@ -60,30 +61,8 @@ def make_relaxed(values, epsilon: float = DEFAULT_EPSILON) -> RelaxedSolution:
 
 
 def load_relaxed(path: str, g: Graph, epsilon: float = DEFAULT_EPSILON) -> RelaxedSolution:
-    """Read per-node fractional values; exactly n values required.
-
-    Accepted line forms ('#' comments allowed): "<node_id> <float>" or a bare
-    float per line in node order.
-    """
-    by_id, seen, bare = np.zeros(g.n), np.zeros(g.n, dtype=bool), [np.zeros(0)]
-    for blk in _read_lines(path, b"#"):
-        f, c = blk.first, blk.count
-        v, v_ok = _ids(blk, f)
-        x, x_ok = _floats(blk, f + (c == 2))
-        outside, repeat, keyed = _placed(v, (c == 2) & v_ok, seen)
-        _check(path, blk, [((c > 2) | ~x_ok | ((c == 2) & ~v_ok),
-                            lambda i: f"cannot parse relaxed value {blk.text(i)!r}"),
-                           (outside, lambda i: f"node {int(blk.text(i).split()[0])} out of range"),
-                           (repeat, lambda i: f"duplicate node {v[i]}")])
-        by_id[v[keyed]] = x[keyed]
-        bare.append(x[c == 1])
-    bare, keyed = np.concatenate(bare), int(seen.sum())
-    if keyed and len(bare):
-        raise GraphFormatError(f"{path}: mixed '<id> <value>' and bare-value lines")
-    # the ids are in range and distinct, so n of them cover 0..n-1
-    if (keyed or len(bare)) != g.n:
-        raise GraphFormatError(f"{path}: expected {g.n} values, found {keyed or len(bare)}")
-    return make_relaxed(by_id if keyed else bare, epsilon)
+    """Read per-node fractional values (formats.read_relaxed); exactly n required."""
+    return make_relaxed(read_relaxed(path, g.n), epsilon)
 
 
 def sample_biased(rs: RelaxedSolution, rng: random.Random) -> int:

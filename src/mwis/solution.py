@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from itertools import compress
 
-import numpy as np
-
-from .graph import Graph, GraphFormatError, _check, _ids, _placed, _read_lines
+from .formats import GraphFormatError, read_solution, save_solution  # noqa: F401 (save_solution: re-exported)
+from .graph import Graph
 
 
 class InfeasibleSolutionError(GraphFormatError):
@@ -144,22 +143,8 @@ def solutions_equivalent(g: Graph, s1: Solution, s2: Solution,
 
 
 def load_solution(path: str, g: Graph) -> Solution:
-    """Read one node ID per line ('#' comments); fail loudly if not independent."""
-    s, seen = Solution(g), np.zeros(g.n, dtype=bool)
-    for blk in _read_lines(path, b"#"):
-        v, v_ok = _ids(blk, blk.first)
-        unparsed = (blk.count != 1) | ~v_ok
-        outside, repeat, _ = _placed(v, ~unparsed, seen)
-        _check(path, blk, [(unparsed, lambda i: f"not a node ID: {blk.text(i)!r}"),
-                           (outside, lambda i: f"node {int(blk.text(i))} out of range"),
-                           (repeat, lambda i: f"duplicate node {v[i]}")])
-        for u in v.tolist():
-            s.add(u)
+    """Read a solution file (formats.read_solution); fail loudly if not independent."""
+    s = Solution(g, read_solution(path, g.n).tolist())
     if not is_independent(g, s):
         raise InfeasibleSolutionError(f"{path}: solution is not an independent set")
     return s
-
-
-def save_solution(s: Solution, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join([f"{v}\n" for v in s.members()]))

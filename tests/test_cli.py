@@ -182,6 +182,15 @@ class TestSolve:
         assert r.returncode == 1
         assert "error" in r.stderr
 
+    def test_unreadable_input_or_unwritable_output_exits_one(self, tmp_path, capsys):
+        # a directory where a file is expected raises IsADirectoryError, an
+        # OSError other than FileNotFoundError
+        path, _ = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))
+        for args in (["--graph", str(tmp_path)], ["--graph", path, "--solution-out", str(tmp_path)],
+                     ["--graph", path, "--trace", str(tmp_path)]):
+            assert main(["solve", *args, "--time-limit", "0.05"]) == 1, args
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_infeasible_initial_exits_two(self, tmp_path):
         path, g = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))
         bad = tmp_path / "bad.txt"

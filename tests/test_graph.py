@@ -3,12 +3,13 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference_loaders as ref
-from mwis import graph as graph_mod
+from mwis import formats
 from mwis.graph import GraphFormatError, build_graph, graphs_equal, is_edge, \
     load_graph, save_graph
 from mwis.lp_bias import load_relaxed
@@ -158,6 +159,9 @@ class TestInvariants:
             assert g.parse_warnings == warn + 2
             assert g.m == sum(map(len, adj)) // 2
             assert [g.neighbors(v).tolist() for v in range(n)] == [sorted(a) for a in adj]
+            for dtype in (np.int64, np.int32, np.uint8):  # integer arrays build the same graph
+                h = build_graph(n, np.array(edges, dtype=dtype).reshape(-1, 2), [1.0] * n, 2)
+                assert graphs_equal(h, g) and h.parse_warnings == g.parse_warnings
 
     def test_is_edge_matches_dense_matrix(self):
         rng = random.Random(1)
@@ -222,6 +226,27 @@ class TestInvariants:
             build_graph(2, [(0, 3)], [1.0, 1.0])
         with pytest.raises(GraphFormatError, match=r"edge \(1,-1\)"):
             build_graph(3, [(0, 1), (1, -1), (4, 0)], [1.0] * 3)
+
+    @pytest.mark.parametrize("edges", [[(0, 1.7)], np.array([[0.0, 1.7]]), [(0, "2")],
+                                       [(0, 1), (2, float("nan"))]])
+    def test_build_rejects_non_integer_endpoints(self, edges):
+        # a cast to int64 would truncate them to (0, 1), (0, 2) or any node
+        with pytest.raises(GraphFormatError, match="must be integers"):
+            build_graph(3, edges, [1.0] * 3)
+
+    def test_build_temporaries_stay_under_three_times_the_input(self):
+        # a build sorts and rewrites its keys, then its arcs, in place, so its
+        # peak above entry is about 1.6 times the (k, 2) int64 input's bytes
+        n, edges = 20_000, np.random.default_rng(0).integers(0, 20_000, size=(100_000, 2))
+        weights = np.ones(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_graph(n, edges, weights)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * edges.nbytes, peak / edges.nbytes
 
 
 # The readers against their per-line reference copies (reference_loaders.py).
@@ -334,7 +359,7 @@ def noisy(rng, lines, comment):
 @pytest.fixture(params=[1, 7, 64, None], ids=lambda b: f"block{b or 'default'}")
 def block(request, monkeypatch):
     if request.param:
-        monkeypatch.setattr(graph_mod, "_BLOCK", request.param)
+        monkeypatch.setattr(formats, "_BLOCK", request.param)
 
 
 class TestReadersMatchReference:
@@ -393,7 +418,7 @@ class TestReadersMatchReference:
             for extra in filter(None, (repeat, bad)):
                 with open(path, "w") as f:
                     f.write("\n".join(lines[:-1] + [extra] if kind == "metis" else lines + [extra]))
-                assert tmp_path.joinpath("f.txt").stat().st_size > 2 * graph_mod._BLOCK
+                assert tmp_path.joinpath("f.txt").stat().st_size > 2 * formats._BLOCK
                 _, new_err = outcome(load_new, kind, path, g)
                 _, old_err = outcome(load_reference, kind, path, g)
                 assert old_err is not None and new_err == old_err, (kind, extra)
@@ -414,7 +439,7 @@ class TestWriterMatchesReference:
     @pytest.mark.parametrize("fmt", ["edge-list", "metis"])
     def test_same_bytes(self, tmp_path, monkeypatch, fmt, batch):
         if batch:
-            monkeypatch.setattr(graph_mod, "_SAVE_BATCH", batch)
+            monkeypatch.setattr(formats, "_SAVE_BATCH", batch)
         new, old = tmp_path / "new.g", tmp_path / "old.g"
         for g in writer_graphs():
             save_graph(g, str(new), fmt)

@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 input error, 2 infeasible initial solution.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 
 from . import driver, generate, oracle
@@ -81,16 +81,16 @@ def _cmd_solve(args) -> int:
     cfg = _config_for(args)
     best, trace = driver.run(g, cfg, initial=initial, relaxed=relaxed)
     if args.trace:
-        driver.write_trace_csv(trace, args.trace)
+        driver.write_trace(trace, args.trace)
     if args.solution_out:
         save_solution(best, args.solution_out)
-    print(driver.summary_json(driver.summarize(g, cfg, best, trace)), end="")
+    print(json.dumps(driver.summarize(g, cfg, best, trace), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_exact(args) -> int:
     g = load_graph(args.graph, args.format)
-    res = oracle.exact_mwis(g, method=args.method)
+    res = oracle.exact_mwis(g)
     print(json.dumps({"weight": res.weight, "witness": sorted(res.witness),
                       "explored": res.explored}, sort_keys=True))
     return EXIT_OK
@@ -106,21 +106,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    runs = []
-    for path in args.traces:
-        rows = []
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if not {"elapsed_s", "best_weight", "event"} <= set(reader.fieldnames or ()):
-                raise ValueError(f"{path}: not a trace CSV (expected elapsed_s,best_weight,event)")
-            for row in reader:
-                try:
-                    rows.append((float(row["elapsed_s"]), float(row["best_weight"])))
-                except (TypeError, ValueError) as e:  # TypeError: a short row
-                    raise ValueError(f"{path}:{reader.line_num}: {e}") from None
-        if not rows:
-            raise ValueError(f"empty trace {path}")
-        runs.append((path, rows))
+    if not math.isfinite(args.threshold):  # json.dumps would print NaN or Infinity
+        raise ValueError("threshold must be finite")
+    runs = [(path, driver.read_trace(path)) for path in args.traces]
     best_path, best_rows = max(runs, key=lambda r: r[1][-1][1])
     t_star = next((t for t, w in best_rows if w >= args.threshold), None)
     print(json.dumps({
@@ -141,12 +129,9 @@ def main(argv=None) -> int:
     _add_solve_parser(sub)
 
     p = sub.add_parser("exact", help="exact optimum for small graphs")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", required=True,
+                   help=f"a graph of n <= {oracle.BB_NODE_LIMIT} nodes")
     p.add_argument("--format", default="edge-list", choices=["edge-list", "metis"])
-    p.add_argument("--method", default="branch-and-bound",
-                   choices=["branch-and-bound", "enumerate"],
-                   help=f"branch-and-bound takes n <= {oracle.BB_NODE_LIMIT}, "
-                        f"enumerate n <= {oracle.ENUM_NODE_LIMIT}")
 
     p = sub.add_parser("generate", help="write a synthetic instance")
     p.add_argument("--model", required=True,

@@ -11,7 +11,7 @@ deterministic clock; the CLI uses the real monotonic clock.
 from __future__ import annotations
 
 import copy
-import json
+import csv
 import logging
 import math
 import random
@@ -94,8 +94,12 @@ def run(g: Graph, config: RunConfig, clock=None,
     """Execute one solver run; returns (best solution, trace event stream).
 
     The relink schedule is adapted on a copy, so config is left as given and
-    can be reused for an identical run.
+    can be reused for an identical run. initial and relaxed must be for g.
     """
+    if initial is not None and initial.graph is not g:
+        raise ValueError("initial solution is for another graph")
+    if relaxed is not None and len(relaxed.x) != g.n:
+        raise ValueError(f"relaxed solution has {len(relaxed.x)} values for n={g.n}")
     clock = clock or time.monotonic
     rng = random.Random(config.seed)
     params = copy.copy(config.relink_params)
@@ -155,7 +159,7 @@ def run(g: Graph, config: RunConfig, clock=None,
     return best, trace
 
 
-def write_trace_csv(trace: list[TraceEvent], path: str) -> None:
+def write_trace(trace: list[TraceEvent], path: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(trace_csv(trace))
 
@@ -165,6 +169,25 @@ def trace_csv(trace: list[TraceEvent]) -> str:
     for ev in trace:
         lines.append(f"{ev.elapsed!r},{ev.best_weight!r},{ev.event}")
     return "\n".join(lines) + "\n"
+
+
+def read_trace(path: str) -> list[tuple[float, float]]:
+    """The (elapsed_s, best_weight) rows, all finite, of a trace CSV."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if not {"elapsed_s", "best_weight", "event"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{path}: not a trace CSV (expected elapsed_s,best_weight,event)")
+        for row in reader:
+            try:
+                rows.append((float(row["elapsed_s"]), float(row["best_weight"])))
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ValueError(f"not a finite number: {rows[-1]}")
+            except (TypeError, ValueError) as e:  # TypeError: a short row
+                raise ValueError(f"{path}:{reader.line_num}: {e}") from None
+    if not rows:
+        raise ValueError(f"empty trace {path}")
+    return rows
 
 
 def _value_at(trace: list[TraceEvent], t: float) -> float | None:
@@ -191,7 +214,3 @@ def summarize(g: Graph, config: RunConfig, best: Solution,
             "the worst final value over all compared runs; compute it with the "
             "'report' subcommand over several trace files."),
     }
-
-
-def summary_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"

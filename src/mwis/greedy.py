@@ -39,9 +39,8 @@ def greedy(g: Graph, order: list[int] | None = None) -> Solution:
     s = Solution(g)
     blocked = [False] * g.n
     adj = g.adj
-    for v in range(g.n):
-        if not adj[v]:
-            s.add(v)
+    for v in np.flatnonzero(np.diff(g.indptr) == 0).tolist():
+        s.add(v)
     for v in g.eta_order if order is None else order:
         if blocked[v]:
             continue

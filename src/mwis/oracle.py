@@ -1,20 +1,17 @@
 """Exact MWIS for small graphs: the verification backbone of the test suite.
 
-Two independent routes are provided: a branch-and-bound over bitmasks
-(default, n <= 30) and a vectorized full enumeration (n <= 20). Tests compare
-them against each other and against every heuristic output.
+One route: a branch-and-bound over bitmasks (n <= 30). Tests compare it
+against a vectorized full enumeration kept in tests/reference_oracle.py, and
+every heuristic output against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph
 
 BB_NODE_LIMIT = 30
-ENUM_NODE_LIMIT = 20
 
 
 @dataclass
@@ -24,20 +21,10 @@ class ExactResult:
     explored: int
 
 
-def exact_mwis(g: Graph, method: str = "branch-and-bound") -> ExactResult:
-    """Optimal independent set. Guarded: n <= 30 (b&b), n <= 20 (enumerate)."""
-    if method == "branch-and-bound":
-        if g.n > BB_NODE_LIMIT:
-            raise ValueError(f"exact_mwis limited to n <= {BB_NODE_LIMIT}, got n={g.n}")
-        return _branch_and_bound(g)
-    if method == "enumerate":
-        if g.n > ENUM_NODE_LIMIT:
-            raise ValueError(f"enumeration limited to n <= {ENUM_NODE_LIMIT}, got n={g.n}")
-        return _enumerate(g)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _branch_and_bound(g: Graph) -> ExactResult:
+def exact_mwis(g: Graph) -> ExactResult:
+    """Optimal independent set by branch-and-bound. Guarded: n <= BB_NODE_LIMIT."""
+    if g.n > BB_NODE_LIMIT:
+        raise ValueError(f"exact_mwis limited to n <= {BB_NODE_LIMIT}, got n={g.n}")
     n = g.n
     w = g.w
     nmask = g.rows
@@ -87,24 +74,6 @@ def _branch_and_bound(g: Graph) -> ExactResult:
 
     witness = frozenset(v for v in range(n) if best_set >> v & 1)
     return ExactResult(weight=float(best_w), witness=witness, explored=explored)
-
-
-def _enumerate(g: Graph) -> ExactResult:
-    n = g.n
-    if n == 0:
-        return ExactResult(weight=0.0, witness=frozenset(), explored=1)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.float64)
-    weights = bits @ g.weights
-    ok = np.ones(1 << n, dtype=bool)
-    for u in range(n):
-        for v in g.adj[u]:
-            if u < v:
-                ok &= ~((masks >> u & 1) & (masks >> v & 1)).astype(bool)
-    weights[~ok] = -1.0
-    best = int(np.argmax(weights))
-    witness = frozenset(v for v in range(n) if best >> v & 1)
-    return ExactResult(weight=float(weights[best]), witness=witness, explored=1 << n)
 
 
 def max_weight_subset(weights: list[float], adj_masks: list[int]) -> tuple[float, int]:

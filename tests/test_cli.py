@@ -22,6 +22,8 @@ from mwis.oracle import exact_mwis
 from mwis.relink import RelinkParams
 from mwis.solution import Solution
 
+from reference_oracle import enumerate_mwis
+
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 # solve options that name files rather than tune the solver
@@ -134,28 +136,22 @@ class TestExact:
         r = run_cli("exact", "--graph", path)
         assert r.returncode == 1
 
-    def test_enumerate_size_guard_exits_one(self, tmp_path):
-        path, _ = gen_file(tmp_path, "e21.g", GenSpec(model="path", n=21, seed=0))
-        r = run_cli("exact", "--graph", path, "--method", "enumerate")
-        assert r.returncode == 1
-        assert r.stderr == "error: enumeration limited to n <= 20, got n=21\n"
-
-    def test_help_names_both_size_limits(self, capsys, monkeypatch):
+    def test_help_names_the_size_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "BB_NODE_LIMIT", 31)
-        monkeypatch.setattr(oracle, "ENUM_NODE_LIMIT", 19)
         with pytest.raises(SystemExit) as exc:
             main(["exact", "--help"])
         assert exc.value.code == 0
         out = " ".join(capsys.readouterr().out.split())  # however argparse wraps it
-        assert "branch-and-bound takes n <= 31, enumerate n <= 19" in out
+        assert "n <= 31" in out
+        assert "--method" not in out
 
     def test_methods_agree(self, tmp_path):
         path, g = gen_file(tmp_path, "e.g",
                            GenSpec(model="gnp", n=14, p=0.3, seed=3))
-        a = json.loads(run_cli("exact", "--graph", path).stdout)
-        b = json.loads(run_cli("exact", "--graph", path,
-                               "--method", "enumerate").stdout)
-        assert a["weight"] == b["weight"] == exact_mwis(g).weight
+        out = json.loads(run_cli("exact", "--graph", path).stdout)
+        ref = enumerate_mwis(g)
+        assert out["weight"] == ref.weight
+        assert sum(g.node_weight(v) for v in out["witness"]) == ref.weight
 
 
 class TestSolve:
@@ -381,9 +377,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert err == f"error: {t1}: not a trace CSV (expected elapsed_s,best_weight,event)\n"
 
-    @pytest.mark.parametrize("bad_row", ["0.2,x,final", "0.2"])
+    @pytest.mark.parametrize("bad_row", ["0.2,x,final", "0.2", "0.2,nan,final",
+                                         "inf,5.0,final"])
     def test_bad_number_names_file_and_line(self, tmp_path, capsys, bad_row):
         t1 = tmp_path / "r1.csv"
         t1.write_text(f"elapsed_s,best_weight,event\n0.1,5.0,init\n{bad_row}\n")
         assert main(["report", "--threshold", "1", str(t1)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {t1}:3: ")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_one(self, tmp_path, capsys, threshold):
+        # json.dumps would print NaN or Infinity, which is not JSON
+        t1 = tmp_path / "r1.csv"
+        t1.write_text("elapsed_s,best_weight,event\n0.1,5.0,final\n")
+        assert main(["report", "--threshold", threshold, str(t1)]) == 1
+        assert capsys.readouterr() == ("", "error: threshold must be finite\n")

@@ -3,12 +3,14 @@ from __future__ import annotations
 import importlib
 import random
 
+import numpy as np
 import pytest
 
 from mwis import driver
 from mwis.driver import EliteSet, RunConfig, run, summarize, trace_csv
+from mwis.generate import random_gnp
 from mwis.graph import build_graph
-from mwis.lp_bias import load_relaxed
+from mwis.lp_bias import load_relaxed, make_relaxed
 from mwis.oracle import exact_mwis
 from mwis.relink import RelinkParams
 from mwis.solution import InfeasibleSolutionError, Solution, is_independent, \
@@ -162,6 +164,17 @@ class TestRun:
         best, _ = run(g, RunConfig(time_limit=0.2, seed=3),
                       relaxed=load_relaxed(str(p), g))
         assert best.total_weight == exact_mwis(g).weight
+
+    def test_initial_for_another_graph_refused(self):
+        g = random_gnp(30, 0.2, 1)
+        h = build_graph(30, [], [1000.0] * 30)
+        with pytest.raises(ValueError, match="another graph"):
+            run(g, RunConfig(time_limit=0.2, seed=1), initial=Solution(h, [0]))
+
+    def test_relaxed_of_another_length_refused(self):
+        g = random_gnp(30, 0.2, 1)
+        with pytest.raises(ValueError, match="10 values for n=30"):
+            run(g, RunConfig(time_limit=0.2, seed=1), relaxed=make_relaxed(np.ones(10)))
 
     def test_elite_entries_are_star_one_optimal(self):
         g = random_graph(random.Random(16), 20, 0.25)

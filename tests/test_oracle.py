@@ -9,6 +9,7 @@ from mwis.graph import build_graph
 from mwis.oracle import exact_mwis, max_weight_subset
 
 from conftest import graph_from, maximal, random_graph
+from reference_oracle import enumerate_mwis
 
 
 def brute_force(g):
@@ -56,8 +57,8 @@ class TestExactMwis:
         for _ in range(100):
             n = rng.randint(1, 16)
             g = random_graph(rng, n, rng.uniform(0.1, 0.6))
-            a = exact_mwis(g, method="branch-and-bound")
-            b = exact_mwis(g, method="enumerate")
+            a = exact_mwis(g)
+            b = enumerate_mwis(g)
             assert a.weight == b.weight
             assert sum(g.node_weight(v) for v in a.witness) == a.weight
 
@@ -75,7 +76,7 @@ class TestExactMwis:
             exact_mwis(g)
         g = graph_from(21, [])
         with pytest.raises(ValueError):
-            exact_mwis(g, method="enumerate")
+            enumerate_mwis(g)
 
     def test_empty_graph(self):
         g = graph_from(0, [], [])

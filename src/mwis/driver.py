@@ -71,6 +71,8 @@ class RunConfig:
             raise ValueError("time_limit must be finite and > 0")
         if not self.check_interstate_every >= 0:
             raise ValueError("check_interstate_every must be >= 0")
+        if not hasattr(self.seed, "__index__"):  # random.Random hashes a float; NaN's hash varies
+            raise ValueError("seed must be an integer")
 
 
 def _interstate_check(every: int):

@@ -216,15 +216,15 @@ def _read_metis(path: str):
     if len(arcs) != 2 * m:
         raise GraphFormatError(f"{path}: header declares m={m} but the vertex lines hold "
                                f"{len(arcs)} neighbor entries, not {2 * m}")
-    # METIS lists every edge in both endpoints' lines; only a repeat within
-    # one line (or a self-loop) counts as a warning
-    u, v = np.divmod(arcs, n)
-    keys = np.sort(arcs[u != v])
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    u, v = np.divmod(keys, n)
-    pairs = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    edges = np.column_stack(np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n))
-    return n, edges, weights, len(arcs) - len(keys)
+    # METIS lists every edge in both endpoints' lines: only a repeat within one
+    # line, or a self-loop, warns. Edge {u, v} is keyed min(u*n + v, v*n + u)
+    arcs.sort()
+    arcs = arcs[np.diff(arcs, prepend=-1) != 0]
+    arcs = arcs[arcs // n != arcs % n]
+    np.minimum(arcs, arcs % n * n + arcs // n, out=arcs)
+    arcs.sort()
+    edges = np.column_stack(np.divmod(arcs[np.diff(arcs, prepend=-1) != 0], n))
+    return n, edges, weights, 2 * m - len(arcs)
 
 
 def save_graph(g, path: str, fmt: str = "edge-list") -> None:

@@ -33,6 +33,8 @@ class GenSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:  # NaN fails too
             raise ValueError("p must be in [0, 1]")
+        if not hasattr(self.seed, "__index__"):  # random.Random hashes a float; NaN's hash varies
+            raise ValueError("seed must be an integer")
         # gnp reads n and p, grid rows and cols, every other model n alone
         used = {"gnp": ("n", "p"), "grid": ("rows", "cols")}.get(self.model, ("n",))
         unused = [f for f in ("n", "p", "rows", "cols")

@@ -131,14 +131,11 @@ def is_dense(n: int, m: int) -> bool:
     """Density rule: an average degree of at least 16 + n/256.
 
     Dense graphs read bitset rows for the rho->2 member pair (interstate)
-    and AAP's path-neighbour set, and get one heap push per node and pick
-    in adaptive greedy. A row operation
-    touches n/30 of CPython's 30-bit digits, a list scan one step per
-    neighbour. On G(n,p) graphs the local search with rows broke even near
-    average degree 8 at n=250, 8-16 at n=1e3, 16-32 at n=4e3 and 32-64 at
-    n=1e4, and the batched greedy near 16-32 at n=1e3 and 32-64 at n=1e4
-    (README). Above the rule the rows take no more memory than the
-    neighbour lists.
+    and AAP's path-neighbour set. A row operation touches n/30 of CPython's
+    30-bit digits, a list scan one step per neighbour. On G(n,p) graphs the
+    local search with rows broke even near average degree 8 at n=250, 8-16
+    at n=1e3, 16-32 at n=4e3 and 32-64 at n=1e4 (README). Above the rule
+    the rows take no more memory than the neighbour lists.
     """
     return n > 0 and 2 * m >= n * (16 + n / 256)
 

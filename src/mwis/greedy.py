@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, is_dense
+from .graph import Graph
 from .solution import Solution
 
 
@@ -68,18 +68,15 @@ def adaptive_greedy(g: Graph) -> Solution:
     longer current) and skipped on pop. Residual-degree-zero nodes join S
     immediately. Deterministic: eta ties break by ascending node ID.
 
-    On dense graphs (graph.is_dense) a node whose residual degree drops
-    during a pick is pushed once, at its degree after the pick, instead of
-    once per drop: there most drops in a pick repeat a node. Entries (eta
-    key, node, degree) are distinct, so the pop sequence depends on the
-    heap's contents, not on push order, and both ways pick alike.
+    A node whose residual degree drops during a pick is pushed once, at its
+    degree after the pick: nothing pops within a pick and degrees only fall,
+    so a push per drop would add only entries stale before they can pop.
     """
     s = Solution(g)
     w, adj = g.w, g.adj
     rdeg = [len(a) for a in adj]
     alive = [True] * g.n
-    batch = is_dense(g.n, g.m)
-    picked = [-1] * g.n if batch else None  # the pick that last lowered a degree
+    picked = [-1] * g.n  # the pick that last lowered a degree
     heap: list[tuple[float, int, int]] = []
     for v in range(g.n):
         if rdeg[v] == 0:
@@ -109,13 +106,10 @@ def adaptive_greedy(g: Graph) -> Solution:
                 if dy == 0:
                     s.add(y)
                     alive[y] = False
-                elif not batch:
-                    heapq.heappush(heap, (-w[y] / dy, y, dy))
                 elif picked[y] != v:  # first drop in this pick
                     picked[y] = v
                     changed.append(y)
         for y in changed:
             if alive[y]:
-                dy = rdeg[y]
-                heapq.heappush(heap, (-w[y] / dy, y, dy))
+                heapq.heappush(heap, (-w[y] / rdeg[y], y, rdeg[y]))
     return s

@@ -123,6 +123,21 @@ class TestMetisFormat:
         g = load_graph(write(tmp_path, "g.metis", "2 2 10\n1.0 1 2\n1.0 1 1\n"), fmt="metis")
         assert (g.m, g.parse_warnings) == (1, 2)
 
+    def test_read_temporaries_stay_under_five_times_the_arcs(self, tmp_path):
+        # the reader sorts its arcs in place and keys each edge in the freed
+        # buffers, so its peak is about 3.5 times the bytes of its 2m int64 arcs
+        n, edges = 20_000, np.random.default_rng(0).integers(0, 20_000, size=(100_000, 2))
+        path = str(tmp_path / "g.metis")
+        save_graph(build_graph(n, edges, np.ones(n)), path, "metis")
+        tracemalloc.start()
+        try:
+            _, edges, _, _ = formats.read_graph(path, "metis")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arcs = 2 * len(edges) * 8
+        assert peak <= 5 * arcs, peak / arcs
+
 
 class TestInvariants:
     def test_adjacency_sorted_symmetric(self):

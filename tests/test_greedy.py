@@ -236,26 +236,30 @@ class TestAdaptiveGreedy:
         assert s.total_weight == 3.0
 
     def test_matches_reference_push_per_drop(self, monkeypatch):
-        # on dense graphs one push per changed node and pick: same picks,
-        # same add order, same bits of total_weight
+        # one push per changed node and pick against the reference's push per
+        # drop, on sparse and dense graphs: same picks, same add order, same
+        # bits of total_weight
+        from mwis.generate import random_gnp
+
         # the module, not the `mwis.greedy` function the package re-exports
         module = importlib.import_module("mwis.greedy")
         monkeypatch.setattr(module, "Solution", RecordingSolution)
         rng = random.Random(15)
         dense = 0
-        for i in range(200):
+        for i in range(202):
             n = rng.randint(0, 70)
             p = rng.choice([0.0, 0.05, 0.15, 0.4, 0.8])
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             # fractional weights, or a few integer weights: many eta ties
             weights = [rng.random() * 10 if i % 2 else float(rng.randint(0, 3))
                        for _ in range(n)]
-            g = build_graph(n, edges, weights)
+            # the last two are sparse at scale: most picks lower several nodes' degrees
+            g = build_graph(n, edges, weights) if i < 200 else random_gnp(2000, 0.0025, seed=i)
             dense += is_dense(g.n, g.m)
             s, ref = adaptive_greedy(g), reference_adaptive_greedy(g)
             assert s.added == ref.added, f"instance {i}"
             assert s.total_weight == ref.total_weight, f"instance {i}"
-        assert 20 < dense < 180  # both push policies ran
+        assert 20 < dense < 180  # sparse and dense graphs both ran
 
 
 class TestConstructorProperties:

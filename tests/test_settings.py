@@ -1,5 +1,5 @@
-"""Every setting rejects NaN, and the time limit, the LP epsilon and the AAP
-noise must be finite.
+"""Every setting rejects NaN, the time limit, the LP epsilon and the AAP
+noise must be finite, and a seed must be an integer.
 
 A NaN fails every comparison, so a check written as `x <= 0` lets it pass.
 These run under `python -O` too: rejecting outside input must not rest on
@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from mwis.driver import RunConfig
+from mwis.generate import GenSpec
 from mwis.local_search import LocalSearchParams
 from mwis.lp_bias import make_relaxed
 from mwis.relink import RelinkParams
@@ -23,6 +25,9 @@ REJECTED = {
     "time_limit=nan": lambda: RunConfig(time_limit=NAN),
     "time_limit=inf": lambda: RunConfig(time_limit=INF),
     "check_interstate_every=nan": lambda: RunConfig(check_interstate_every=NAN),
+    # random.Random seeds a float from its hash, and a NaN's hash varies by object
+    "seed=nan": lambda: RunConfig(seed=NAN),
+    "spec_seed=nan": lambda: GenSpec(seed=NAN),
     "c_n0=nan": lambda: RelinkParams(c_n0=NAN),
     "c_p0=nan": lambda: RelinkParams(c_p0=NAN),
     "budget_growth=nan": lambda: RelinkParams(budget_growth=NAN),
@@ -48,3 +53,5 @@ def test_finite_extremes_accepted():
     # no floor on an alternating path's gain
     assert LocalSearchParams(aap_gain_floor=-INF).aap_gain_floor == -INF
     assert make_relaxed([0.5, 0.0], epsilon=1e-300).total > 0
+    # any integer seeds a run or a generated graph, numpy's too
+    assert RunConfig(seed=np.int64(3)).seed == GenSpec(seed=np.uint8(3)).seed == 3

@@ -14,6 +14,7 @@ import copy
 import csv
 import logging
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -73,6 +74,7 @@ class RunConfig:
             raise ValueError("check_interstate_every must be >= 0")
         if not hasattr(self.seed, "__index__"):  # random.Random hashes a float; NaN's hash varies
             raise ValueError("seed must be an integer")
+        self.seed = operator.index(self.seed)  # a plain int: random.Random refuses numpy's
 
 
 def _interstate_check(every: int):

@@ -9,6 +9,7 @@ reproducibility.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ class GenSpec:
             raise ValueError("p must be in [0, 1]")
         if not hasattr(self.seed, "__index__"):  # random.Random hashes a float; NaN's hash varies
             raise ValueError("seed must be an integer")
+        self.seed = operator.index(self.seed)  # a plain int: random.Random refuses numpy's
         # gnp reads n and p, grid rows and cols, every other model n alone
         used = {"gnp": ("n", "p"), "grid": ("rows", "cols")}.get(self.model, ("n",))
         unused = [f for f in ("n", "p", "rows", "cols")

@@ -61,16 +61,18 @@ def randomized_greedy(g: Graph, cfg: GreedyConfig, rng: random.Random) -> Soluti
 
 
 def adaptive_greedy(g: Graph) -> Solution:
-    """Greedy with residual degrees and an addressable max-queue on eta.
+    """Greedy with residual degrees and a lazy-deletion max-heap on eta.
 
-    Implemented as a lazy-deletion binary heap: priority increases push a
-    fresh entry, stale entries are recognized (stored residual degree no
-    longer current) and skipped on pop. Residual-degree-zero nodes join S
-    immediately. Deterministic: eta ties break by ascending node ID.
-
-    A node whose residual degree drops during a pick is pushed once, at its
-    degree after the pick: nothing pops within a pick and degrees only fall,
-    so a push per drop would add only entries stale before they can pop.
+    Residual-degree-zero nodes join S at once; eta ties break by ascending
+    node ID. A node whose residual degree drops during a pick is pushed
+    once, at its degree after the pick: nothing pops within a pick and
+    degrees only fall, so a push per drop would add only entries stale
+    before they can pop. Stale entries (node gone, or stored degree no
+    longer current) are skipped on pop; each live node has exactly one
+    current entry. When a pick's pushes leave more than 3*live + 64 entries,
+    the heap is rebuilt from its current entries alone. The picks cannot
+    change: a heap pops the least of its entries, and the current entries
+    are the same with or without the stale ones.
     """
     s = Solution(g)
     w, adj = g.w, g.adj
@@ -85,6 +87,7 @@ def adaptive_greedy(g: Graph) -> Solution:
         else:
             heap.append((-w[v] / rdeg[v], v, rdeg[v]))
     heapq.heapify(heap)
+    live = len(heap)
 
     while heap:
         _, v, d = heapq.heappop(heap)
@@ -93,6 +96,7 @@ def adaptive_greedy(g: Graph) -> Solution:
         s.add(v)
         alive[v] = False
         neighbors = [u for u in adj[v] if alive[u]]
+        live -= 1 + len(neighbors)
         for u in neighbors:
             alive[u] = False
         changed = []
@@ -106,10 +110,14 @@ def adaptive_greedy(g: Graph) -> Solution:
                 if dy == 0:
                     s.add(y)
                     alive[y] = False
+                    live -= 1
                 elif picked[y] != v:  # first drop in this pick
                     picked[y] = v
                     changed.append(y)
         for y in changed:
             if alive[y]:
                 heapq.heappush(heap, (-w[y] / rdeg[y], y, rdeg[y]))
+        if len(heap) > 3 * live + 64:
+            heap = [e for e in heap if alive[e[1]] and e[2] == rdeg[e[1]]]
+            heapq.heapify(heap)
     return s

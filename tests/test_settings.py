@@ -13,11 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from mwis.driver import RunConfig
-from mwis.generate import GenSpec
+from mwis.driver import RunConfig, run
+from mwis.generate import GenSpec, generate_graph, random_gnp
+from mwis.graph import graphs_equal
 from mwis.local_search import LocalSearchParams
 from mwis.lp_bias import make_relaxed
 from mwis.relink import RelinkParams
+
+from conftest import FakeClock
 
 NAN, INF = math.nan, math.inf
 
@@ -55,3 +58,12 @@ def test_finite_extremes_accepted():
     assert make_relaxed([0.5, 0.0], epsilon=1e-300).total > 0
     # any integer seeds a run or a generated graph, numpy's too
     assert RunConfig(seed=np.int64(3)).seed == GenSpec(seed=np.uint8(3)).seed == 3
+    # stored as plain ints: random.Random refuses numpy's, and summarize writes JSON
+    assert type(RunConfig(seed=np.int64(3)).seed) is type(GenSpec(seed=np.uint8(3)).seed) is int
+    g = random_gnp(50, 0.1, 1)
+    a, b = (run(g, RunConfig(time_limit=0.002, seed=seed), clock=FakeClock())[0]
+            for seed in (np.int64(3), 3))
+    assert a.member_list() == b.member_list()
+    spec = dict(model="gnp", n=20, p=0.2)
+    assert graphs_equal(generate_graph(GenSpec(**spec, seed=np.uint8(3))),
+                        generate_graph(GenSpec(**spec, seed=3)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import logging
 import math
 import operator
@@ -99,68 +100,79 @@ def run(g: Graph, config: RunConfig, clock=None,
 
     The relink schedule is adapted on a copy, so config is left as given and
     can be reused for an identical run. initial and relaxed must be for g.
+
+    The solve pauses the process-wide cyclic collector, which would re-scan
+    the start's fresh lists, and restores its setting on every exit. A solve
+    builds no reference cycles (TestCollectorPause), so only other threads'
+    cyclic garbage waits. local_search and path_relink leave it to the caller.
     """
     if initial is not None and initial.graph is not g:
         raise ValueError("initial solution is for another graph")
     if relaxed is not None and len(relaxed.x) != g.n:
         raise ValueError(f"relaxed solution has {len(relaxed.x)} values for n={g.n}")
-    clock = clock or time.monotonic
-    rng = random.Random(config.seed)
-    params = copy.copy(config.relink_params)
-    trace: list[TraceEvent] = []
-    t0 = clock()
-    deadline_at = t0 + config.time_limit
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        clock = clock or time.monotonic
+        rng = random.Random(config.seed)
+        params = copy.copy(config.relink_params)
+        trace: list[TraceEvent] = []
+        t0 = clock()
+        deadline_at = t0 + config.time_limit
 
-    # looked up on the module at call time, where perfbench wraps it
-    s = initial.copy() if initial is not None else greedy.adaptive_greedy(g)
-    best_w = s.total_weight
+        # looked up on the module at call time, where perfbench wraps it
+        s = initial.copy() if initial is not None else greedy.adaptive_greedy(g)
+        best_w = s.total_weight
 
-    def emit(event: str) -> None:
-        trace.append(TraceEvent(elapsed=clock() - t0, best_weight=best_w, event=event))
+        def emit(event: str) -> None:
+            trace.append(TraceEvent(elapsed=clock() - t0, best_weight=best_w, event=event))
 
-    emit("init")
-    every = config.check_interstate_every
-    ls_kwargs = dict(deadline=deadline_at, clock=clock,
-                     on_commit=_interstate_check(every) if every else None)
+        emit("init")
+        every = config.check_interstate_every
+        ls_kwargs = dict(deadline=deadline_at, clock=clock,
+                         on_commit=_interstate_check(every) if every else None)
 
-    # the run's one search state, made as local_search makes one
-    st = build(g, s)
-    make_maximal(st, rng)
-    # a fresh snapshot that nothing mutates, so S* can be it
-    best = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
-    best_w = best.total_weight
-    emit("local-search")
-    es = EliteSet()
-    es.try_add_and_evict(best)
-
-    while clock() < deadline_at:
-        s_g = randomized_greedy(g, config.greedy, rng)
-        s_e = es.random_entry(rng)
-        path_relink(st, s_g, s_e, params, rng)
-        emit("relink")
-        s2 = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
-        w2 = s2.total_weight
-        stagnated = w2 == best_w
-        if stagnated:
-            if log.isEnabledFor(logging.DEBUG):
-                log.debug("stagnation at weight %r (equivalent=%s)", w2,
-                          solutions_equivalent(g, s2, best))
-            params.on_stagnation()
-        else:
-            params.reset()
-        improved = w2 > best_w
-        if improved:
-            best = s2
-            best_w = w2
+        # the run's one search state, made as local_search makes one
+        st = build(g, s)
+        make_maximal(st, rng)
+        # a fresh snapshot that nothing mutates, so S* can be it
+        best = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
+        best_w = best.total_weight
         emit("local-search")
-        if improved:
-            emit("improve")
-        elif stagnated:
-            emit("stagnate")
-        es.try_add_and_evict(s2)
+        es = EliteSet()
+        es.try_add_and_evict(best)
 
-    emit("final")
-    return best, trace
+        while clock() < deadline_at:
+            s_g = randomized_greedy(g, config.greedy, rng)
+            s_e = es.random_entry(rng)
+            path_relink(st, s_g, s_e, params, rng)
+            emit("relink")
+            s2 = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
+            w2 = s2.total_weight
+            stagnated = w2 == best_w
+            if stagnated:
+                if log.isEnabledFor(logging.DEBUG):
+                    log.debug("stagnation at weight %r (equivalent=%s)", w2,
+                              solutions_equivalent(g, s2, best))
+                params.on_stagnation()
+            else:
+                params.reset()
+            improved = w2 > best_w
+            if improved:
+                best = s2
+                best_w = w2
+            emit("local-search")
+            if improved:
+                emit("improve")
+            elif stagnated:
+                emit("stagnate")
+            es.try_add_and_evict(s2)
+
+        emit("final")
+        return best, trace
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
 def write_trace(trace: list[TraceEvent], path: str) -> None:

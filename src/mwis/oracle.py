@@ -83,36 +83,35 @@ def max_weight_subset(weights: list[float], adj_masks: list[int]) -> tuple[float
     (weight, chosen bitmask). Ties prefer the include branch. This is the same
     routine the (1,*) move uses for exact 1-tight subset selection.
     """
-    k = len(weights)
+    return _best_subset(weights, adj_masks, (1 << len(weights)) - 1)
 
-    def rec(avail: int) -> tuple[float, int]:
-        if avail == 0:
-            return 0.0, 0
-        # conflict-free remainder: take everything
+
+def _best_subset(weights: list[float], adj_masks: list[int], avail: int) -> tuple[float, int]:
+    # not a closure: a self-calling closure is a cycle, unfreed while run pauses the collector
+    if avail == 0:
+        return 0.0, 0
+    # conflict-free remainder: take everything
+    t = avail
+    clean = True
+    while t:
+        b = t & -t
+        if adj_masks[b.bit_length() - 1] & avail:
+            clean = False
+            break
+        t ^= b
+    if clean:
+        total = 0.0
         t = avail
-        clean = True
         while t:
             b = t & -t
-            if adj_masks[b.bit_length() - 1] & avail:
-                clean = False
-                break
+            total += weights[b.bit_length() - 1]
             t ^= b
-        if clean:
-            total = 0.0
-            t = avail
-            while t:
-                b = t & -t
-                total += weights[b.bit_length() - 1]
-                t ^= b
-            return total, avail
-        i = (avail & -avail).bit_length() - 1
-        ibit = 1 << i
-        w_in, c_in = rec(avail & ~(adj_masks[i] | ibit))
-        w_in += weights[i]
-        w_ex, c_ex = rec(avail & ~ibit)
-        if w_in >= w_ex:
-            return w_in, c_in | ibit
-        return w_ex, c_ex
-
-    return rec((1 << k) - 1)
-
+        return total, avail
+    i = (avail & -avail).bit_length() - 1
+    ibit = 1 << i
+    w_in, c_in = _best_subset(weights, adj_masks, avail & ~(adj_masks[i] | ibit))
+    w_in += weights[i]
+    w_ex, c_ex = _best_subset(weights, adj_masks, avail & ~ibit)
+    if w_in >= w_ex:
+        return w_in, c_in | ibit
+    return w_ex, c_ex

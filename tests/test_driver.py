@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib
 import random
 
@@ -16,7 +17,7 @@ from mwis.relink import RelinkParams
 from mwis.solution import InfeasibleSolutionError, Solution, is_independent, \
     load_solution
 
-from conftest import FakeClock, graph_from, random_graph
+from conftest import FakeClock, graph_from, random_graph, rows_forced
 
 
 class RecordingRelinkParams(RelinkParams):
@@ -278,6 +279,68 @@ class TestRun:
         with pytest.raises(ValueError):
             RunConfig(check_interstate_every=-1)
         RunConfig(check_interstate_every=0)
+
+
+class TestCollectorPause:
+    """run pauses the process-wide cyclic collector for a solve, which is safe
+    only while a solve builds no reference cycles."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_run_leaves_no_cyclic_garbage(self, dense, monkeypatch):
+        search_module = importlib.import_module("mwis.local_search")
+        exact, pools = search_module.max_weight_subset, []
+        monkeypatch.setattr(search_module, "max_weight_subset",
+                            lambda w, masks: pools.append(len(w)) or exact(w, masks))
+        g = random_graph(random.Random(31), 60, 0.15)
+        relaxed = make_relaxed(np.random.default_rng(31).random(g.n))
+        initial = Solution(g, [0])
+        cfg = RunConfig(time_limit=0.004, seed=8, check_interstate_every=5)
+        gc.collect()
+        was_on = gc.isenabled()
+        gc.disable()  # so that no collection during the solve hides a cycle
+        try:
+            with rows_forced(dense):
+                best, _ = run(g, cfg, clock=FakeClock(), initial=initial,
+                              relaxed=relaxed)
+            found = gc.collect()
+        finally:
+            if was_on:
+                gc.enable()
+        assert pools  # the (1,*) move's exact subset ran
+        assert is_independent(g, best)
+        assert found == 0
+
+    @pytest.mark.parametrize("was_on", [True, False])
+    def test_collector_setting_restored(self, was_on):
+        g = random_graph(random.Random(32), 20, 0.2)
+        seen = []
+
+        def clock():
+            seen.append(gc.isenabled())
+            return len(seen) * 1e-6
+
+        (gc.enable if was_on else gc.disable)()
+        try:
+            run(g, RunConfig(time_limit=0.001, seed=1), clock=clock)
+            assert gc.isenabled() is was_on
+        finally:
+            gc.enable()
+        assert seen and not any(seen)  # paused from the first clock read on
+
+    def test_collector_restored_after_an_exception_in_the_solve(self):
+        g = random_graph(random.Random(33), 20, 0.2)
+        calls = []
+
+        def failing_clock():
+            calls.append(None)
+            if len(calls) == 5:
+                raise RuntimeError("clock failed")
+            return len(calls) * 1e-6
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="clock failed"):
+            run(g, RunConfig(time_limit=0.001, seed=1), clock=failing_clock)
+        assert gc.isenabled()
 
 
 class TestSummary:

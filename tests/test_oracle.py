@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -120,3 +121,17 @@ class TestExactSubset:
             w, chosen = max_weight_subset(g.weights.tolist(), g.rows)
             assert w == exact_mwis(g).weight
             assert sum(g.node_weight(v) for v in chosen_items(chosen)) == w
+
+    def test_leaves_no_reference_cycle(self):
+        # run pauses the cyclic collector, so a call must free all it makes
+        weights, masks = [3.0, 2.0, 2.0, 1.0], [0b0110, 0b1001, 0b0001, 0b0010]
+        gc.collect()
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            # {0, 3} and {1, 2} tie at 4; the include branch wins
+            assert max_weight_subset(weights, masks) == (4.0, 0b1001)
+            assert gc.collect() == 0
+        finally:
+            if was_on:
+                gc.enable()

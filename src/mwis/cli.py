@@ -1,7 +1,7 @@
 """Batch command-line front end with the subcommands solve, exact, generate and
-report; `mwis <subcommand> --help` lists each one's flags.
-
-Exit codes: 0 success, 1 input error, 2 infeasible initial solution.
+report; `mwis <subcommand> --help` lists each one's flags. Exit codes: 0
+success, 1 input error, 2 infeasible initial solution or a usage error that
+argparse refuses (an unknown flag, a missing --graph, --num-iterations 2.5).
 """
 
 from __future__ import annotations

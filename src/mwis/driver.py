@@ -10,7 +10,6 @@ deterministic clock; the CLI uses the real monotonic clock.
 
 from __future__ import annotations
 
-import copy
 import csv
 import gc
 import logging
@@ -71,8 +70,9 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.time_limit < math.inf:  # each check fails NaN
             raise ValueError("time_limit must be finite and > 0")
-        if not self.check_interstate_every >= 0:
-            raise ValueError("check_interstate_every must be >= 0")
+        every = self.check_interstate_every
+        if not (hasattr(every, "__index__") and every >= 0):
+            raise ValueError("check_interstate_every must be an integer >= 0")
         if not hasattr(self.seed, "__index__"):  # random.Random hashes a float; NaN's hash varies
             raise ValueError("seed must be an integer")
         self.seed = operator.index(self.seed)  # a plain int: random.Random refuses numpy's
@@ -98,7 +98,7 @@ def run(g: Graph, config: RunConfig, clock=None,
         relaxed: RelaxedSolution | None = None) -> tuple[Solution, list[TraceEvent]]:
     """Execute one solver run; returns (best solution, trace event stream).
 
-    The relink schedule is adapted on a copy, so config is left as given and
+    The relink limits are a local of the run, so config is left as given and
     can be reused for an identical run. initial and relaxed must be for g.
 
     The solve pauses the process-wide cyclic collector, which would re-scan
@@ -115,7 +115,8 @@ def run(g: Graph, config: RunConfig, clock=None,
     try:
         clock = clock or time.monotonic
         rng = random.Random(config.seed)
-        params = copy.copy(config.relink_params)
+        rp = config.relink_params
+        limits = rp.start
         trace: list[TraceEvent] = []
         t0 = clock()
         deadline_at = t0 + config.time_limit
@@ -145,18 +146,15 @@ def run(g: Graph, config: RunConfig, clock=None,
         while clock() < deadline_at:
             s_g = randomized_greedy(g, config.greedy, rng)
             s_e = es.random_entry(rng)
-            path_relink(st, s_g, s_e, params, rng)
+            path_relink(st, s_g, s_e, limits, rng)
             emit("relink")
             s2 = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)
             w2 = s2.total_weight
             stagnated = w2 == best_w
-            if stagnated:
-                if log.isEnabledFor(logging.DEBUG):
-                    log.debug("stagnation at weight %r (equivalent=%s)", w2,
-                              solutions_equivalent(g, s2, best))
-                params.on_stagnation()
-            else:
-                params.reset()
+            if stagnated and log.isEnabledFor(logging.DEBUG):
+                log.debug("stagnation at weight %r (equivalent=%s)", w2,
+                          solutions_equivalent(g, s2, best))
+            limits = rp.tightened(limits) if stagnated else rp.start
             improved = w2 > best_w
             if improved:
                 best = s2

@@ -34,8 +34,9 @@ class GenSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:  # NaN fails too
             raise ValueError("p must be in [0, 1]")
-        if not hasattr(self.seed, "__index__"):  # random.Random hashes a float; NaN's hash varies
-            raise ValueError("seed must be an integer")
+        for name in ("n", "rows", "cols", "w_lo", "w_hi", "mod", "seed"):  # NaN hashes by identity
+            if not hasattr(getattr(self, name), "__index__"):
+                raise ValueError(f"{name} must be an integer")
         self.seed = operator.index(self.seed)  # a plain int: random.Random refuses numpy's
         # gnp reads n and p, grid rows and cols, every other model n alone
         used = {"gnp": ("n", "p"), "grid": ("rows", "cols")}.get(self.model, ("n",))

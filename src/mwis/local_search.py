@@ -39,8 +39,8 @@ class LocalSearchParams:
 
     def __post_init__(self):
         counts = (self.num_iterations, self.exact_recursion_limit, self.aap_max_len)
-        if not all(c >= 1 for c in counts):  # each check fails NaN
-            raise ValueError("counts must be >= 1")
+        if not all(hasattr(c, "__index__") and c >= 1 for c in counts):  # refuses NaN, inf, 2.5
+            raise ValueError("counts must be integers >= 1")
         if not 0 <= self.aap_delta < math.inf:
             raise ValueError("aap_delta must be finite and >= 0")
         if self.aap_gain_floor is not None and math.isnan(self.aap_gain_floor):

@@ -1,14 +1,15 @@
 """Adaptive truncated greedy path relinking.
 
-The walk starts at the guide solution S* and moves toward the greedy
-source, each step applying whichever candidate move — pull in a source node
-and drop its blockers, or drop a non-source member and add freed source
-neighbors — maximizes the resulting weight. It truncates when the weight
-factor drops below f, or when more than c_n negative-gain / c_p positive-gain
-steps have been taken (step applied first, then checked). The budgets are
-step counts, as the paper defines them, whatever the size of the symmetric
-difference. Zero gain counts as positive. The schedule (f, c_n, c_p) tightens
-multiplicatively on stagnation and resets on any weight change.
+The walked solution, the paper's S'*, starts at the guide S* and moves toward
+the greedy source S_G; the paper's S'_G is not kept, so the walk is one-sided.
+Each step applies whichever candidate move — pull in a source node and drop
+its blockers (the paper's greedy choice), or drop a non-source member and add
+freed source neighbors — maximizes the resulting weight. It truncates when the
+weight factor drops below f, or after more than c_n negative-gain or c_p
+positive-gain steps, whatever the size of the symmetric difference (step
+applied first, then checked; zero gain counts as positive). The run keeps the
+limits (f, c_n, c_p): it starts them at RelinkParams.start, tightens them on
+stagnation and restarts them on any weight change.
 
 The walk runs on the interstate structure it is handed, retargeted to the
 guide and updated by every flip: a pull gains delta(v), and a drop adds the
@@ -20,7 +21,7 @@ that structure, whose queues re-arm only what retarget and the walk changed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import ne
 
@@ -28,49 +29,42 @@ from .interstate import InterstateState, add_member, make_maximal, remove_member
 from .solution import Solution
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelinkParams:
     f0: float = 0.9998
     c_n0: float = 1.0
     c_p0: float = 0.1
     f_decay: float = 0.9998
     budget_growth: float = 1.5
-    # the live schedule: starts at (f0, c_n0, c_p0), moved only by
-    # on_stagnation and reset
-    f: float = field(init=False)
-    c_n: float = field(init=False)
-    c_p: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.f0 <= 1.0:  # each check fails NaN
             raise ValueError("need 0 < f0 <= 1")
         if not self.c_p0 < self.c_n0:
             raise ValueError("positive budget must stay below the negative budget")
-        if not self.budget_growth > 1.0 or not 0.0 < self.f_decay <= 1.0:
+        if not 1.0 < self.budget_growth < float("inf") or not 0.0 < self.f_decay <= 1.0:
             raise ValueError("bad schedule multipliers")
-        self.f, self.c_n, self.c_p = self.f0, self.c_n0, self.c_p0
 
-    def on_stagnation(self) -> None:
-        self.f *= self.f_decay
-        self.c_n *= self.budget_growth
-        self.c_p *= self.budget_growth
+    @property
+    def start(self) -> tuple[float, float, float]:
+        return self.f0, self.c_n0, self.c_p0
 
-    def reset(self) -> None:
-        self.f = self.f0
-        self.c_n = self.c_n0
-        self.c_p = self.c_p0
+    def tightened(self, limits: tuple[float, float, float]) -> tuple[float, float, float]:
+        """The limits after one more stagnation, as iterated products."""
+        f, c_n, c_p = limits
+        return f * self.f_decay, c_n * self.budget_growth, c_p * self.budget_growth
 
 
 def path_relink(st: InterstateState, source: Solution, guide: Solution,
-                params: RelinkParams, rng: random.Random,
+                limits: tuple[float, float, float], rng: random.Random,
                 step_log: list[tuple[float, float]] | None = None) -> None:
     """Retarget st to `guide` and walk it toward `source`, in place, to the
     truncation point.
 
     Both inputs must be independent. The walked solution st.s is
     re-maximalized, so st can go straight to local_search. If the two
-    solutions are set-equal the walk takes no step. step_log gets one
-    (gain, weight_after_step) per step.
+    solutions are set-equal the walk takes no step. limits is (f, c_n, c_p).
+    step_log gets one (gain, weight_after_step) per step.
     """
     retarget(st, guide)
     g, s = st.g, st.s
@@ -86,6 +80,7 @@ def path_relink(st: InterstateState, source: Solution, guide: Solution,
     w, adj = g.w, g.adj
     delta, one_tight = st.delta, st.one_tight
     w_guide = guide.total_weight
+    f, c_n, c_p = limits
     neg = pos = 0
 
     while True:
@@ -125,9 +120,9 @@ def path_relink(st: InterstateState, source: Solution, guide: Solution,
             neg += 1
         else:
             pos += 1
-        if neg > params.c_n or pos > params.c_p:
+        if neg > c_n or pos > c_p:
             break
-        if w_guide > 0 and s.total_weight / w_guide < params.f:
+        if w_guide > 0 and s.total_weight / w_guide < f:
             break
 
     make_maximal(st, rng)

@@ -181,18 +181,20 @@ def test_criterion_4_local_optimality():
 @criterion(5, "relinking parameter schedule to full float precision")
 def test_criterion_5_relink_schedule():
     p = RelinkParams()
+    limits = p.start
     f_exp, cn_exp, cp_exp = 0.9998, 1.0, 0.1
     for k in range(1, 40):
-        p.on_stagnation()
+        limits = p.tightened(limits)
+        f, c_n, c_p = limits
         f_exp *= 0.9998
         cn_exp *= 1.5
         cp_exp *= 1.5
-        assert (p.f, p.c_n, p.c_p) == (f_exp, cn_exp, cp_exp), f"k={k}"
-        assert p.f == pytest.approx(0.9998 ** (k + 1), rel=1e-12)
-        assert p.c_n == pytest.approx(1.5 ** k, rel=1e-12)
-        assert p.c_p == pytest.approx(0.1 * 1.5 ** k, rel=1e-12)
-    p.reset()
-    assert (p.f, p.c_n, p.c_p) == (0.9998, 1.0, 0.1)
+        assert (f, c_n, c_p) == (f_exp, cn_exp, cp_exp), f"k={k}"
+        assert f == pytest.approx(0.9998 ** (k + 1), rel=1e-12)
+        assert c_n == pytest.approx(1.5 ** k, rel=1e-12)
+        assert c_p == pytest.approx(0.1 * 1.5 ** k, rel=1e-12)
+    # a weight change restarts the schedule at the settings
+    assert p.start == (0.9998, 1.0, 0.1)
     return "39 stagnations + reset exact"
 
 

@@ -267,7 +267,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag, value", [
         ("--time-limit", "nan"), ("--time-limit", "inf"), ("--relink-cn0", "nan"),
-        ("--relink-cp0", "nan"), ("--relink-budget-growth", "nan"), ("--aap-delta", "nan"),
+        ("--relink-cp0", "nan"), ("--relink-budget-growth", "nan"),
+        ("--relink-budget-growth", "inf"), ("--aap-delta", "nan"),
         ("--aap-gain-floor", "nan"), ("--lp-epsilon", "nan")])
     def test_non_finite_setting_exits_one(self, tmp_path, monkeypatch, capsys, flag, value):
         path, g = gen_file(tmp_path, "s.g", GenSpec(model="path", n=4, seed=0))

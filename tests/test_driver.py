@@ -20,18 +20,27 @@ from mwis.solution import InfeasibleSolutionError, Solution, is_independent, \
 from conftest import FakeClock, graph_from, random_graph, rows_forced
 
 
-class RecordingRelinkParams(RelinkParams):
-    def __init__(self):
-        super().__init__()
-        self.events = []
+def record_limits(monkeypatch) -> list:
+    """The limits each path_relink call of a run receives, in call order."""
+    calls = []
+    inner = driver.path_relink
 
-    def on_stagnation(self):
-        super().on_stagnation()
-        self.events.append(("stagnate", self.f, self.c_n, self.c_p))
+    def recording(st, source, guide, limits, *args, **kwargs):
+        calls.append(limits)
+        return inner(st, source, guide, limits, *args, **kwargs)
+    monkeypatch.setattr(driver, "path_relink", recording)
+    return calls
 
-    def reset(self):
-        super().reset()
-        self.events.append(("reset", self.f, self.c_n, self.c_p))
+
+def iteration_stagnated(trace) -> list[bool]:
+    """Per main-loop iteration, whether it ended in a stagnation."""
+    out = []
+    for ev in trace:
+        if ev.event == "relink":
+            out.append(False)
+        elif ev.event == "stagnate":
+            out[-1] = True
+    return out
 
 
 def solution_of(g, members):
@@ -115,30 +124,34 @@ class TestRun:
                     clock=FakeClock())[0].as_frozenset() for s in range(6)}
         assert len(outs) >= 2
 
-    def test_stagnation_schedule_grows_geometrically(self):
+    def test_stagnation_schedule_grows_geometrically(self, monkeypatch):
         # single-edge graph: the optimum is found instantly, every later
         # iteration stagnates at the same weight
         g = build_graph(2, [(0, 1)], [3.0, 7.0])
-        params = RecordingRelinkParams()
-        cfg = RunConfig(time_limit=0.005, seed=0, relink_params=params)
-        best, trace = run(g, cfg, clock=FakeClock())
+        calls = record_limits(monkeypatch)
+        best, trace = run(g, RunConfig(time_limit=0.005, seed=0), clock=FakeClock())
         assert best.total_weight == 7.0
-        stagnations = [e for e in params.events if e[0] == "stagnate"]
-        assert len(stagnations) >= 3
-        for k, (_, f, cn, cp) in enumerate(stagnations, start=1):
-            assert cn == pytest.approx(1.5 ** k, rel=1e-12)
-            assert cp == pytest.approx(0.1 * 1.5 ** k, rel=1e-12)
-        assert sum(1 for ev in trace if ev.event == "stagnate") == len(stagnations)
+        assert len(calls) >= 3
+        assert iteration_stagnated(trace) == [True] * len(calls)
+        # the k-th walk gets the start tightened k-1 times: iterated products
+        f, c_n, c_p = 0.9998, 1.0, 0.1
+        for limits in calls:
+            assert limits == (f, c_n, c_p)
+            f, c_n, c_p = f * 0.9998, c_n * 1.5, c_p * 1.5
 
-    def test_improvement_resets_schedule(self):
-        g = random_graph(random.Random(14), 24, 0.2)
-        params = RecordingRelinkParams()
-        run(g, RunConfig(time_limit=0.004, seed=2, relink_params=params),
-            clock=FakeClock())
-        kinds = [e[0] for e in params.events]
-        if "reset" in kinds:
-            i = kinds.index("reset")
-            assert params.events[i][1:] == (0.9998, 1.0, 0.1)
+    def test_improvement_resets_schedule(self, monkeypatch):
+        # a graph and seed on which two weight changes follow stagnations
+        g = random_graph(random.Random(11), 60, 0.1)
+        calls = record_limits(monkeypatch)
+        _, trace = run(g, RunConfig(time_limit=0.02, seed=1), clock=FakeClock())
+        stagnated = iteration_stagnated(trace)
+        p = RelinkParams()
+        assert calls[0] == p.start
+        restarts = 0
+        for limits, nxt, stuck in zip(calls, calls[1:], stagnated):
+            assert nxt == (p.tightened(limits) if stuck else p.start)
+            restarts += not stuck and limits != p.start
+        assert restarts == 2
 
     def test_initial_solution_respected(self, tmp_path):
         g = build_graph(3, [(0, 1), (1, 2)], [3.0, 5.0, 3.0])

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import copy
+import dataclasses
 import importlib
 import math
 import random
@@ -39,58 +39,64 @@ def relink(g, source, guide, *args):
 class TestSchedule:
     def test_single_stagnation_values(self):
         p = RelinkParams()
-        p.on_stagnation()
-        assert p.f == 0.9998 * 0.9998
-        assert p.f == pytest.approx(0.99960004, rel=1e-12)
-        assert p.c_n == 1.5
-        assert p.c_p == 0.1 * 1.5
-        assert p.c_p == pytest.approx(0.15, rel=1e-12)
+        f, c_n, c_p = p.tightened(p.start)
+        assert f == 0.9998 * 0.9998
+        assert f == pytest.approx(0.99960004, rel=1e-12)
+        assert c_n == 1.5
+        assert c_p == 0.1 * 1.5
+        assert c_p == pytest.approx(0.15, rel=1e-12)
 
     def test_k_applications_follow_induction(self):
         p = RelinkParams()
+        limits = p.start
         f, cn, cp = 0.9998, 1.0, 0.1
         for k in range(1, 30):
-            p.on_stagnation()
+            limits = p.tightened(limits)
             f *= 0.9998
             cn *= 1.5
             cp *= 1.5
-            assert (p.f, p.c_n, p.c_p) == (f, cn, cp)
-            assert p.f == pytest.approx(0.9998 ** (k + 1), rel=1e-12)
-            assert p.c_n == pytest.approx(1.5 ** k, rel=1e-12)
-            assert p.c_p == pytest.approx(0.1 * 1.5 ** k, rel=1e-12)
-            assert p.c_p < p.c_n  # growth preserves the ratio
+            assert limits == (f, cn, cp)
+            assert limits[0] == pytest.approx(0.9998 ** (k + 1), rel=1e-12)
+            assert limits[1] == pytest.approx(1.5 ** k, rel=1e-12)
+            assert limits[2] == pytest.approx(0.1 * 1.5 ** k, rel=1e-12)
+            assert limits[2] < limits[1]  # growth preserves the ratio
 
     def test_reset_restores_exact_initials(self):
+        # tightening leaves the settings as they were, so a restart at
+        # start is exact however long the run stagnated
         p = RelinkParams()
+        limits = p.start
         for _ in range(7):
-            p.on_stagnation()
-        p.reset()
-        assert (p.f, p.c_n, p.c_p) == (0.9998, 1.0, 0.1)
-        p.reset()  # idempotent
-        assert (p.f, p.c_n, p.c_p) == (0.9998, 1.0, 0.1)
+            limits = p.tightened(limits)
+        assert p == RelinkParams()
+        assert p.start == (0.9998, 1.0, 0.1)
 
     def test_live_schedule_starts_at_initials(self):
-        p = RelinkParams(f0=0.5, c_n0=3.0, c_p0=2.0)
-        assert (p.f, p.c_n, p.c_p) == (0.5, 3.0, 2.0)
-        p.on_stagnation()
-        p.reset()
-        assert (p.f, p.c_n, p.c_p) == (0.5, 3.0, 2.0)
-        for live in ("f", "c_n", "c_p"):  # the schedule is not a constructor argument
+        assert RelinkParams(f0=0.5, c_n0=3.0, c_p0=2.0).start == (0.5, 3.0, 2.0)
+        for live in ("f", "c_n", "c_p"):  # the live limits are not settings
             with pytest.raises(TypeError):
                 RelinkParams(**{live: 0.5})
+
+    def test_settings_are_frozen_and_hold_no_run_state(self):
+        p = RelinkParams()
+        for name in ("f0", "c_n0", "c_p0", "f_decay", "budget_growth"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 0.5)
+        for live in ("f", "c_n", "c_p", "on_stagnation", "reset"):
+            assert not hasattr(p, live)
 
 
 class TestWalk:
     def test_identical_solutions_returned_unchanged(self, path3):
         s = maximal(path3, Solution(path3, [1]), random.Random(0))
-        out = relink(path3, s, s.copy(), RelinkParams(), random.Random(0))
+        out = relink(path3, s, s.copy(), RelinkParams().start, random.Random(0))
         assert out.as_frozenset() == s.as_frozenset()
 
     def test_positive_budget_stops_after_first_positive_step(self):
         # every step pulls a heavier source node: all gains positive
         g, source, guide = matching_graph(6, w_left=1.0, w_right=2.0)
         log = []
-        out = relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out = relink(g, source, guide, RelinkParams().start, random.Random(0), log)
         assert len(log) == 1        # pos count 1 > c_p = 0.1 stops the walk
         assert log[0][0] > 0
         assert len(out.as_frozenset() ^ guide.as_frozenset()) == 2
@@ -99,7 +105,7 @@ class TestWalk:
         # tiny negative steps: the f-rule stays quiet, c_n = 1.0 stops at 2
         g, source, guide = matching_graph(8, w_left=1000.0, w_right=999.9)
         log = []
-        out = relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out = relink(g, source, guide, RelinkParams().start, random.Random(0), log)
         assert len(log) == 2        # neg count 2 > c_n = 1.0
         assert all(gain < 0 for gain, _ in log)
         assert len(out.as_frozenset() ^ guide.as_frozenset()) == 4
@@ -110,12 +116,12 @@ class TestWalk:
         g, source, guide = matching_graph(40, w_left=1000.0, w_right=999.9)
         steps = []
         params = RelinkParams()
+        limits = params.start
         for k in range(6):
             log = []
-            relink(g, source, guide, params, random.Random(0), log)
+            relink(g, source, guide, limits, random.Random(0), log)
             steps.append(len(log))
-            params.on_stagnation()
-            params.on_stagnation()
+            limits = params.tightened(params.tightened(limits))
         assert steps == sorted(steps)
         assert steps[-1] > steps[0]
 
@@ -123,7 +129,7 @@ class TestWalk:
         # big negative steps: first step already drops below f
         g, source, guide = matching_graph(8, w_left=1000.0, w_right=1.0)
         log = []
-        relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        relink(g, source, guide, RelinkParams().start, random.Random(0), log)
         assert len(log) == 1
         gain, w_after = log[0]
         assert w_after / guide.total_weight < 0.9998
@@ -134,7 +140,7 @@ class TestWalk:
         guide = Solution(g, [1, 3])   # weight 13
         source = Solution(g, [0, 2])  # weight 20
         log = []
-        out = relink(g, source, guide, RelinkParams(), random.Random(0), log)
+        out = relink(g, source, guide, RelinkParams().start, random.Random(0), log)
         # pulling 0 (gain +6) beats pulling 2 (gain +1); one positive step, stop
         assert log[0][0] == 6.0
         assert 0 in out.as_frozenset()
@@ -145,7 +151,7 @@ class TestWalk:
             g = random_graph(rng, 30, 0.15)
             a = maximal(g, Solution(g), rng)
             b = maximal(g, Solution(g), rng)
-            out = relink(g, a, b, RelinkParams(), rng)
+            out = relink(g, a, b, RelinkParams().start, rng)
             assert is_independent(g, out)
             flags = [v in out for v in range(g.n)]
             for v in range(g.n):
@@ -157,18 +163,18 @@ class TestWalk:
         g = random_graph(rng, 30, 0.15)
         a = maximal(g, Solution(g), rng)
         b = maximal(g, Solution(g), rng)
-        o1 = relink(g, a, b, RelinkParams(), random.Random(5))
-        o2 = relink(g, a, b, RelinkParams(), random.Random(5))
+        o1 = relink(g, a, b, RelinkParams().start, random.Random(5))
+        o2 = relink(g, a, b, RelinkParams().start, random.Random(5))
         assert o1.as_frozenset() == o2.as_frozenset()
 
     def test_walk_can_reach_source_exactly(self):
         g, source, guide = matching_graph(3, w_left=5.0, w_right=5.0)
         params = RelinkParams(c_n0=100.0, c_p0=99.0, f0=1e-12)
-        out = relink(g, source, guide, params, random.Random(0))
+        out = relink(g, source, guide, params.start, random.Random(0))
         assert out.as_frozenset() == source.as_frozenset()
 
 
-def reference_relink(g, source, guide, params, rng, step_log):
+def reference_relink(g, source, guide, limits, rng, step_log):
     """The walk with the candidates kept as two sets beside the flags, each
     sorted per step, as it was before the walk read them through the flags."""
     s = guide.copy()
@@ -180,6 +186,7 @@ def reference_relink(g, source, guide, params, rng, step_log):
         return s
     w, adj = g.w, g.adj
     w_guide = guide.total_weight
+    f, c_n, c_p = limits
     neg = pos = 0
 
     def eval_pull(v):
@@ -235,9 +242,9 @@ def reference_relink(g, source, guide, params, rng, step_log):
             neg += 1
         else:
             pos += 1
-        if neg > params.c_n or pos > params.c_p:
+        if neg > c_n or pos > c_p:
             break
-        if w_guide > 0 and s.total_weight / w_guide < params.f:
+        if w_guide > 0 and s.total_weight / w_guide < f:
             break
     maximal(g, s, rng)
     return s
@@ -254,7 +261,7 @@ def independent_set(g, rng):
 
 
 def reference_cases(seed, integer):
-    """360 (graph, source, guide, params, walk seed) cases; weights are
+    """360 (graph, source, guide, limits, walk seed) cases; weights are
     integers or multiples of 1/10. The schedule has stagnated 0, 3, 12 or 20
     times, so some walks run long."""
     rng = random.Random(seed)
@@ -266,9 +273,10 @@ def reference_cases(seed, integer):
         g = build_graph(n, edges, weights if integer else [x / 10 for x in weights])
         source, guide = independent_set(g, rng), independent_set(g, rng)
         params = RelinkParams()
+        limits = params.start
         for _ in range((0, 3, 12, 20)[i % 4]):
-            params.on_stagnation()
-        yield g, source, guide, params, rng.random()
+            limits = params.tightened(limits)
+        yield g, source, guide, limits, rng.random()
 
 
 def live_relink(g, source, guide, *args):
@@ -278,14 +286,14 @@ def live_relink(g, source, guide, *args):
     return st.s
 
 
-def walk_all_ways(g, source, guide, params, seed):
+def walk_all_ways(g, source, guide, limits, seed):
     """(members, step log, random state) of path_relink on a copy of the
     guide, on a structure retargeted to it, then of reference_relink."""
     runs = []
     for walk in (relink, live_relink, reference_relink):
         log = []
         walk_rng = random.Random(seed)
-        out = walk(g, source, guide, copy.copy(params), walk_rng, log)
+        out = walk(g, source, guide, limits, walk_rng, log)
         runs.append((out.member_list(), log, walk_rng.getstate()))
     return runs
 
@@ -328,11 +336,11 @@ class TestHandoff:
     @pytest.mark.parametrize("rows", [False, True])
     def test_returned_state_matches_a_rebuild(self, rows):
         with rows_forced(rows):
-            for i, (g, source, guide, params, seed) in enumerate(reference_cases(33, integer=False)):
+            for i, (g, source, guide, limits, seed) in enumerate(reference_cases(33, integer=False)):
                 if i == 120:
                     break
                 st = build(g, guide.copy())
-                path_relink(st, source, guide, params, random.Random(seed))
+                path_relink(st, source, guide, limits, random.Random(seed))
                 assert (st.rows is not None) is rows
                 assert not state_mismatches(st, check_pruning=True), f"case {i}"
 
@@ -344,7 +352,7 @@ class TestHandoff:
             source = maximal(g, Solution(g), rng)
             guide = maximal(g, Solution(g), rng)
             st = build(g, guide.copy())
-            path_relink(st, source, guide, RelinkParams(), rng)
+            path_relink(st, source, guide, RelinkParams().start, rng)
             local_search(st, LocalSearchParams(), rng, on_commit=lambda eng, _, st=st: engines.append((eng, st)))
         assert engines, "no move committed"
         assert all(eng.state is st and eng.s is st.s for eng, st in engines)
@@ -456,3 +464,4 @@ class TestParamsValidation:
             RelinkParams(c_p0=2.0)  # would invert c_p < c_n
         with pytest.raises(ValueError):
             RelinkParams(budget_growth=0.5)
+        RelinkParams(c_n0=math.inf)  # no negative budget

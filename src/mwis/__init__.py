@@ -3,7 +3,7 @@
 from .driver import EliteSet, RunConfig, TraceEvent, run
 from .generate import GenSpec, generate_graph, random_gnp
 from .graph import Graph, GraphFormatError, build_graph, is_edge, load_graph, save_graph
-from .greedy import GreedyConfig, adaptive_greedy, greedy, randomized_greedy
+from .greedy import GreedyConfig, GreedySource, adaptive_greedy, greedy, randomized_greedy
 from .interstate import InterstateState, add_member, build, make_maximal, remove_member, \
     state_mismatches
 from .local_search import LocalSearchParams, MoveEngine, MoveOutcome, local_search
@@ -17,6 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EliteSet", "ExactResult", "GenSpec", "Graph", "GraphFormatError", "GreedyConfig",
+    "GreedySource",
     "InfeasibleSolutionError", "InterstateState", "LocalSearchParams", "MoveEngine",
     "MoveOutcome", "RelaxedSolution", "RelinkParams", "RunConfig", "Solution",
     "TraceEvent", "adaptive_greedy", "add_member", "build", "build_graph",

@@ -1,11 +1,11 @@
 """Run orchestration: relinking guide, stagnation schedule, traces, summaries.
 
 From the initial solution, given or adaptive greedy, the main loop alternates
-randomized greedy construction, truncated path relinking from S* (the latest
-local optimum of the best weight so far) and local search on one interstate
-structure, kept for the run, until the time limit. The clock is injectable so
-that identical (config, seed) pairs reproduce byte-identical traces under a
-deterministic clock; the CLI uses the real monotonic clock.
+truncated path relinking from S* (the latest local optimum of the best weight
+so far) toward a fresh randomized greedy source and local search on one
+interstate structure, kept for the run, until the time limit. The clock is
+injectable so that identical (config, seed) pairs reproduce byte-identical
+traces under a deterministic clock; the CLI uses the real monotonic clock.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import greedy
 from .graph import Graph
-from .greedy import GreedyConfig, randomized_greedy
+from .greedy import GreedyConfig, GreedySource, randomized_greedy  # noqa: F401 (randomized_greedy: perfbench wraps it)
 from .interstate import build, make_maximal, state_mismatches
 from .local_search import LocalSearchParams, local_search
 from .lp_bias import RelaxedSolution
@@ -144,7 +144,7 @@ def run(g: Graph, config: RunConfig, clock=None,
         es.try_add_and_evict(best)
 
         while clock() < deadline_at:
-            s_g = randomized_greedy(g, config.greedy, rng)
+            s_g = GreedySource(g, config.greedy, rng)
             s_e = es.random_entry(rng)
             path_relink(st, s_g, s_e, limits, rng)
             emit("relink")

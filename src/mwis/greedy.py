@@ -1,8 +1,9 @@
 """Greedy constructors: the static scan, its randomized form, and adaptive.
 
-A run starts from adaptive_greedy and relinks toward randomized_greedy. All
-three rank candidates by eta(v) = w(v)/degree(v). Zero-degree nodes never
-enter the ranking; they are added up front, so eta is always finite.
+A run starts from adaptive_greedy and relinks toward GreedySource, the set
+of randomized_greedy asked node by node. All three rank candidates by
+eta(v) = w(v)/degree(v). Zero-degree nodes never enter the ranking; they are
+added up front, so eta is always finite.
 
 randomized_greedy is GRASP's cost perturbation (Resende and Ribeiro): the
 static scan by eta(v)*(1 + noise*(2u_v - 1)), with uniforms u_v read from the
@@ -51,13 +52,53 @@ def greedy(g: Graph, order: list[int] | None = None) -> Solution:
     return s
 
 
-def randomized_greedy(g: Graph, cfg: GreedyConfig, rng: random.Random) -> Solution:
-    """The static scan by eta times seeded noise, descending; ties by node ID."""
+def _noisy_keys(g: Graph, cfg: GreedyConfig, rng: random.Random) -> np.ndarray:
+    """eta times seeded noise per node; 0 for isolated nodes, which no scan ranks."""
     nodes, eta = g.eta
     # 53-bit uniforms in [0, 1), as random.random() makes them
     u = (np.frombuffer(rng.randbytes(8 * len(nodes)), "<u8") >> 11) * 2.0 ** -53
-    keys = eta * (1.0 + cfg.noise * (2.0 * u - 1.0))
-    return greedy(g, nodes[np.argsort(-keys, kind="stable")].tolist())
+    key = np.zeros(g.n)
+    key[nodes] = eta * (1.0 + cfg.noise * (2.0 * u - 1.0))
+    return key
+
+
+def randomized_greedy(g: Graph, cfg: GreedyConfig, rng: random.Random) -> Solution:
+    """The static scan by eta times seeded noise, descending; ties by node ID."""
+    nodes, key = g.eta[0], _noisy_keys(g, cfg, rng)
+    return greedy(g, nodes[np.argsort(-key[nodes], kind="stable")].tolist())
+
+
+class GreedySource:
+    """randomized_greedy's set for the same draw, asked node by node: v is in
+    it iff no neighbour earlier in the scan (higher key, or equal key and
+    lower ID) is. Answers are memoized, evaluated on a stack, not recursion."""
+
+    def __init__(self, g: Graph, cfg: GreedyConfig, rng: random.Random):
+        self._adj = g.adj
+        self._key = memoryview(_noisy_keys(g, cfg, rng))  # one key as a float, no copy
+        self._state = bytearray(g.n)  # 0 not evaluated, 1 in the set, 2 out
+
+    def __contains__(self, v: int) -> bool:
+        state = self._state
+        stack = [] if state[v] else [(v, self._earlier(v))]
+        while stack:
+            u, todo = stack[-1]
+            while todo and state[todo[-1]] == 2:
+                todo.pop()
+            if todo and not state[todo[-1]]:
+                stack.append((todo[-1], self._earlier(todo[-1])))
+            else:  # out iff an earlier neighbour is left, known to be in
+                state[u] = 2 if todo else 1
+                stack.pop()
+        return state[v] == 1
+
+    def _earlier(self, v: int) -> list[int]:
+        """v's earlier neighbours not known to be out, highest key last."""
+        key, state = self._key, self._state
+        k = key[v]
+        earlier = [u for u in self._adj[v] if key[u] > k or key[u] == k and u < v]
+        known_in = [u for u in earlier if state[u] == 1]
+        return known_in[:1] or sorted((u for u in earlier if not state[u]), key=key.__getitem__)
 
 
 def adaptive_greedy(g: Graph) -> Solution:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from mwis.graph import build_graph, is_dense
-from mwis.greedy import GreedyConfig, adaptive_greedy, greedy, randomized_greedy
+from mwis.greedy import GreedyConfig, GreedySource, adaptive_greedy, greedy, randomized_greedy
 from mwis.solution import Solution, is_independent
 
 from conftest import graph_from, random_graph
@@ -215,6 +215,53 @@ print("numpy.random" in sys.modules)
             randomized_greedy(path3, GreedyConfig())
         with pytest.raises(TypeError):
             randomized_greedy(path3, rng=random.Random(0))
+
+
+class TestGreedySource:
+    def test_answers_match_reference_scan(self):
+        # noise 0 (eta ties broken by ID), 0.3 and 0.99; isolated nodes (p =
+        # 0, n = 1), zero weights and eta ties (max_w 1 or 3). The nodes are
+        # asked in a random order, so answers also come from the memo
+        rng = random.Random(16)
+        for i in range(240):
+            n = rng.choice([0, 1, rng.randint(2, 70)])
+            g = random_graph(rng, n, rng.choice([0.0, 0.05, 0.15, 0.5]),
+                             max_w=rng.choice([1, 3, 100]))
+            cfg = GreedyConfig((0.0, 0.3, 0.99)[i % 3])
+            a, b = random.Random(i), random.Random(i)
+            source, ref = GreedySource(g, cfg, a), reference_randomized_greedy(g, cfg, b)
+            assert a.getstate() == b.getstate(), f"instance {i}"
+            order = list(range(n))
+            rng.shuffle(order)
+            assert {v for v in order if v in source} == ref.as_frozenset(), f"instance {i}"
+        from mwis.generate import random_gnp
+
+        for seed in range(2):
+            g = random_gnp(3000, 0.002, seed=seed)
+            for noise in (0.0, 0.3, 0.99):
+                cfg = GreedyConfig(noise)
+                a, b = random.Random(seed), random.Random(seed)
+                source, ref = GreedySource(g, cfg, a), reference_randomized_greedy(g, cfg, b)
+                assert a.getstate() == b.getstate()
+                assert [v in source for v in range(g.n)] == [v in ref for v in range(g.n)]
+
+    def test_all_zero_weights_tie_by_id(self):
+        # every key is 0, so the order is by ID at any noise
+        g = graph_from(4, [(0, 1), (1, 2), (2, 3)], [0.0] * 4)
+        source = GreedySource(g, GreedyConfig(0.99), random.Random(0))
+        assert [v in source for v in (3, 2, 1, 0)] == [False, True, False, True]
+
+    def test_long_chain_of_earlier_neighbours(self):
+        # on a path whose keys fall along it, the last node's answer depends
+        # on every node before it: 5,000 levels, beyond the recursion limit
+        n = 5000
+        weights = [float(n - v) * (1 if v in (0, n - 1) else 2) for v in range(n)]
+        g = graph_from(n, [(v, v + 1) for v in range(n - 1)], weights)
+        cfg = GreedyConfig(0.0)
+        source = GreedySource(g, cfg, random.Random(0))
+        assert (n - 1 in source) is (n - 1 in reference_randomized_greedy(g, cfg, random.Random(0)))
+        assert source._state.count(0) == 0  # the whole chain was evaluated
+        assert [v in source for v in range(4)] == [True, False, True, False]
 
 
 class TestAdaptiveGreedy:

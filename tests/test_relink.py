@@ -9,8 +9,10 @@ import pytest
 
 from mwis import driver
 from mwis.driver import RunConfig, run
+from mwis.generate import random_gnp
 from mwis.graph import build_graph
-from mwis.interstate import IndexedSet, build, state_mismatches
+from mwis.greedy import GreedyConfig, GreedySource, adaptive_greedy, randomized_greedy
+from mwis.interstate import IndexedSet, build, make_maximal, state_mismatches
 from mwis.local_search import LocalSearchParams, MoveEngine, local_search
 from mwis.relink import RelinkParams, path_relink
 from mwis.solution import Solution, is_independent
@@ -167,6 +169,21 @@ class TestWalk:
         o2 = relink(g, a, b, RelinkParams().start, random.Random(5))
         assert o1.as_frozenset() == o2.as_frozenset()
 
+    def test_one_walk_asks_few_source_nodes(self):
+        # the walk asks the source only about candidates that can still win,
+        # so one walk from a local optimum evaluates a few dozen of its
+        # nodes; a source built whole evaluates all 5,000
+        g = random_gnp(5000, 5 / 5000, seed=8)
+        rng = random.Random(8)
+        st = build(g, adaptive_greedy(g))
+        make_maximal(st, rng)
+        guide = local_search(st, LocalSearchParams(), rng)
+        source = GreedySource(g, GreedyConfig(), rng)
+        log = []
+        path_relink(st, source, guide, RelinkParams().start, rng, log)
+        evaluated = g.n - source._state.count(0)
+        assert log and 0 < evaluated < g.n / 20
+
     def test_walk_can_reach_source_exactly(self):
         g, source, guide = matching_graph(3, w_left=5.0, w_right=5.0)
         params = RelinkParams(c_n0=100.0, c_p0=99.0, f0=1e-12)
@@ -286,11 +303,12 @@ def live_relink(g, source, guide, *args):
     return st.s
 
 
-def walk_all_ways(g, source, guide, limits, seed):
-    """(members, step log, random state) of path_relink on a copy of the
-    guide, on a structure retargeted to it, then of reference_relink."""
+def walk_all_ways(g, source, guide, limits, seed, walks=(relink, live_relink, reference_relink)):
+    """(members, step log, random state) of each walk; by default
+    path_relink on a copy of the guide, on a structure retargeted to it,
+    then reference_relink."""
     runs = []
-    for walk in (relink, live_relink, reference_relink):
+    for walk in walks:
         log = []
         walk_rng = random.Random(seed)
         out = walk(g, source, guide, limits, walk_rng, log)
@@ -315,6 +333,37 @@ class TestMatchesReference:
         for case in reference_cases(32, integer=True):
             runs = walk_all_ways(*case)
             assert runs[0] == runs[2] and runs[1] == runs[2]
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_lazy_source_walks_as_the_built_one(self, integer):
+        # every case again, toward a greedy source: as the Solution that
+        # randomized_greedy builds and as the GreedySource of the same draw,
+        # asked node by node. The two walks take the same steps and draws.
+        # On integer weights both match the reference too; on fractional
+        # ones a running delta can break a near-tie between a pull and a
+        # drop the other way from the reference's fresh sums (case 134 of
+        # seed 31 does, toward either source)
+        for g, _, guide, limits, seed in reference_cases(31 + integer, integer):
+            cfg = GreedyConfig()
+            built = randomized_greedy(g, cfg, random.Random(seed))
+            lazy = GreedySource(g, cfg, random.Random(seed))
+            walks = (relink, reference_relink) if integer else (relink,)
+            runs = walk_all_ways(g, built, guide, limits, seed, walks)
+            assert walk_all_ways(g, lazy, guide, limits, seed, walks[:1]) == runs[:1]
+            assert runs[0] == runs[-1]
+
+    def test_drop_bound_covers_rounding(self):
+        # node 1's pool {2, 3} sums to 4.1, and 4.1 - 1.2 rounds to
+        # 2.8999999999999995; the drop's gain, summed from -1.2 in the pool's
+        # order, is 2.9000000000000004. So the drop beats the pull of node 0
+        # (gain 2.9) only by rounding: a drop bound without slack would stop
+        # the step's search at the pull
+        g = build_graph(4, [(1, 2), (1, 3)], [2.9, 1.2, 2.5, 1.6])
+        guide, source = Solution(g, [1]), Solution(g, [0, 2, 3])
+        runs = walk_all_ways(g, source, guide, RelinkParams().start, 0.5)
+        assert runs[0] == runs[1] == runs[2]
+        (gain, _), = runs[0][1]
+        assert gain == -1.2 + 2.5 + 1.6 > 2.9 > 2.5 + 1.6 - 1.2
 
 
 def winning_pools_left_out(st, max_pool=None):

@@ -52,9 +52,7 @@ class EliteSet:
         self.entry = s
         return True
 
-    def random_entry(self, rng: random.Random) -> Solution:
-        # randrange(1) draws a variable number of bits; later draws rely on it
-        rng.randrange(1)
+    def random_entry(self) -> Solution:
         return self.entry
 
 
@@ -145,7 +143,7 @@ def run(g: Graph, config: RunConfig, clock=None,
 
         while clock() < deadline_at:
             s_g = GreedySource(g, config.greedy, rng)
-            s_e = es.random_entry(rng)
+            s_e = es.random_entry()
             path_relink(st, s_g, s_e, limits, rng)
             emit("relink")
             s2 = local_search(st, config.ls_params, rng, relaxed, **ls_kwargs)

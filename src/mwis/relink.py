@@ -2,9 +2,8 @@
 
 The walked solution, the paper's S'*, starts at the guide S* and moves toward
 the greedy source S_G; the paper's S'_G is not kept, so the walk is one-sided.
-Each step applies whichever candidate move — pull in a source node and drop
-its blockers (the paper's greedy choice), or drop a non-source member and add
-freed source neighbors — maximizes the resulting weight. It truncates when the
+Each step is the paper's greedy choice: pull in the node of S_G - S'* that
+maximizes the resulting weight and drop its neighbors. It truncates when the
 weight factor drops below f, or after more than c_n negative-gain or c_p
 positive-gain steps, whatever the size of the symmetric difference (step
 applied first, then checked; zero gain counts as positive). The run keeps the
@@ -15,11 +14,10 @@ The walk runs on the interstate structure it is handed, retargeted to the
 guide; local search continues on it after interstate.make_maximal, its
 queues re-armed only where retarget and the walk changed pools. The source
 is asked node by node: the run's S_G (greedy.GreedySource) exists only as
-its answers. A step removes only non-source nodes and adds only source
-nodes, so the pulls are always the non-members in the source, gaining
-delta(v), and the drops the members outside it, gaining at most their
-1-tight pool's weight less their own, plus a rounding slack. Each step asks
-the source only about the nodes whose bound can still win.
+its answers. A step removes only non-source nodes and adds one source node,
+so the candidates are always the non-members in the source, each gaining
+delta(v). Each step asks the source about non-members in descending delta
+and pulls the first that it holds.
 """
 
 from __future__ import annotations
@@ -59,14 +57,15 @@ class RelinkParams:
         return f * self.f_decay, c_n * self.budget_growth, c_p * self.budget_growth
 
 
-def _descending(bound: np.ndarray, k: int = 64):
-    """(i, bound[i]) by descending bound, then i: the top k, then all again."""
-    if len(bound) > k:
-        top = np.argpartition(-bound, k)[:k]
-        top = top[np.lexsort((top, -bound[top]))]
-        yield from zip(top.tolist(), bound[top].tolist())
-    order = np.argsort(-bound, kind="stable")
-    yield from zip(order.tolist(), bound[order].tolist())
+def _descending(key: np.ndarray, k: int = 64):
+    """Indices by descending key, ties by ascending index, each once: those
+    at or above the k-th highest key first, then the rest."""
+    order = []
+    if len(key) > k:
+        top = np.flatnonzero(key >= np.partition(key, -k)[-k])
+        order = top[np.argsort(-key[top], kind="stable")].tolist()
+        yield from order
+    yield from np.argsort(-key, kind="stable")[len(order):].tolist()
 
 
 def path_relink(st: InterstateState, source, guide: Solution,
@@ -76,64 +75,38 @@ def path_relink(st: InterstateState, source, guide: Solution,
     truncation point.
 
     Both inputs must be independent; source is asked node by node, `v in
-    source`, and only about candidates that can still win a step. The
-    walked solution st.s is re-maximalized, so st can go straight to
-    local_search. If the two sets are equal the walk takes no step. limits
-    is (f, c_n, c_p). step_log gets one (gain, weight_after_step) per step.
+    source`, in descending delta until one answers yes. The walked solution
+    st.s is re-maximalized, so st can go straight to local_search. If source
+    holds no non-member the walk takes no step. limits is (f, c_n, c_p).
+    step_log gets one (gain, weight_after_step) per step.
     """
     retarget(st, guide)
     g, s = st.g, st.s
-    n, cur_flags = g.n, s._in_set
-    w, adj, weights = g.w, g.adj, g.weights
-    delta, one_tight = st.delta, st.one_tight
-    # a drop's gain and its pool's sum less w[v] each round off by at most
-    # about k * 2**-53 * (pool + w[v]), for a pool of k < n nodes
-    slack = (n + 4) * 2.0 ** -50
+    cur_flags, adj = s._in_set, g.adj
+    delta = st.delta
     w_guide = guide.total_weight
     f, c_n, c_p = limits
     neg = pos = 0
-    # patched after each step at its flipped nodes and their neighbours
-    member = np.frombuffer(bytearray(cur_flags), bool)  # twice fromiter's speed
-    gain0 = np.fromiter(delta, float, n)
-    owner = np.fromiter(st.owner, np.int64, n)
+    # delta of the non-members, -inf at members; patched after each step at
+    # its flipped nodes and their neighbours
+    rank = np.fromiter(delta, float, g.n)
+    rank[np.frombuffer(bytearray(cur_flags), bool)] = -np.inf  # twice fromiter's speed
     while True:
-        # the winner has the highest gain; ties go to pulls, then to the
-        # lower ID. Pulls gain delta[v] and drops at most their bound, so
-        # candidates are visited in descending bound until none can win
-        pool = np.bincount(owner + 1, weights, minlength=n + 1)[1:]  # bin 0: no owner
-        bound = np.where(member, pool - weights + (pool + weights) * slack, gain0)
-        best_gain, best_key, best_step = float("-inf"), (2, 0), None  # (removals, additions)
-        for v, b in _descending(bound):
-            if b < best_gain:
-                break
-            drop = cur_flags[v]
-            key = (drop, v)
-            # skip a node that can at best lose a tie, or is no candidate
-            if b == best_gain and key > best_key or drop == (v in source):
-                continue
-            if drop:
-                added = sorted(u for u in one_tight.get(v, ()) if u in source)
-                gain, step = -w[v], ([v], added)
-                for u in added:
-                    gain += w[u]
-            else:
-                gain, step = delta[v], ([x for x in adj[v] if cur_flags[x]], [v])
-            if gain > best_gain or gain == best_gain and key < best_key:
-                best_gain, best_key, best_step = gain, key, step
-        if best_step is None:
-            break  # the walk reached the source
-        removed, added = best_step
+        # the winner is the non-member in the source with the highest delta,
+        # ties to the lower ID; members rank last
+        v = next((u for u in _descending(rank) if cur_flags[u] or u in source), None)
+        if v is None or cur_flags[v]:
+            break  # no non-member is in the source
+        gain = delta[v]
+        removed = [x for x in adj[v] if cur_flags[x]]
         for x in removed:
             remove_member(st, x)
-        for u in added:
-            add_member(st, u)
-        near = removed + added + [y for x in removed + added for y in adj[x]]
-        member[near] = [cur_flags[y] for y in near]
-        gain0[near] = [delta[y] for y in near]
-        owner[near] = [st.owner[y] for y in near]
+        add_member(st, v)
+        near = [v, *adj[v]] + [y for x in removed for y in adj[x]]
+        rank[near] = [-np.inf if cur_flags[y] else delta[y] for y in near]
         if step_log is not None:
-            step_log.append((best_gain, s.total_weight))
-        if best_gain < 0:
+            step_log.append((gain, s.total_weight))
+        if gain < 0:
             neg += 1
         else:
             pos += 1

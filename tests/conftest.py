@@ -3,7 +3,10 @@ from __future__ import annotations
 import contextlib
 import random
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from mwis import interstate
 from mwis.graph import Graph, build_graph
@@ -63,3 +66,24 @@ def maximal(g: Graph, s, rng: random.Random):
         if not any(flags[u] for u in adj[v]):
             s.add(v)
     return s
+
+
+def bipartite_optimum(g: Graph, left) -> float:
+    """The maximum independent set weight of a bipartite graph with integer
+    weights, every edge between `left` (a mask) and the other nodes: the
+    total weight less a maximum flow from a source through the left nodes,
+    the edges and the right nodes to a sink, with the node weights as the
+    arc capacities (a minimum weight vertex cover)."""
+    w = g.weights.astype(np.int64)
+    left = np.asarray(left, bool)
+    assert np.array_equal(w, g.weights), "maximum_flow needs integer capacities"
+    tails = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    assert np.all(left[tails] != left[g.indices]), "an edge within one side"
+    source, sink = g.n, g.n + 1
+    heads, right = np.flatnonzero(left), np.flatnonzero(~left)
+    from_left = left[tails]
+    rows = np.concatenate([np.full(len(heads), source), tails[from_left], right])
+    cols = np.concatenate([heads, g.indices[from_left], np.full(len(right), sink)])
+    caps = np.concatenate([w[heads], np.full(from_left.sum(), w.sum() + 1), w[right]])
+    net = csr_matrix((caps, (rows, cols)), shape=(g.n + 2, g.n + 2))
+    return float(w.sum() - maximum_flow(net, source, sink).flow_value)

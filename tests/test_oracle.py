@@ -6,10 +6,13 @@ import random
 
 import pytest
 
+from mwis.driver import RunConfig, run
+from mwis.generate import GenSpec, generate_graph
 from mwis.graph import build_graph
 from mwis.oracle import exact_mwis, max_weight_subset
+from mwis.solution import is_independent
 
-from conftest import graph_from, maximal, random_graph
+from conftest import FakeClock, bipartite_optimum, graph_from, maximal, random_graph
 from reference_oracle import enumerate_mwis
 
 
@@ -97,6 +100,27 @@ class TestSuperOptimality:
             for s in (greedy(g), adaptive_greedy(g), randomized_greedy(g, GreedyConfig(), rng),
                       local_search(maximal(g, Solution(g), rng), LocalSearchParams(), rng)):
                 assert s.total_weight <= opt + 1e-9
+
+
+class TestBipartiteOptimum:
+    def test_max_flow_optimum_matches_the_oracle(self):
+        rng = random.Random(41)
+        for i in range(150):
+            n = rng.randint(0, 30)
+            left = [rng.random() < 0.5 for _ in range(n)]
+            p = rng.choice([0.1, 0.3, 0.6])
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if left[u] != left[v] and rng.random() < p]
+            g = build_graph(n, edges, [float(rng.randint(0, 20)) for _ in range(n)])
+            assert bipartite_optimum(g, left) == exact_mwis(g).weight, f"graph {i}"
+
+    def test_run_never_exceeds_the_grid_optimum(self):
+        for seed in (1, 2):
+            g = generate_graph(GenSpec(model="grid", rows=100, cols=100, seed=seed, w_lo=1, w_hi=200))
+            opt = bipartite_optimum(g, [(v // 100 + v % 100) % 2 for v in range(g.n)])
+            best, _ = run(g, RunConfig(time_limit=0.02, seed=seed), clock=FakeClock())
+            assert is_independent(g, best)
+            assert best.total_weight == best.recomputed_weight() <= opt
 
 
 def chosen_items(mask):

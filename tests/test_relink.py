@@ -5,6 +5,7 @@ import importlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mwis import driver
@@ -14,7 +15,7 @@ from mwis.graph import build_graph
 from mwis.greedy import GreedyConfig, GreedySource, adaptive_greedy, randomized_greedy
 from mwis.interstate import IndexedSet, build, make_maximal, state_mismatches
 from mwis.local_search import LocalSearchParams, MoveEngine, local_search
-from mwis.relink import RelinkParams, path_relink
+from mwis.relink import RelinkParams, _descending, path_relink
 from mwis.solution import Solution, is_independent
 
 from conftest import FakeClock, maximal, random_graph, rows_forced
@@ -170,9 +171,10 @@ class TestWalk:
         assert o1.as_frozenset() == o2.as_frozenset()
 
     def test_one_walk_asks_few_source_nodes(self):
-        # the walk asks the source only about candidates that can still win,
-        # so one walk from a local optimum evaluates a few dozen of its
-        # nodes; a source built whole evaluates all 5,000
+        # each step asks the source about non-members in descending delta
+        # and stops at the first it holds, so one walk from a local optimum
+        # evaluates a few dozen of its nodes; a source built whole
+        # evaluates all 5,000
         g = random_gnp(5000, 5 / 5000, seed=8)
         rng = random.Random(8)
         st = build(g, adaptive_greedy(g))
@@ -190,70 +192,68 @@ class TestWalk:
         out = relink(g, source, guide, params.start, random.Random(0))
         assert out.as_frozenset() == source.as_frozenset()
 
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_untruncated_walk_ends_at_a_greedy_source(self, lazy):
+        # a greedy source is maximal, so every member outside it has a
+        # neighbour in it, which the walk pulls: with no truncation the
+        # walk ends at exactly the source's set, built or asked node by node
+        limits = RelinkParams(f0=1e-12, c_n0=1e9, c_p0=1e8).start
+        rng = random.Random(38)
+        for i in range(60):
+            g = random_gnp(rng.randint(5, 80), rng.choice([0.05, 0.15, 0.3]), seed=i)
+            guide = maximal(g, Solution(g), rng)
+            cfg, seed = GreedyConfig(), rng.random()
+            built = randomized_greedy(g, cfg, random.Random(seed))
+            source = GreedySource(g, cfg, random.Random(seed)) if lazy else built
+            out = relink(g, source, guide, limits, random.Random(seed))
+            assert out.as_frozenset() == built.as_frozenset(), f"graph {i}"
+
+    def test_ties_past_the_partition_go_to_the_lower_id(self):
+        # nodes 100..199 (weight 2) tie at delta 1, each blocked by its own
+        # guide node i - 100 (weight 1). The lower of the two source nodes is
+        # not among the 64 that argpartition picks from the walk's first
+        # ranking, and the higher is: the walk must still pull the lower
+        g = build_graph(200, [(i, 100 + i) for i in range(100)], [1.0] * 100 + [2.0] * 100)
+        ranking = np.array([-np.inf] * 100 + [1.0] * 100)
+        picked = set(np.argpartition(-ranking, 64)[:64].tolist())
+        low, high = min(set(range(100, 200)) - picked), max(picked)
+        assert low < high
+        guide, source = Solution(g, list(range(100))), Solution(g, [low, high])
+        log = []
+        out = relink(g, source, guide, RelinkParams().start, random.Random(0), log)
+        assert log == [(1.0, 101.0)]
+        assert low in out and high not in out
+
+    def test_candidates_come_in_exact_descending_order(self):
+        # each index once, by descending key, ties by ascending index, when
+        # ties straddle the k-th place too
+        rng = random.Random(39)
+        for n in (0, 1, 64, 65, 130, 300):
+            key = np.array([rng.choice([-np.inf, 0.0, 1.0, 2.5, rng.random()]) for _ in range(n)])
+            assert list(_descending(key)) == np.argsort(-key, kind="stable").tolist()
+
 
 def reference_relink(g, source, guide, limits, rng, step_log):
-    """The walk with the candidates kept as two sets beside the flags, each
-    sorted per step, as it was before the walk read them through the flags."""
+    """The paper's pull-only walk with the candidates kept as a set beside
+    the flags, sorted and re-scored from fresh sums at every step."""
     s = guide.copy()
-    src_flags = source._in_set
     cur_flags = s._in_set
     to_add = {v for v in source.members() if not cur_flags[v]}
-    to_drop = {v for v in s.members() if not src_flags[v]}
-    if not to_add and not to_drop:
-        return s
     w, adj = g.w, g.adj
     w_guide = guide.total_weight
     f, c_n, c_p = limits
     neg = pos = 0
-
-    def eval_pull(v):
-        return w[v] - sum(w[x] for x in adj[v] if cur_flags[x])
-
-    def eval_drop(v):
-        gain = -w[v]
-        added = []
-        added_set = set()
-        for u in adj[v]:
-            if not src_flags[u] or cur_flags[u]:
-                continue
-            blocked = False
-            for nb in adj[u]:
-                if nb in added_set or (cur_flags[nb] and nb != v):
-                    blocked = True
-                    break
-            if not blocked:
-                added.append(u)
-                added_set.add(u)
-                gain += w[u]
-        return gain, added
-
-    while to_add or to_drop:
-        best_gain = float("-inf")
-        best_step = None
+    while to_add:
+        best_gain, best_v = float("-inf"), None
         for v in sorted(to_add):
-            gain = eval_pull(v)
+            gain = w[v] - sum(w[x] for x in adj[v] if cur_flags[x])
             if gain > best_gain:
-                best_gain = gain
-                best_step = ("pull", v, None)
-        for v in sorted(to_drop):
-            gain, added = eval_drop(v)
-            if gain > best_gain:
-                best_gain = gain
-                best_step = ("drop", v, added)
-        kind, v, added = best_step
-        if kind == "pull":
-            for x in adj[v]:
-                if cur_flags[x]:
-                    s.remove(x)
-                    to_drop.discard(x)
-            s.add(v)
-            to_add.discard(v)
-        else:
-            s.remove(v)
-            to_drop.discard(v)
-            for u in added:
-                s.add(u)
-                to_add.discard(u)
+                best_gain, best_v = gain, v
+        for x in adj[best_v]:
+            if cur_flags[x]:
+                s.remove(x)
+        s.add(best_v)
+        to_add.discard(best_v)
         step_log.append((best_gain, s.total_weight))
         if best_gain < 0:
             neg += 1
@@ -316,6 +316,16 @@ def walk_all_ways(g, source, guide, limits, seed, walks=(relink, live_relink, re
     return runs
 
 
+def assert_walks_alike(run, ref):
+    """Same members and random state, and the same step log up to the last
+    bits of a running delta against the reference's fresh sums."""
+    (members, log, state), (ref_members, ref_log, ref_state) = run, ref
+    assert members == ref_members and state == ref_state
+    assert len(log) == len(ref_log)
+    for got, want in zip(log, ref_log):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
 class TestMatchesReference:
     def test_flag_walk_matches_set_walk(self):
         # a pull's gain is the running sum delta, so on fractional weights a
@@ -323,11 +333,8 @@ class TestMatchesReference:
         # bit; a live pair's sums carry its whole history, and may break a
         # tie between two pulls the other way, so only the copy is compared
         for case in reference_cases(31, integer=False):
-            (members, log, state), _, (ref_members, ref_log, ref_state) = walk_all_ways(*case)
-            assert members == ref_members and state == ref_state
-            assert len(log) == len(ref_log)
-            for got, want in zip(log, ref_log):
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+            run, _, ref = walk_all_ways(*case)
+            assert_walks_alike(run, ref)
 
     def test_flag_walk_matches_set_walk_exactly_on_integer_weights(self):
         for case in reference_cases(32, integer=True):
@@ -338,32 +345,17 @@ class TestMatchesReference:
     def test_lazy_source_walks_as_the_built_one(self, integer):
         # every case again, toward a greedy source: as the Solution that
         # randomized_greedy builds and as the GreedySource of the same draw,
-        # asked node by node. The two walks take the same steps and draws.
-        # On integer weights both match the reference too; on fractional
-        # ones a running delta can break a near-tie between a pull and a
-        # drop the other way from the reference's fresh sums (case 134 of
-        # seed 31 does, toward either source)
+        # asked node by node. The two walks take the same steps and draws,
+        # and those of the reference
         for g, _, guide, limits, seed in reference_cases(31 + integer, integer):
             cfg = GreedyConfig()
             built = randomized_greedy(g, cfg, random.Random(seed))
             lazy = GreedySource(g, cfg, random.Random(seed))
-            walks = (relink, reference_relink) if integer else (relink,)
-            runs = walk_all_ways(g, built, guide, limits, seed, walks)
-            assert walk_all_ways(g, lazy, guide, limits, seed, walks[:1]) == runs[:1]
-            assert runs[0] == runs[-1]
-
-    def test_drop_bound_covers_rounding(self):
-        # node 1's pool {2, 3} sums to 4.1, and 4.1 - 1.2 rounds to
-        # 2.8999999999999995; the drop's gain, summed from -1.2 in the pool's
-        # order, is 2.9000000000000004. So the drop beats the pull of node 0
-        # (gain 2.9) only by rounding: a drop bound without slack would stop
-        # the step's search at the pull
-        g = build_graph(4, [(1, 2), (1, 3)], [2.9, 1.2, 2.5, 1.6])
-        guide, source = Solution(g, [1]), Solution(g, [0, 2, 3])
-        runs = walk_all_ways(g, source, guide, RelinkParams().start, 0.5)
-        assert runs[0] == runs[1] == runs[2]
-        (gain, _), = runs[0][1]
-        assert gain == -1.2 + 2.5 + 1.6 > 2.9 > 2.5 + 1.6 - 1.2
+            run, ref = walk_all_ways(g, built, guide, limits, seed, (relink, reference_relink))
+            assert walk_all_ways(g, lazy, guide, limits, seed, (relink,)) == [run]
+            assert_walks_alike(run, ref)
+            if integer:
+                assert run == ref
 
 
 def winning_pools_left_out(st, max_pool=None):

@@ -3,7 +3,10 @@ incremental bookkeeping. S changes only through the updates below.
 
 Tracks, for S:
   rho(u)      -- |N(u) & S| (0 for members),
-  delta(u)    -- w(u) - sum of member-neighbor weights (meaningful for u not in S),
+  delta(u)    -- w(u) - sum of member-neighbor weights; -inf for members, so
+                 a ranking by delta puts them last and no gain test passes them,
+  link(u)     -- the owner (only member neighbor) of a rho-1 node, the member
+                 pair of a rho-2 node; stale at other rho, where nothing reads it,
   one_tight   -- per member v, the non-members whose only member neighbor is v,
   mates/two_tight -- member pairs {u,v} sharing non-members with N(w) & S == {u,v},
   s_plus/s_one/s_two -- pruning queues for the (*,1), (1,*) and (2,*) moves,
@@ -94,20 +97,16 @@ def _bitset(flags: np.ndarray) -> int:
 
 
 class InterstateState:
-    __slots__ = ("g", "s", "rho", "delta", "one_tight", "owner", "mates", "two_tight",
-                 "tt_pair", "s_plus", "s_one", "s_two", "free", "rows", "members")
+    __slots__ = ("g", "s", "rho", "delta", "link", "one_tight", "mates", "two_tight",
+                 "s_plus", "s_one", "s_two", "free", "rows", "members")
 
     def __init__(self, g: Graph, s: Solution):
-        n = g.n
+        # build fills the per-node lists rho, delta and link
         self.g = g
         self.s = s
-        self.rho: list[int] = [0] * n
-        self.delta: list[float] = [0.0] * n
         self.one_tight: dict[int, set[int]] = {}
-        self.owner: list[int] = [-1] * n          # 1-tight owner of rho==1 nodes
         self.mates: dict[int, set[int]] = {}
         self.two_tight: dict[tuple[int, int], set[int]] = {}
-        self.tt_pair: dict[int, tuple[int, int]] = {}  # rho==2 node -> its member pair
         self.s_plus = IndexedSet()
         self.s_one = IndexedSet()
         self.s_two = IndexedSet()
@@ -138,8 +137,10 @@ def build(g: Graph, s: Solution) -> InterstateState:
         raise ValueError("solution is not an independent set")
     rho = np.bincount(rows, minlength=n)
     delta = g.weights - np.bincount(rows, weights=g.weights[cols], minlength=n)
+    delta[flags] = -np.inf
     st.rho = rho.tolist()
     st.delta = delta.tolist()
+    st.link = link = [None] * n
     # rows and their columns come out sorted, so a row's member neighbors
     # are consecutive and ascending from first[v]
     first = np.cumsum(rho) - rho
@@ -149,9 +150,7 @@ def build(g: Graph, s: Solution) -> InterstateState:
     owners = cols[first[one]]
     for v, u in zip(one.tolist(), owners.tolist()):
         st.one_tight.setdefault(u, set()).add(v)
-    owner = np.full(n, -1, dtype=np.int64)
-    owner[one] = owners
-    st.owner = owner.tolist()
+        link[v] = u
 
     two = np.flatnonzero(outside & (rho == 2))
     at = first[two]
@@ -160,10 +159,10 @@ def build(g: Graph, s: Solution) -> InterstateState:
         st.mates.setdefault(a, set()).add(b)
         st.mates.setdefault(b, set()).add(a)
         st.two_tight.setdefault(key, set()).add(v)
-        st.tt_pair[v] = key
+        link[v] = key
 
     st.free = set(np.flatnonzero(outside & (rho == 0)).tolist())
-    st.s_plus = IndexedSet(np.flatnonzero(outside & (delta > 0)).tolist())
+    st.s_plus = IndexedSet(np.flatnonzero(delta > 0).tolist())
     st.s_one = IndexedSet(st.one_tight)
     st.s_two = IndexedSet(st.two_tight)
     if is_dense(n, g.m):
@@ -194,8 +193,7 @@ def remove_member(st: InterstateState, v: int) -> None:
     wv = g.w[v]
     in_set = s._in_set
 
-    # v's own interstate presence dissolves; owners of its former 1-tight
-    # neighbors are cleared in the rho-transition loop below
+    # v's own interstate presence dissolves
     st.one_tight.pop(v, None)
     st.s_one.discard(v)
     for m in st.mates.pop(v, ()):
@@ -209,7 +207,7 @@ def remove_member(st: InterstateState, v: int) -> None:
 
     # S is independent, so every neighbor of v is a non-member
     adj = g.adj
-    rho, delta, s_plus = st.rho, st.delta, st.s_plus
+    rho, delta, link, s_plus = st.rho, st.delta, st.link, st.s_plus
     in_plus = s_plus._pos
     rows = st.rows
     if rows is not None:
@@ -223,14 +221,13 @@ def remove_member(st: InterstateState, v: int) -> None:
             d = delta[x] + wv
         elif r == 0:
             d = g.w[x]
-            st.owner[x] = -1
             st.free.add(x)
         elif r == 1:
-            key = st.tt_pair.pop(x)
-            other = key[0] if key[1] == v else key[1]
+            a, b = link[x]
+            other = a if b == v else b
             d = g.w[x] - g.w[other]
             st.one_tight.setdefault(other, set()).add(x)
-            st.owner[x] = other
+            link[x] = other
             # re-arm once: this loop discards no queue entry, so a repeat adds nothing
             if other not in rearmed:
                 rearmed.add(other)
@@ -248,7 +245,7 @@ def remove_member(st: InterstateState, v: int) -> None:
             st.mates.setdefault(a, set()).add(b)
             st.mates.setdefault(b, set()).add(a)
             st.two_tight.setdefault(key, set()).add(x)
-            st.tt_pair[x] = key
+            link[x] = key
             st.s_two.add(key)
         delta[x] = d
         if d > 0 and x not in in_plus:
@@ -272,7 +269,8 @@ def add_member(st: InterstateState, u: int) -> None:
         st.members |= 1 << u
     wu = g.w[u]
 
-    rho, delta = st.rho, st.delta
+    rho, delta, link = st.rho, st.delta, st.link
+    delta[u] = -np.inf
     for x in g.adj[u]:
         r = rho[x] + 1
         rho[x] = r
@@ -282,14 +280,13 @@ def add_member(st: InterstateState, u: int) -> None:
         if r == 1:
             st.free.discard(x)
             st.one_tight.setdefault(u, set()).add(x)
-            st.owner[x] = u
+            link[x] = u
             # u is new: each of its mate pairs was queued on creation in this call
             st.s_one.add(u)
         elif r == 2:
-            prev = st.owner[x]
-            assert prev >= 0, f"node {x} reached rho=2 without a 1-tight owner"
-            st.owner[x] = -1
+            prev = link[x]
             po = st.one_tight[prev]
+            assert x in po, f"node {x} reached rho=2 outside its owner's 1-tight set"
             po.discard(x)
             if not po:
                 del st.one_tight[prev]
@@ -298,10 +295,10 @@ def add_member(st: InterstateState, u: int) -> None:
             st.mates.setdefault(u, set()).add(prev)
             st.mates.setdefault(prev, set()).add(u)
             st.two_tight.setdefault(key, set()).add(x)
-            st.tt_pair[x] = key
+            link[x] = key
             st.s_two.add(key)
         elif r == 3:
-            key = st.tt_pair.pop(x)
+            key = link[x]
             a, b = key
             tt = st.two_tight[key]
             tt.discard(x)
@@ -349,8 +346,9 @@ def retarget(st: InterstateState, target: Solution) -> None:
 def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[str]:
     """Compare st with a from-scratch rebuild of st.s; empty list means consistent.
 
-    delta uses relative tolerance 1e-9; everything else is exact, the member
-    bitset included (0 when st keeps no rows). s_plus is
+    delta uses relative tolerance 1e-9 at non-members; everything else is
+    exact: members' delta (-inf), link at rho 1 and 2 (stale elsewhere), the
+    member bitset (0 when st keeps no rows). s_plus is
     checked for completeness only (stale extra entries are legal). Every
     s_one/s_two entry must be live: a member with a 1-tight pool, a key of
     two_tight. With check_pruning, s_one/s_two are additionally required to
@@ -364,16 +362,14 @@ def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[s
     for v in range(g.n):
         if st.rho[v] != fresh.rho[v]:
             bad.append(f"rho[{v}]={st.rho[v]} expected {fresh.rho[v]}")
-        if not in_set[v]:
-            scale = max(1.0, abs(fresh.delta[v]))
-            if abs(st.delta[v] - fresh.delta[v]) > 1e-9 * scale:
-                bad.append(f"delta[{v}]={st.delta[v]} expected {fresh.delta[v]}")
-            if fresh.rho[v] == 1 and st.owner[v] != fresh.owner[v]:
-                bad.append(f"owner[{v}]={st.owner[v]} expected {fresh.owner[v]}")
-            if fresh.rho[v] == 2 and st.tt_pair.get(v) != fresh.tt_pair.get(v):
-                bad.append(f"tt_pair[{v}]={st.tt_pair.get(v)} expected {fresh.tt_pair.get(v)}")
-            if fresh.delta[v] > 0 and v not in st.s_plus:
-                bad.append(f"s_plus missing node {v} with delta {fresh.delta[v]}")
+        d, fd = st.delta[v], fresh.delta[v]
+        # the relative test would pass any value at a member: inf > inf is false
+        if d != fd if in_set[v] else abs(d - fd) > 1e-9 * max(1.0, abs(fd)):
+            bad.append(f"delta[{v}]={d} expected {fd}")
+        if fresh.rho[v] in (1, 2) and st.link[v] != fresh.link[v]:
+            bad.append(f"link[{v}]={st.link[v]} expected {fresh.link[v]}")
+        if fd > 0 and v not in st.s_plus:
+            bad.append(f"s_plus missing node {v} with delta {fd}")
     if {k: v for k, v in st.one_tight.items() if v} != fresh.one_tight:
         bad.append("one_tight sets differ")
     if {k: v for k, v in st.mates.items() if v} != fresh.mates:

@@ -107,12 +107,12 @@ class MoveEngine:
     def star_one_moves(self) -> bool:
         """Drain S+: insert each positive-delta node, drop its blockers. delta
         is first made exact (fsum of the blockers), so no loss is ever taken."""
-        st, s, w = self.state, self.s, self.w
+        st, w = self.state, self.w
         improved = False
         while len(st.s_plus):
             u = st.s_plus.pop_random(self.rng)
-            if u in s or st.delta[u] <= 0:
-                continue  # stale entry
+            if st.delta[u] <= 0:
+                continue  # stale entry; members carry delta -inf
             blockers = self._member_neighbors(u)
             st.delta[u] = w[u] - math.fsum(map(w.__getitem__, blockers))
             if st.delta[u] > 0:

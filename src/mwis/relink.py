@@ -17,7 +17,9 @@ is asked node by node: the run's S_G (greedy.GreedySource) exists only as
 its answers. A step removes only non-source nodes and adds one source node,
 so the candidates are always the non-members in the source, each gaining
 delta(v). Each step asks the source about non-members in descending delta
-and pulls the first that it holds.
+and pulls the first that it holds. The walk ranks the structure's delta as
+it stands: members carry -inf there, so they rank last, and reaching one
+means no non-member is left to ask.
 """
 
 from __future__ import annotations
@@ -87,10 +89,9 @@ def path_relink(st: InterstateState, source, guide: Solution,
     w_guide = guide.total_weight
     f, c_n, c_p = limits
     neg = pos = 0
-    # delta of the non-members, -inf at members; patched after each step at
-    # its flipped nodes and their neighbours
+    # delta, -inf at members; patched after each step at its flipped nodes
+    # and their neighbours
     rank = np.fromiter(delta, float, g.n)
-    rank[np.frombuffer(bytearray(cur_flags), bool)] = -np.inf  # twice fromiter's speed
     while True:
         # the winner is the non-member in the source with the highest delta,
         # ties to the lower ID; members rank last
@@ -103,7 +104,7 @@ def path_relink(st: InterstateState, source, guide: Solution,
             remove_member(st, x)
         add_member(st, v)
         near = [v, *adj[v]] + [y for x in removed for y in adj[x]]
-        rank[near] = [-np.inf if cur_flags[y] else delta[y] for y in near]
+        rank[near] = [delta[y] for y in near]
         if step_log is not None:
             step_log.append((gain, s.total_weight))
         if gain < 0:

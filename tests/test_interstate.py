@@ -33,7 +33,8 @@ def reference_build(g, s):
 
     in_set = s._in_set
     st.rho = np.where(flags, 0, rho).tolist()
-    st.delta = np.where(flags, g.weights, g.weights - blocked).tolist()
+    st.delta = np.where(flags, -np.inf, g.weights - blocked).tolist()
+    st.link = [None] * n
     adj = g.adj
     for v in range(n):
         if in_set[v]:
@@ -44,14 +45,14 @@ def reference_build(g, s):
         elif r == 1:
             u = next(x for x in adj[v] if in_set[x])
             st.one_tight.setdefault(u, set()).add(v)
-            st.owner[v] = u
+            st.link[v] = u
         elif r == 2:
             a, b = (x for x in adj[v] if in_set[x])
             key = _pair(a, b)
             st.mates.setdefault(a, set()).add(b)
             st.mates.setdefault(b, set()).add(a)
             st.two_tight.setdefault(key, set()).add(v)
-            st.tt_pair[v] = key
+            st.link[v] = key
         if st.delta[v] > 0:
             st.s_plus.add(v)
     for u in st.one_tight:
@@ -85,13 +86,12 @@ def reference_remove_member(st, g, s, v):
         if st.delta[x] > 0:
             st.s_plus.add(x)
         if r == 0:
-            st.owner[x] = -1
             st.free.add(x)
         elif r == 1:
-            key = st.tt_pair.pop(x)
+            key = st.link[x]
             other = key[0] if key[1] == v else key[1]
             st.one_tight.setdefault(other, set()).add(x)
-            st.owner[x] = other
+            st.link[x] = other
             _one_tight_changed(st, other, gained=True)
         elif r == 2:
             a, b = (y for y in adj[x] if in_set[y])
@@ -99,7 +99,7 @@ def reference_remove_member(st, g, s, v):
             st.mates.setdefault(a, set()).add(b)
             st.mates.setdefault(b, set()).add(a)
             st.two_tight.setdefault(key, set()).add(x)
-            st.tt_pair[x] = key
+            st.link[x] = key
             st.s_two.add(key)
     st.delta[v] = wv
     if wv > 0:
@@ -113,6 +113,7 @@ def reference_add_member(st, g, s, u):
     st.free.discard(u)
     st.s_plus.discard(u)
     wu = g.w[u]
+    st.delta[u] = -np.inf
     for x in g.adj[u]:
         r = st.rho[x] + 1
         st.rho[x] = r
@@ -120,11 +121,10 @@ def reference_add_member(st, g, s, u):
         if r == 1:
             st.free.discard(x)
             st.one_tight.setdefault(u, set()).add(x)
-            st.owner[x] = u
+            st.link[x] = u
             _one_tight_changed(st, u, gained=True)
         elif r == 2:
-            prev = st.owner[x]
-            st.owner[x] = -1
+            prev = st.link[x]
             po = st.one_tight.get(prev)
             if po is not None:
                 po.discard(x)
@@ -135,10 +135,10 @@ def reference_add_member(st, g, s, u):
             st.mates.setdefault(u, set()).add(prev)
             st.mates.setdefault(prev, set()).add(u)
             st.two_tight.setdefault(key, set()).add(x)
-            st.tt_pair[x] = key
+            st.link[x] = key
             st.s_two.add(key)
         elif r == 3:
-            key = st.tt_pair.pop(x)
+            key = st.link[x]
             a, b = key
             tt = st.two_tight.get(key)
             if tt is not None:
@@ -161,11 +161,13 @@ def reference_add_member(st, g, s, u):
 
 
 def ordered(st):
-    """Everything of a state whose iteration order the moves depend on, and
-    the free nodes, which make_maximal reads in ascending order."""
+    """Everything of a state whose iteration order the moves depend on, the
+    free nodes, which make_maximal reads in ascending order, and the links
+    at rho 1 and 2 (entries elsewhere are stale by design)."""
     def sets(d):
         return [(k, list(v)) for k, v in d.items()]
-    return (st.rho, st.owner, list(st.tt_pair.items()), sets(st.one_tight),
+    links = [(v, st.link[v]) for v, r in enumerate(st.rho) if r in (1, 2)]
+    return (st.rho, links, sets(st.one_tight),
             sets(st.mates), sets(st.two_tight), sorted(st.free), list(st.s_plus),
             list(st.s_one), list(st.s_two))
 
@@ -352,6 +354,15 @@ class TestSingleUpdates:
         with pytest.raises(AssertionError):
             add_member(st, 0)  # would break independence
 
+    def test_stale_owner_link_guard(self):
+        # node 1 is 1-tight to member 0; adding 2 takes it to rho 2, where
+        # add_member reads its owner from link
+        g = graph_from(6, [(0, 1), (1, 2), (4, 5)])
+        st = build(g, Solution(g, [0, 4]))
+        st.link[1] = 4  # a member whose 1-tight set is {5}
+        with pytest.raises(AssertionError, match="outside its owner's 1-tight set"):
+            add_member(st, 2)
+
 
 class TestVerification:
     def test_fresh_state_verifies(self):
@@ -392,6 +403,31 @@ class TestVerification:
         assert st.rows is None and st.members == 0
         st.members = 1
         assert state_mismatches(st)
+
+    @staticmethod
+    def path7():
+        """Path 0-...-6 with members 1, 3, 5: nodes 0 and 6 are 1-tight,
+        nodes 2 and 4 are 2-tight to (1, 3) and (3, 5)."""
+        g = graph_from(7, [(v, v + 1) for v in range(6)], [float(v + 1) for v in range(7)])
+        st = build(g, Solution(g, [1, 3, 5]))
+        assert not state_mismatches(st)
+        return st
+
+    def test_wrong_owner_link_detected(self):
+        st = self.path7()
+        st.link[0] = 5  # a member, but not node 0's neighbour
+        assert state_mismatches(st) == ["link[0]=5 expected 1"]
+
+    def test_wrong_pair_link_detected(self):
+        st = self.path7()
+        st.link[2] = (3, 5)  # a mate pair, but node 4's
+        assert state_mismatches(st) == ["link[2]=(3, 5) expected (1, 3)"]
+
+    def test_member_with_finite_delta_detected(self):
+        # w(v), what remove_member writes, passes a relative test against -inf
+        st = self.path7()
+        st.delta[3] = 4.0
+        assert state_mismatches(st) == ["delta[3]=4.0 expected -inf"]
 
     def test_dead_queue_entries_detected(self, cycle4):
         # the moves pop s_one/s_two unchecked, so a dead entry is drift

@@ -1,4 +1,9 @@
-"""Maximum-weight independent set metaheuristic solver."""
+"""Maximum-weight independent set metaheuristic solver.
+
+mwis.local_search and mwis.greedy are the functions, not their submodules:
+`import mwis.local_search as L` binds the function. The module, whose
+globals the move engine reads, is importlib.import_module("mwis.local_search").
+"""
 
 from .driver import EliteSet, RunConfig, TraceEvent, run
 from .generate import GenSpec, generate_graph, random_gnp

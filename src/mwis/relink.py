@@ -16,10 +16,10 @@ queues re-armed only where retarget and the walk changed pools. The source
 is asked node by node: the run's S_G (greedy.GreedySource) exists only as
 its answers. A step removes only non-source nodes and adds one source node,
 so the candidates are always the non-members in the source, each gaining
-delta(v). Each step asks the source about non-members in descending delta
-and pulls the first that it holds. The walk ranks the structure's delta as
-it stands: members carry -inf there, so they rank last, and reaching one
-means no non-member is left to ask.
+delta(v). A step pulls the first argmax of a copy of the structure's delta
+(ties to the lower ID) if the source holds it, else masks it to -inf and
+looks again; members carry -inf, so a -inf maximum ends the walk. S_G is
+fixed, so only a step that changes a refused node's delta unmasks it.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ class RelinkParams:
         return f * self.f_decay, c_n * self.budget_growth, c_p * self.budget_growth
 
 
-def _descending(key: np.ndarray, k: int = 64):
-    """Indices by descending key, ties by ascending index, each once: those
-    at or above the k-th highest key first, then the rest."""
-    order = []
-    if len(key) > k:
-        top = np.flatnonzero(key >= np.partition(key, -k)[-k])
-        order = top[np.argsort(-key[top], kind="stable")].tolist()
-        yield from order
-    yield from np.argsort(-key, kind="stable")[len(order):].tolist()
-
-
 def path_relink(st: InterstateState, source, guide: Solution,
                 limits: tuple[float, float, float], rng: random.Random,
                 step_log: list[tuple[float, float]] | None = None) -> None:
@@ -89,15 +78,18 @@ def path_relink(st: InterstateState, source, guide: Solution,
     w_guide = guide.total_weight
     f, c_n, c_p = limits
     neg = pos = 0
-    # delta, -inf at members; patched after each step at its flipped nodes
-    # and their neighbours
+    # delta, -inf at members and at refused nodes; patched after each step
+    # at its flipped nodes and their neighbours
     rank = np.fromiter(delta, float, g.n)
-    while True:
+    while g.n:  # argmax of an empty array raises
         # the winner is the non-member in the source with the highest delta,
-        # ties to the lower ID; members rank last
-        v = next((u for u in _descending(rank) if cur_flags[u] or u in source), None)
-        if v is None or cur_flags[v]:
-            break  # no non-member is in the source
+        # ties to the lower ID
+        v = int(rank.argmax())
+        if rank[v] == -np.inf:
+            break  # no non-member is left to ask
+        if v not in source:
+            rank[v] = -np.inf
+            continue
         gain = delta[v]
         removed = [x for x in adj[v] if cur_flags[x]]
         for x in removed:

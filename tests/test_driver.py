@@ -94,6 +94,11 @@ class TestRun:
         assert trace[-1].best_weight == best.total_weight
         assert trace[0].event == "init"
 
+    def test_empty_graph_runs_to_the_empty_set(self):
+        best, trace = run(build_graph(0, [], []), RunConfig(time_limit=0.05, seed=1))
+        assert best.total_weight == 0.0 and best.member_list() == []
+        assert trace[-1].event == "final" and trace[-1].best_weight == 0.0
+
     def test_byte_identical_traces_under_fake_clock(self):
         g = random_graph(random.Random(10), 20, 0.25)
         cfg = lambda: RunConfig(time_limit=0.004, seed=11)

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from mwis import driver
+from mwis import relink as relink_module
 from mwis.driver import RunConfig, run
 from mwis.generate import random_gnp
 from mwis.graph import build_graph
 from mwis.greedy import GreedyConfig, GreedySource, adaptive_greedy, randomized_greedy
 from mwis.interstate import IndexedSet, build, make_maximal, state_mismatches
 from mwis.local_search import LocalSearchParams, MoveEngine, local_search
-from mwis.relink import RelinkParams, _descending, path_relink
+from mwis.relink import RelinkParams, path_relink
 from mwis.solution import Solution, is_independent
 
 from conftest import FakeClock, maximal, random_graph, rows_forced
@@ -94,6 +95,13 @@ class TestWalk:
         s = maximal(path3, Solution(path3, [1]), random.Random(0))
         out = relink(path3, s, s.copy(), RelinkParams().start, random.Random(0))
         assert out.as_frozenset() == s.as_frozenset()
+
+    def test_empty_graph_walk_is_a_no_op(self):
+        g = build_graph(0, [], [])
+        log, rng = [], random.Random(0)
+        out = relink(g, Solution(g), Solution(g), RelinkParams().start, rng, log)
+        assert log == [] and out.member_list() == [] and out.total_weight == 0.0
+        assert rng.getstate() == random.Random(0).getstate()
 
     def test_positive_budget_stops_after_first_positive_step(self):
         # every step pulls a heavier source node: all gains positive
@@ -212,7 +220,8 @@ class TestWalk:
         # nodes 100..199 (weight 2) tie at delta 1, each blocked by its own
         # guide node i - 100 (weight 1). The lower of the two source nodes is
         # not among the 64 that argpartition picks from the walk's first
-        # ranking, and the higher is: the walk must still pull the lower
+        # ranking, and the higher is. A walk that ranked such a top 64 first
+        # once pulled the higher; the tie rule pulls the lower
         g = build_graph(200, [(i, 100 + i) for i in range(100)], [1.0] * 100 + [2.0] * 100)
         ranking = np.array([-np.inf] * 100 + [1.0] * 100)
         picked = set(np.argpartition(-ranking, 64)[:64].tolist())
@@ -225,12 +234,77 @@ class TestWalk:
         assert low in out and high not in out
 
     def test_candidates_come_in_exact_descending_order(self):
-        # each index once, by descending key, ties by ascending index, when
-        # ties straddle the k-th place too
+        # the first step asks the source about each non-member once, by
+        # descending delta, ties by ascending ID, until one is in it; also
+        # when ties straddle the 64th place, where the walk once split its
+        # ranking in two
         rng = random.Random(39)
+        straddled = False
         for n in (0, 1, 64, 65, 130, 300):
-            key = np.array([rng.choice([-np.inf, 0.0, 1.0, 2.5, rng.random()]) for _ in range(n)])
-            assert list(_descending(key)) == np.argsort(-key, kind="stable").tolist()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 2 / n]
+            weights = [rng.choice([0.0, 1.0, 2.5, rng.random()]) for _ in range(n)]
+            g = build_graph(n, edges, weights)
+            guide = maximal(g, Solution(g), rng)
+            for v in guide.member_list():
+                if rng.random() < 0.5:
+                    guide.remove(v)
+            delta = np.array(build(g, guide.copy()).delta)
+            order = [v for v in np.argsort(-delta, kind="stable").tolist() if v not in guide]
+            straddled |= len(order) > 64 and delta[order[63]] == delta[order[64]]
+            # a source that holds nothing, the last candidate, or any one
+            for held in [[], order[-1:]] + ([[rng.choice(order)]] if order else []):
+                source = RecordingSource(held)
+                relink(g, source, guide, RelinkParams().start, random.Random(0))
+                asked = [v for _, v in source.log]
+                if held:  # the first step ends at its pull
+                    asked = asked[:asked.index(held[0]) + 1]
+                assert asked == (order[:order.index(held[0]) + 1] if held else order), n
+        assert straddled
+
+    def test_refused_nodes_are_asked_again_only_after_their_delta_changed(self, monkeypatch):
+        # late-schedule walks of a few dozen steps from a local optimum: a
+        # node the source refused is asked again only after a step flipped
+        # it or one of its neighbours, so a walk does not re-ask every
+        # refused node that ranks above its next pull at every step
+        log = []
+        for name in ("add_member", "remove_member"):
+            def flipped(st, x, inner=getattr(relink_module, name)):
+                log.append(("flip", x))
+                inner(st, x)
+            monkeypatch.setattr(relink_module, name, flipped)
+        limits = RelinkParams(f0=0.9998 ** 16, c_n0=1.5 ** 15, c_p0=0.1 * 1.5 ** 15).start
+        for seed in (1, 2, 3):
+            g = random_gnp(2000, 5 / 2000, seed=seed)
+            rng = random.Random(seed)
+            st = build(g, adaptive_greedy(g))
+            make_maximal(st, rng)
+            guide = local_search(st, LocalSearchParams(), rng)
+            source = RecordingSource(GreedySource(g, GreedyConfig(), rng), log)
+            log.clear()
+            steps = []
+            path_relink(st, source, guide, limits, rng, steps)
+            assert len(steps) > 15
+            refused, changed = set(), set()
+            for kind, v in log:
+                if kind == "flip":
+                    changed.update([v, *g.adj[v]])
+                    continue
+                assert v not in refused or v in changed, f"seed {seed}: {v} asked again unchanged"
+                if v not in source.held:
+                    refused.add(v)
+                    changed.discard(v)
+            assert refused
+
+
+class RecordingSource:
+    """Holds what `held` holds, and logs ("ask", v) for each query to `log`."""
+
+    def __init__(self, held, log=None):
+        self.held, self.log = held, [] if log is None else log
+
+    def __contains__(self, v):
+        self.log.append(("ask", v))
+        return v in self.held
 
 
 def reference_relink(g, source, guide, limits, rng, step_log):

@@ -17,11 +17,8 @@ from dataclasses import dataclass
 from .graph import is_edge
 from .interstate import InterstateState, _pair, add_member, build, make_maximal, remove_member
 from .lp_bias import RelaxedSolution, sample_biased
-from .oracle import max_weight_subset
+from .oracle import _SUM_SLACK, max_weight_subset
 from .solution import Solution
-
-# relative rounding allowance per summand when bounding a pool's weight sum
-_SUM_SLACK = 4 * math.ulp(1.0)
 
 
 def _pool_cannot_win(w: list[float], pool, target: float) -> bool:

@@ -1,95 +1,75 @@
 """Exact MWIS for small graphs: the verification backbone of the test suite.
 
-One route: a branch-and-bound over bitmasks (n <= 30). Tests compare it
-against a vectorized full enumeration kept in tests/reference_oracle.py, and
-every heuristic output against it.
+One search, `max_weight_subset`: an include/exclude recursion over bitmasks
+that prunes a subtree whose remaining weight cannot reach the heaviest total
+found so far. The (1,*) move calls it on 1-tight pools; `exact_mwis` calls it
+on a whole graph (n <= 30), its nodes relabelled by descending degree. Tests
+compare it against a vectorized full enumeration and against the unpruned
+recursion, both kept in tests/reference_oracle.py.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import Graph
 
 BB_NODE_LIMIT = 30
 
+# relative rounding allowance per summand when bounding a weight sum: the
+# search's subtrees here, the (1,*) and (2,*) moves' pools in local_search
+_SUM_SLACK = 4 * math.ulp(1.0)
+
 
 @dataclass
 class ExactResult:
     weight: float
     witness: frozenset[int]
-    explored: int
+    explored: int  # calls of the subset search
 
 
 def exact_mwis(g: Graph) -> ExactResult:
-    """Optimal independent set by branch-and-bound. Guarded: n <= BB_NODE_LIMIT."""
+    """Optimal independent set by the subset search. Guarded: n <= BB_NODE_LIMIT."""
     if g.n > BB_NODE_LIMIT:
         raise ValueError(f"exact_mwis limited to n <= {BB_NODE_LIMIT}, got n={g.n}")
-    n = g.n
-    w = g.w
-    nmask = g.rows
-    best_w = -1.0
-    best_set = 0
-    explored = 0
-    full = (1 << n) - 1
-
-    def mask_weight(mask: int) -> float:
-        total = 0.0
-        while mask:
-            b = mask & -mask
-            total += w[b.bit_length() - 1]
-            mask ^= b
-        return total
-
-    stack = [(full, 0.0, 0, g.weights.sum())]
-    while stack:
-        live, cur, chosen, rem = stack.pop()
-        explored += 1
-        if cur + rem <= best_w:
-            continue
-        if live == 0:
-            if cur > best_w:
-                best_w = cur
-                best_set = chosen
-            continue
-        # branch on the live node of highest residual degree (ties: lowest ID)
-        v = -1
-        vdeg = -1
-        t = live
-        while t:
-            b = t & -t
-            u = b.bit_length() - 1
-            d = (nmask[u] & live).bit_count()
-            if d > vdeg:
-                vdeg = d
-                v = u
-            t ^= b
-        vbit = 1 << v
-        dropped = (nmask[v] | vbit) & live
-        # exclude v
-        stack.append((live ^ vbit, cur, chosen, rem - w[v]))
-        # include v
-        stack.append((live & ~dropped, cur + w[v], chosen | vbit,
-                      rem - mask_weight(dropped)))
-
-    witness = frozenset(v for v in range(n) if best_set >> v & 1)
-    return ExactResult(weight=float(best_w), witness=witness, explored=explored)
+    # the search branches on its lowest item first: high degree there shrinks both branches
+    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    pos = {v: i for i, v in enumerate(order)}
+    masks = [sum(1 << pos[u] for u in g.adj[v]) for v in order]
+    calls = [0]
+    weight, chosen = _search([g.w[v] for v in order], masks, calls)
+    witness = frozenset(v for i, v in enumerate(order) if chosen >> i & 1)
+    return ExactResult(weight=weight, witness=witness, explored=calls[0])
 
 
 def max_weight_subset(weights: list[float], adj_masks: list[int]) -> tuple[float, int]:
     """Heaviest conflict-free subset of an item pool, by include/exclude recursion.
 
-    adj_masks[i] is a bitmask of items conflicting with item i. Returns
-    (weight, chosen bitmask). Ties prefer the include branch. This is the same
-    routine the (1,*) move uses for exact 1-tight subset selection.
+    Weights are >= 0 and adj_masks[i] is a bitmask of items conflicting with
+    item i. Returns (weight, chosen bitmask). The recursion branches on the
+    lowest available item, sums each weight bottom-up (a conflict-free
+    remainder in ascending item order, then the included items outward), and
+    prefers the include branch on a tie. This is the routine the (1,*) move
+    uses for exact 1-tight subset selection.
     """
-    return _best_subset(weights, adj_masks, (1 << len(weights)) - 1)
+    return _search(weights, adj_masks, [0])
 
 
-def _best_subset(weights: list[float], adj_masks: list[int], avail: int) -> tuple[float, int]:
+def _search(weights: list[float], adj_masks: list[int], calls: list[int]) -> tuple[float, int]:
+    total = sum(weights)
+    return _best_subset(weights, adj_masks, (1 << len(weights)) - 1, total, -math.inf,
+                        total * _SUM_SLACK * len(weights), calls)
+
+
+def _best_subset(weights: list[float], adj_masks: list[int], avail: int, rem: float,
+                 need: float, margin: float, calls: list[int]) -> tuple[float, int]:
+    """The best subset of `avail`, which weighs `rem` in all. A branch whose
+    items cannot reach `need`, the weight that would tie the heaviest total
+    found so far, is not searched: it reads -inf and loses every comparison
+    above it, so the result is the unpruned recursion's, bit for bit."""
     # not a closure: a self-calling closure is a cycle, unfreed while run pauses the collector
-    if avail == 0:
-        return 0.0, 0
+    calls[0] += 1
     # conflict-free remainder: take everything
     t = avail
     clean = True
@@ -109,9 +89,27 @@ def _best_subset(weights: list[float], adj_masks: list[int], avail: int) -> tupl
         return total, avail
     i = (avail & -avail).bit_length() - 1
     ibit = 1 << i
-    w_in, c_in = _best_subset(weights, adj_masks, avail & ~(adj_masks[i] | ibit))
-    w_in += weights[i]
-    w_ex, c_ex = _best_subset(weights, adj_masks, avail & ~ibit)
+    w_i = weights[i]
+    rem -= w_i
+    dropped = adj_masks[i] & avail
+    rem_in = rem
+    t = dropped
+    while t:
+        b = t & -t
+        rem_in -= weights[b.bit_length() - 1]
+        t ^= b
+    # rem and need are running sums; margin covers their rounding and that of
+    # any order of summing the pool's items
+    if rem_in + margin < need - w_i:
+        w_in, c_in = -math.inf, 0
+    else:
+        w_in, c_in = _best_subset(weights, adj_masks, avail & ~(dropped | ibit), rem_in,
+                                  need - w_i, margin, calls)
+    w_in += w_i
+    need = max(need, w_in)
+    if rem + margin < need:
+        return w_in, c_in | ibit
+    w_ex, c_ex = _best_subset(weights, adj_masks, avail & ~ibit, rem, need, margin, calls)
     if w_in >= w_ex:
         return w_in, c_in | ibit
     return w_ex, c_ex

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import contextlib
 import random
 
@@ -31,6 +32,13 @@ def rows_forced(on: bool):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interstate, "is_dense", lambda n, m: on)
         yield
+
+
+# pools whose sums round differently in different orders: in leaf order
+# [0.5, 0.2, 0.6] sums to 1.2999999999999998, in descending order to 1.3
+ROUNDING_TIE_POOLS = [
+    [0.1, 0.2], [0.1, 0.2, 0.3], [0.5, 0.2, 0.6], [0.3, 0.6, 0.1, 0.7, 0.2],
+    [1.0, 2.0 ** -53, 2.0 ** -53], [0.1] * 10, [0.1 * k for k in range(1, 41)]]
 
 
 def graph_from(n: int, edges, weights=None) -> Graph:
@@ -87,3 +95,28 @@ def bipartite_optimum(g: Graph, left) -> float:
     caps = np.concatenate([w[heads], np.full(from_left.sum(), w.sum() + 1), w[right]])
     net = csr_matrix((caps, (rows, cols)), shape=(g.n + 2, g.n + 2))
     return float(w.sum() - maximum_flow(net, source, sink).flow_value)
+
+
+def interval_graph(intervals, weights) -> Graph:
+    """Nodes are half-open intervals [s, e), and two that overlap conflict."""
+    by_start = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
+    edges = []
+    for a, i in enumerate(by_start):
+        b = a + 1
+        while b < len(by_start) and intervals[by_start[b]][0] < intervals[i][1]:
+            edges.append((i, by_start[b]))
+            b += 1
+    return build_graph(len(intervals), edges, weights)
+
+
+def interval_optimum(intervals, weights) -> float:
+    """The maximum weight of pairwise disjoint half-open intervals, by weighted
+    interval scheduling: in order of end, each interval is skipped or taken
+    after the best set of those that end by its start."""
+    by_end = sorted(range(len(intervals)), key=lambda i: intervals[i][1])
+    ends = [intervals[i][1] for i in by_end]
+    best = [0.0]  # best[j]: the optimum over the first j intervals by end
+    for i in by_end:
+        j = bisect.bisect_right(ends, intervals[i][0])
+        best.append(max(best[-1], best[j] + weights[i]))
+    return best[-1]

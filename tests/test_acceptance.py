@@ -280,7 +280,7 @@ def test_criterion_10_weighted_vs_cardinality():
 @criterion(11, "solver quality at n=25..30 (bonus: beyond enumeration sizes)")
 def test_bonus_quality_at_n30():
     # bonus guard beyond the main criteria: quality where only
-    # branch-and-bound (not enumeration) certifies the optimum
+    # the exact subset search (not enumeration) certifies the optimum
     rng = random.Random(1111)
     hits = 0
     for i in range(15):

@@ -14,7 +14,7 @@ from mwis.local_search import _SUM_SLACK, LocalSearchParams, MoveEngine, _pool_c
 from mwis.oracle import exact_mwis, max_weight_subset
 from mwis.solution import Solution, is_independent
 
-from conftest import graph_from, maximal, random_graph, rows_forced
+from conftest import ROUNDING_TIE_POOLS, graph_from, maximal, random_graph, rows_forced
 
 
 def engine_on(g, members, seed=0, **kw):
@@ -610,11 +610,7 @@ class TestShortcutsMatchReference:
             ref += ref_eng.subset_calls
         assert ours < ref  # the bound did skip pools
 
-    @pytest.mark.parametrize("pool", [
-        # in leaf order [0.5, 0.2, 0.6] sums to 1.2999999999999998, in the
-        # subset search's descending order to 1.3
-        [0.1, 0.2], [0.1, 0.2, 0.3], [0.5, 0.2, 0.6], [0.3, 0.6, 0.1, 0.7, 0.2],
-        [1.0, 2.0 ** -53, 2.0 ** -53], [0.1] * 10, [0.1 * k for k in range(1, 41)]])
+    @pytest.mark.parametrize("pool", ROUNDING_TIE_POOLS)
     def test_one_star_bound_at_rounding_ties(self, pool):
         # a star (or, with an edge between the first two leaves, a near
         # star) whose centre weighs one of the pool's sums in some order,

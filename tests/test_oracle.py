@@ -7,13 +7,15 @@ import random
 import pytest
 
 from mwis.driver import RunConfig, run
-from mwis.generate import GenSpec, generate_graph
+from mwis.generate import GenSpec, generate_graph, random_gnp
 from mwis.graph import build_graph
 from mwis.oracle import exact_mwis, max_weight_subset
 from mwis.solution import is_independent
 
-from conftest import FakeClock, bipartite_optimum, graph_from, maximal, random_graph
+from conftest import ROUNDING_TIE_POOLS, FakeClock, bipartite_optimum, graph_from, \
+    interval_graph, interval_optimum, maximal, random_graph
 from reference_oracle import enumerate_mwis
+from reference_oracle import max_weight_subset as unpruned_subset
 
 
 def brute_force(g):
@@ -86,6 +88,17 @@ class TestExactMwis:
         g = graph_from(0, [], [])
         assert exact_mwis(g).weight == 0.0
 
+    def test_search_size_is_capped(self):
+        # at most 1,739 calls per graph here; without the degree relabel up to
+        # 21,955, and without the weight bound 4e5 to 8.6e6 on average
+        for p in (0.02, 0.05, 0.1):
+            for seed in range(20):
+                g = random_gnp(30, p, seed)
+                res = exact_mwis(g)
+                assert res.explored <= 2500, (p, seed, res.explored)
+                assert sum(g.node_weight(v) for v in res.witness) == res.weight
+                assert not any(u in res.witness for v in res.witness for u in g.adj[v])
+
 
 class TestSuperOptimality:
     def test_no_heuristic_beats_the_oracle(self):
@@ -123,6 +136,33 @@ class TestBipartiteOptimum:
             assert best.total_weight == best.recomputed_weight() <= opt
 
 
+class TestIntervalOptimum:
+    @staticmethod
+    def draw(rng, n, span, max_len):
+        intervals = []
+        for _ in range(n):
+            s = rng.randrange(span)
+            intervals.append((s, s + rng.randint(1, max_len)))
+        return intervals, [float(rng.randint(0, 20)) for _ in range(n)]
+
+    def test_scheduling_optimum_matches_the_enumeration(self):
+        rng = random.Random(43)
+        for i in range(150):
+            n = rng.randint(0, 18)
+            intervals, weights = self.draw(rng, n, rng.choice([5, 20, 60]), rng.choice([2, 8, 30]))
+            g = interval_graph(intervals, weights)
+            assert interval_optimum(intervals, weights) == enumerate_mwis(g).weight, f"graph {i}"
+
+    def test_run_never_exceeds_the_interval_optimum(self):
+        for seed in (1, 2):
+            intervals, weights = self.draw(random.Random(seed), 10_000, 10_000, 6)
+            g = interval_graph(intervals, weights)
+            opt = interval_optimum(intervals, weights)
+            best, _ = run(g, RunConfig(time_limit=0.02, seed=seed), clock=FakeClock())
+            assert is_independent(g, best)
+            assert best.total_weight == best.recomputed_weight() <= opt
+
+
 def chosen_items(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -138,13 +178,32 @@ class TestExactSubset:
         assert w == 5.0 and chosen_items(chosen) == [1]
 
     def test_matches_exact_mwis_on_random_pools(self):
+        # exact_mwis is this search, so the enumeration is the independent route
         rng = random.Random(9)
         for _ in range(500):
             k = rng.randint(1, 12)
             g = random_graph(rng, k, rng.uniform(0.1, 0.7))
             w, chosen = max_weight_subset(g.weights.tolist(), g.rows)
-            assert w == exact_mwis(g).weight
+            assert w == enumerate_mwis(g).weight
             assert sum(g.node_weight(v) for v in chosen_items(chosen)) == w
+
+    def test_matches_the_unpruned_recursion(self):
+        # the (1,*) move compares the result with a member's weight, so the
+        # bound must leave every (weight, mask) as it was, ties and rounding
+        # included: integer weights 0..4 tie often, tenths and the rounding
+        # tie pools round differently in different orders, and weights 2^53
+        # apart lose the small ones in a sum
+        rng = random.Random(10)
+        draws = [lambda k: [float(rng.randint(0, 4)) for _ in range(k)],
+                 lambda k: [rng.randint(0, 40) / 10 for _ in range(k)],
+                 lambda k: rng.choices(rng.choice(ROUNDING_TIE_POOLS), k=k),
+                 lambda k: [rng.choice([0.0, 1.0, 2.0, 2.0 ** 53, 2.0 ** 54]) for _ in range(k)]]
+        for i in range(4000):
+            draw = draws[i % 4]
+            g = random_graph(rng, 10, rng.uniform(0.1, 0.8))
+            weights = draw(rng.randint(1, 10))
+            masks = [row & ((1 << len(weights)) - 1) for row in g.rows[:len(weights)]]
+            assert max_weight_subset(weights, masks) == unpruned_subset(weights, masks), i
 
     def test_leaves_no_reference_cycle(self):
         # run pauses the cyclic collector, so a call must free all it makes

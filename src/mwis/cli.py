@@ -26,11 +26,12 @@ EXIT_INFEASIBLE = 2
 
 
 # Each solve tuning flag, by the config class whose field it sets. The flag's
-# default is that field's default; its type is int for an int default and
-# float otherwise (aap_gain_floor's None too).
+# default is that field's default; its type is int for an int default or a
+# count (max_iterations's None) and float otherwise (aap_gain_floor's None).
 SOLVE_FLAGS = {
     RunConfig: {"--time-limit": "time_limit", "--seed": "seed",
-                "--check-interstate-every": "check_interstate_every"},
+                "--check-interstate-every": "check_interstate_every",
+                "--max-iterations": "max_iterations"},
     GreedyConfig: {"--greedy-noise": "noise"},
     LocalSearchParams: {"--num-iterations": "num_iterations",
                         "--exact-recursion-limit": "exact_recursion_limit",
@@ -40,15 +41,17 @@ SOLVE_FLAGS = {
                    "--relink-f-decay": "f_decay", "--relink-budget-growth": "budget_growth"},
 }
 FLAG_HELP = {"--check-interstate-every":
-             "debug: verify the interstate graph every N committed moves"}
+             "debug: verify the interstate graph every N committed moves",
+             "--max-iterations": "stop after N relink iterations (default: off)"}
 # the GenSpec fields that generate sets from flags of the same name
 GEN_FIELDS = ("n", "p", "rows", "cols", "seed")
 
 
 def _add_field_flag(p, flag: str, cls, name: str) -> None:
     default = getattr(cls, name)
+    count = type(default) is int or name == "max_iterations"
     p.add_argument(flag, default=default, help=FLAG_HELP.get(flag),
-                   type=int if type(default) is int else float)
+                   type=int if count else float)
 
 
 def _add_solve_parser(sub) -> None:

@@ -64,6 +64,7 @@ class RunConfig:
     ls_params: LocalSearchParams = field(default_factory=LocalSearchParams)
     relink_params: RelinkParams = field(default_factory=RelinkParams)
     check_interstate_every: int = 0  # debug: rebuild-compare every N committed moves
+    max_iterations: int | None = None  # stop after this many relink iterations; None: off
 
     def __post_init__(self):
         if not 0 < self.time_limit < math.inf:  # each check fails NaN
@@ -71,6 +72,9 @@ class RunConfig:
         every = self.check_interstate_every
         if not (hasattr(every, "__index__") and every >= 0):
             raise ValueError("check_interstate_every must be an integer >= 0")
+        cap = self.max_iterations
+        if cap is not None and not (hasattr(cap, "__index__") and cap >= 1):
+            raise ValueError("max_iterations must be an integer >= 1 or None")
         if not hasattr(self.seed, "__index__"):  # random.Random hashes a float; NaN's hash varies
             raise ValueError("seed must be an integer")
         self.seed = operator.index(self.seed)  # a plain int: random.Random refuses numpy's
@@ -141,7 +145,9 @@ def run(g: Graph, config: RunConfig, clock=None,
         es = EliteSet()
         es.try_add_and_evict(best)
 
-        while clock() < deadline_at:
+        iterations, cap = 0, config.max_iterations
+        while clock() < deadline_at and (cap is None or iterations < cap):
+            iterations += 1
             s_g = GreedySource(g, config.greedy, rng)
             s_e = es.random_entry()
             path_relink(st, s_g, s_e, limits, rng)

@@ -8,7 +8,8 @@ Tracks, for S:
   link(u)     -- the owner (only member neighbor) of a rho-1 node, the member
                  pair of a rho-2 node; stale at other rho, where nothing reads it,
   one_tight   -- per member v, the non-members whose only member neighbor is v,
-  mates/two_tight -- member pairs {u,v} sharing non-members with N(w) & S == {u,v},
+  two_tight   -- per member v, the rho-2 nodes adjacent to v; grouped by link,
+                 the shared pools of v's pairs (members sharing a rho-2 node),
   s_plus/s_one/s_two -- pruning queues for the (*,1), (1,*) and (2,*) moves,
   free        -- non-members with rho == 0, a plain set; make_maximal, the
                  one maximalization routine, inserts them in random order,
@@ -16,13 +17,14 @@ Tracks, for S:
                  a bitset, for the rho->2 pair (rows also for AAP's path).
 
 s_plus is stale-tolerant: nodes are inserted when delta turns positive and
-purged on pop if delta has since dropped. s_one/s_two hold only live entries:
-s_one members with a 1-tight pool, s_two keys of two_tight; the updates
-discard an entry the moment it dies, so the moves pop them unchecked. They
-are consumed by move evaluation and re-fed on any pool change, retarget's
-too: an entry out of its queue failed on its pool as it is (or, for a
-member, on a superset of it). Verification therefore checks that every
-entry is live, and only with check_pruning that every live one is queued.
+purged on pop if delta has since dropped. s_one/s_two hold only live entries,
+members with a 1-tight pool and members with a pair; the updates discard an
+entry the moment it dies, so the moves pop them unchecked. They are consumed
+by move evaluation and re-fed on any pool change, retarget's too: a 1-tight
+change queues the member, a change of a pair's shared nodes its lower member.
+So a member out of s_one failed on its pool as it is or a superset of it, and
+a pair with neither member in s_two on its pool as it is. Verification checks
+that every entry is live, and only with check_pruning that each is reachable.
 
 Updates are single-node: batch moves are applied as removals first, then
 additions, so S stays independent throughout; retarget (to a new guide) is one.
@@ -87,17 +89,13 @@ class IndexedSet:
         return x
 
 
-def _pair(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 def _bitset(flags: np.ndarray) -> int:
     """The bool array `flags` as an int with bit v set iff flags[v]."""
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class InterstateState:
-    __slots__ = ("g", "s", "rho", "delta", "link", "one_tight", "mates", "two_tight",
+    __slots__ = ("g", "s", "rho", "delta", "link", "one_tight", "two_tight",
                  "s_plus", "s_one", "s_two", "free", "rows", "members")
 
     def __init__(self, g: Graph, s: Solution):
@@ -105,8 +103,7 @@ class InterstateState:
         self.g = g
         self.s = s
         self.one_tight: dict[int, set[int]] = {}
-        self.mates: dict[int, set[int]] = {}
-        self.two_tight: dict[tuple[int, int], set[int]] = {}
+        self.two_tight: dict[int, set[int]] = {}
         self.s_plus = IndexedSet()
         self.s_one = IndexedSet()
         self.s_two = IndexedSet()
@@ -155,16 +152,14 @@ def build(g: Graph, s: Solution) -> InterstateState:
     two = np.flatnonzero(outside & (rho == 2))
     at = first[two]
     for v, a, b in zip(two.tolist(), cols[at].tolist(), cols[at + 1].tolist()):
-        key = (a, b)
-        st.mates.setdefault(a, set()).add(b)
-        st.mates.setdefault(b, set()).add(a)
-        st.two_tight.setdefault(key, set()).add(v)
-        link[v] = key
+        st.two_tight.setdefault(a, set()).add(v)
+        st.two_tight.setdefault(b, set()).add(v)
+        link[v] = (a, b)
 
     st.free = set(np.flatnonzero(outside & (rho == 0)).tolist())
     st.s_plus = IndexedSet(np.flatnonzero(delta > 0).tolist())
     st.s_one = IndexedSet(st.one_tight)
-    st.s_two = IndexedSet(st.two_tight)
+    st.s_two = IndexedSet(cols[at].tolist())  # each pair once, by its lower member
     if is_dense(n, g.m):
         st.rows = g.rows
         st.members = _bitset(flags)
@@ -175,15 +170,15 @@ def _one_tight_changed(st: InterstateState, member: int, gained: bool) -> None:
     """Re-arm the pruning queues after a 1-tight change of `member`.
 
     S1 entry only on gains (a shrunken pool cannot make the deterministic
-    (1,*) evaluation succeed where it failed); mate pairs re-enter S2 on any
-    change of either endpoint's 1-tight set.
+    (1,*) evaluation succeed where it failed); the member re-enters S2 on any
+    change if it has a pair (a pair formed later queues its lower member).
     """
     if gained:
         st.s_one.add(member)
     elif not st.one_tight.get(member):
         st.s_one.discard(member)
-    for m in st.mates.get(member, ()):
-        st.s_two.add(_pair(member, m))
+    if member in st.two_tight:
+        st.s_two.add(member)
 
 
 def remove_member(st: InterstateState, v: int) -> None:
@@ -193,21 +188,16 @@ def remove_member(st: InterstateState, v: int) -> None:
     wv = g.w[v]
     in_set = s._in_set
 
-    # v's own interstate presence dissolves
-    st.one_tight.pop(v, None)
+    # v's own interstate presence dissolves (its pairs' nodes turn 1-tight below)
+    one_tight, two_tight, link, s_two = st.one_tight, st.two_tight, st.link, st.s_two
+    one_tight.pop(v, None)
+    two_tight.pop(v, None)
     st.s_one.discard(v)
-    for m in st.mates.pop(v, ()):
-        key = _pair(v, m)
-        del st.two_tight[key]
-        mm = st.mates[m]
-        mm.discard(v)
-        if not mm:
-            del st.mates[m]
-        st.s_two.discard(key)
+    s_two.discard(v)
 
     # S is independent, so every neighbor of v is a non-member
     adj = g.adj
-    rho, delta, link, s_plus = st.rho, st.delta, st.link, st.s_plus
+    rho, delta, s_plus = st.rho, st.delta, st.s_plus
     in_plus = s_plus._pos
     rows = st.rows
     if rows is not None:
@@ -226,9 +216,14 @@ def remove_member(st: InterstateState, v: int) -> None:
             a, b = link[x]
             other = a if b == v else b
             d = g.w[x] - g.w[other]
-            st.one_tight.setdefault(other, set()).add(x)
+            tt = two_tight[other]
+            tt.discard(x)
+            if not tt:
+                del two_tight[other]
+                s_two.discard(other)
+            one_tight.setdefault(other, set()).add(x)
             link[x] = other
-            # re-arm once: this loop discards no queue entry, so a repeat adds nothing
+            # re-arm once: a pair other forms later in this loop queues its lower member
             if other not in rearmed:
                 rearmed.add(other)
                 _one_tight_changed(st, other, gained=True)
@@ -241,12 +236,10 @@ def remove_member(st: InterstateState, v: int) -> None:
                 pair = rows[x] & members
                 b = pair.bit_length() - 1
                 a = (pair ^ (1 << b)).bit_length() - 1
-            key = (a, b)
-            st.mates.setdefault(a, set()).add(b)
-            st.mates.setdefault(b, set()).add(a)
-            st.two_tight.setdefault(key, set()).add(x)
-            link[x] = key
-            st.s_two.add(key)
+            two_tight.setdefault(a, set()).add(x)
+            two_tight.setdefault(b, set()).add(x)
+            link[x] = (a, b)
+            s_two.add(a)
         delta[x] = d
         if d > 0 and x not in in_plus:
             s_plus.add(x)
@@ -270,6 +263,7 @@ def add_member(st: InterstateState, u: int) -> None:
     wu = g.w[u]
 
     rho, delta, link = st.rho, st.delta, st.link
+    one_tight, two_tight, s_two = st.one_tight, st.two_tight, st.s_two
     delta[u] = -np.inf
     for x in g.adj[u]:
         r = rho[x] + 1
@@ -279,39 +273,41 @@ def add_member(st: InterstateState, u: int) -> None:
             continue
         if r == 1:
             st.free.discard(x)
-            st.one_tight.setdefault(u, set()).add(x)
+            one_tight.setdefault(u, set()).add(x)
             link[x] = u
-            # u is new: each of its mate pairs was queued on creation in this call
+            # u is new: its pairs, all formed in this call, queue on creation
             st.s_one.add(u)
         elif r == 2:
             prev = link[x]
-            po = st.one_tight[prev]
+            po = one_tight[prev]
             assert x in po, f"node {x} reached rho=2 outside its owner's 1-tight set"
             po.discard(x)
             if not po:
-                del st.one_tight[prev]
+                del one_tight[prev]
             _one_tight_changed(st, prev, gained=False)
-            key = _pair(u, prev)
-            st.mates.setdefault(u, set()).add(prev)
-            st.mates.setdefault(prev, set()).add(u)
-            st.two_tight.setdefault(key, set()).add(x)
-            link[x] = key
-            st.s_two.add(key)
+            two_tight.setdefault(u, set()).add(x)
+            two_tight.setdefault(prev, set()).add(x)
+            if u < prev:
+                link[x] = (u, prev)
+                s_two.add(u)
+            else:
+                link[x] = (prev, u)
+                s_two.add(prev)
         elif r == 3:
-            key = link[x]
-            a, b = key
-            tt = st.two_tight[key]
-            tt.discard(x)
-            if tt:
-                st.s_two.add(key)
-                continue
-            del st.two_tight[key]
-            st.s_two.discard(key)
-            for y, z in ((a, b), (b, a)):
-                my = st.mates[y]
-                my.discard(z)
-                if not my:
-                    del st.mates[y]
+            # x leaves its pair's shared pool: re-arm the lower member, if it
+            # still has a pair
+            a, b = link[x]
+            ta, tb = two_tight[a], two_tight[b]
+            ta.discard(x)
+            if ta:
+                s_two.add(a)
+            else:
+                del two_tight[a]
+                s_two.discard(a)
+            tb.discard(x)
+            if not tb:
+                del two_tight[b]
+                s_two.discard(b)
 
 
 def make_maximal(st: InterstateState, rng: random.Random) -> list[int]:
@@ -330,8 +326,8 @@ def make_maximal(st: InterstateState, rng: random.Random) -> list[int]:
 
 def retarget(st: InterstateState, target: Solution) -> None:
     """Turn st.s into target's set, removals first, with target's total_weight.
-    The queues stand: the flips re-arm each member and pair whose pool they
-    change, so the next search evaluates only what changed."""
+    The queues stand: the flips re-arm each member whose pool, or whose
+    pair's pool, they change, so the next search evaluates only what changed."""
     in_s, in_t = st.s._in_set, target._in_set
     flips = list(compress(range(st.g.n), map(ne, in_s, in_t)))
     for v in flips:
@@ -346,13 +342,15 @@ def retarget(st: InterstateState, target: Solution) -> None:
 def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[str]:
     """Compare st with a from-scratch rebuild of st.s; empty list means consistent.
 
-    delta uses relative tolerance 1e-9 at non-members; everything else is
-    exact: members' delta (-inf), link at rho 1 and 2 (stale elsewhere), the
-    member bitset (0 when st keeps no rows). s_plus is
+    delta uses relative tolerance 1e-9 at non-members, exact in effect for
+    integer weights totalling below 2^53, whose running sums are exact; with
+    weights 2^53 apart the rho >= 2 running sums drift from a rebuild.
+    Everything else is exact: members' delta (-inf), link at rho 1 and 2
+    (stale elsewhere), the member bitset (0 when st keeps no rows). s_plus is
     checked for completeness only (stale extra entries are legal). Every
-    s_one/s_two entry must be live: a member with a 1-tight pool, a key of
-    two_tight. With check_pruning, s_one/s_two are additionally required to
-    cover every currently eligible member/pair (valid only when no
+    s_one/s_two entry must be live: a member with a 1-tight pool, with a
+    pair. With check_pruning, s_one must also cover every member with a
+    1-tight pool, and s_two hold a member of every pair (valid only when no
     evaluation has pruned them, e.g. in pure add/remove churn).
     """
     g, s = st.g, st.s
@@ -372,9 +370,7 @@ def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[s
             bad.append(f"s_plus missing node {v} with delta {fd}")
     if {k: v for k, v in st.one_tight.items() if v} != fresh.one_tight:
         bad.append("one_tight sets differ")
-    if {k: v for k, v in st.mates.items() if v} != fresh.mates:
-        bad.append("mate sets differ")
-    if {k: v for k, v in st.two_tight.items() if v} != fresh.two_tight:
+    if st.two_tight != fresh.two_tight:
         bad.append("two_tight sets differ")
     if st.free != fresh.free:
         bad.append("free sets differ")
@@ -383,11 +379,12 @@ def state_mismatches(st: InterstateState, check_pruning: bool = False) -> list[s
         bad.append("member bitset differs from the membership flags")
     if not all(v in fresh.s_one for v in st.s_one):
         bad.append("s_one holds a node with no 1-tight pool")
-    if not all(key in fresh.s_two for key in st.s_two):
-        bad.append("s_two holds a pair with no 2-tight node")
+    if not all(v in fresh.two_tight for v in st.s_two):
+        bad.append("s_two holds a node with no 2-tight neighbor")
     if check_pruning:
         if not all(v in st.s_one for v in fresh.s_one):
             bad.append("s_one lost an eligible member")
-        if not all(key in st.s_two for key in fresh.s_two):
-            bad.append("s_two lost an eligible pair")
+        pairs = {fresh.link[x] for x in range(g.n) if fresh.rho[x] == 2}
+        if not all(a in st.s_two or b in st.s_two for a, b in pairs):
+            bad.append("s_two reaches no member of a pair")
     return bad

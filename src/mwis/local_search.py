@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import is_edge
-from .interstate import InterstateState, _pair, add_member, build, make_maximal, remove_member
+from .interstate import InterstateState, add_member, build, make_maximal, remove_member
 from .lp_bias import RelaxedSolution, sample_biased
 from .oracle import _SUM_SLACK, max_weight_subset
 from .solution import Solution
@@ -160,36 +160,40 @@ class MoveEngine:
         return total, chosen
 
     def two_star_moves(self) -> bool:
-        """Evaluate S2 pairs; commit and return on the first improving move.
+        """Evaluate the pairs of S2 members; commit and return on the first
+        improving move.
 
-        Each popped pair whose pool could outweigh it gets one randomized
-        trial, simulated read-only on the pool; only a success is replayed as
-        real state updates, so a failed pair stays pruned until a real change.
+        Each pair whose pool could outweigh it gets one randomized trial,
+        simulated read-only on the pool; only a success is replayed as real
+        state updates, so a failed pair stays pruned until a real change.
         """
         st, g = self.state, self.g
-        w = self.w
+        w, link = self.w, st.link
+        one_tight, two_tight = st.one_tight, st.two_tight
         while len(st.s_two):
-            # s_two holds only live mate pairs, keys of two_tight
-            key = st.s_two.pop_random(self.rng)
-            u, v = key
-            # the three parts are disjoint (1-tight to u, 1-tight to v,
-            # 2-tight to both), and every pool node's only member neighbors
-            # are u and v, so only the picks themselves close candidates
-            pool = [*st.one_tight.get(u, ()), *st.one_tight.get(v, ()),
-                    *st.two_tight[key]]
-            if _pool_cannot_win(w, pool, w[u] + w[v]):
-                continue
-            open_now = sorted(pool)
-            added: list[int] = []
-            gained = 0.0
-            while open_now:
-                c = open_now[self.rng.randrange(len(open_now))]
-                added.append(c)
-                gained += w[c]
-                open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
-            if gained > w[u] + w[v]:
-                self._apply("two_star", [u, v], added)
-                return True
+            # s_two holds only members with a pair, keys of two_tight, whose
+            # 2-tight nodes grouped by link are their pairs' shared pools
+            shared: dict[tuple[int, int], list[int]] = {}
+            for x in two_tight[st.s_two.pop_random(self.rng)]:
+                shared.setdefault(link[x], []).append(x)
+            for (u, v), both in shared.items():
+                # the three parts are disjoint (1-tight to u, 1-tight to v,
+                # 2-tight to both), and every pool node's only member
+                # neighbors are u and v, so only the picks close candidates
+                pool = [*one_tight.get(u, ()), *one_tight.get(v, ()), *both]
+                if _pool_cannot_win(w, pool, w[u] + w[v]):
+                    continue
+                open_now = sorted(pool)
+                added: list[int] = []
+                gained = 0.0
+                while open_now:
+                    c = open_now[self.rng.randrange(len(open_now))]
+                    added.append(c)
+                    gained += w[c]
+                    open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
+                if gained > w[u] + w[v]:
+                    self._apply("two_star", [u, v], added)
+                    return True
         return False
 
     def aap_moves(self) -> bool:
@@ -211,7 +215,7 @@ class MoveEngine:
 
     def _aap_from(self, v: int) -> bool:
         st = self.state
-        w, adj, rows = self.w, self.adj, st.rows
+        w, adj, rows, link = self.w, self.adj, st.rows, st.link
         rng = self.rng
         delta = self.params.aap_delta
 
@@ -225,9 +229,8 @@ class MoveEngine:
         path_in = [v]        # members, flip candidates for removal
         path_out = [seed]    # non-members, flip candidates for insertion
         on_path = {v, seed}
-        # neighbours of path_out: with lists a set built at the first mate
-        # (its pool holds a candidate: neither v nor seed is 2-tight), with
-        # rows a bitset
+        # neighbours of path_out: with lists a set built at the first
+        # candidate (neither v nor seed is 2-tight), with rows a bitset
         near_out = None if rows is None else rows[seed]
         gain = w[seed] - w[v]
         best_gain = gain
@@ -237,27 +240,27 @@ class MoveEngine:
                 and gain >= self.aap_gain_floor:
             best_step = None
             best_score = float("-inf")
-            for mate in st.mates.get(u, ()):
+            for x in st.two_tight.get(u, ()):
+                a, b = link[x]
+                mate = a if b == u else b
+                # a path_out node other than seed is 2-tight to two path
+                # members, so this test also keeps x off the path
                 if mate in on_path:
                     continue
-                if near_out is None:  # first mate: path_out is [seed]
+                if near_out is None:  # first candidate: path_out is [seed]
                     near_out = set(adj[seed])
-                step_base = -w[mate]
-                for x in st.two_tight[_pair(u, mate)]:
-                    if x in on_path:
-                        continue
-                    if (x in near_out) if rows is None else (near_out >> x & 1):
-                        continue
-                    score = gain + step_base + w[x] + rng.uniform(-delta, delta)
-                    if score > best_score:
-                        best_score = score
-                        best_step = (x, mate)
+                if (x in near_out) if rows is None else (near_out >> x & 1):
+                    continue
+                score = gain - w[mate] + w[x] + rng.uniform(-delta, delta)
+                if score > best_score:
+                    best_score = score
+                    best_step = (x, mate)
             if best_step is None:
                 break
             x, mate = best_step
             path_out.append(x)
             if rows is None:
-                near_out.update(adj[x])  # built at the first mate
+                near_out.update(adj[x])  # built at the first candidate
             else:
                 near_out |= rows[x]
             path_in.append(mate)

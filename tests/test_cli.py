@@ -245,7 +245,8 @@ class TestSolve:
                  "--aap-gain-floor": "-2.5", "--aap-delta": "7",
                  "--relink-f0": "0.9", "--relink-cn0": "4", "--relink-cp0": "2",
                  "--relink-f-decay": "0.5", "--relink-budget-growth": "2",
-                 "--check-interstate-every": "6", "--lp-epsilon": "0.01"}
+                 "--check-interstate-every": "6", "--max-iterations": "3",
+                 "--lp-epsilon": "0.01"}
         argv = ["solve", "--graph", path, "--relaxed", str(rs)]
         for flag, value in flags.items():
             argv += [flag, value]
@@ -258,7 +259,7 @@ class TestSolve:
                 aap_gain_floor=-2.5, aap_delta=7.0),
             relink_params=RelinkParams(f0=0.9, c_n0=4.0, c_p0=2.0, f_decay=0.5,
                                        budget_growth=2.0),
-            check_interstate_every=6)
+            check_interstate_every=6, max_iterations=3)
         assert relaxed.epsilon == 0.01 != DEFAULT_EPSILON
         # every config field moved off its default, and every tuning flag was set
         defaults = dict(config_fields(RunConfig()))

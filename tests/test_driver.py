@@ -142,18 +142,24 @@ class TestRun:
             f, c_n, c_p = f * 0.9998, c_n * 1.5, c_p * 1.5
 
     def test_improvement_resets_schedule(self, monkeypatch):
-        # a graph and seed on which two weight changes follow stagnations
+        # on every transition of 20 runs, a stagnation tightens the limits
+        # and any other outcome restores the start; in some run a weight
+        # change follows stagnations twice
         g = random_graph(random.Random(11), 60, 0.1)
-        calls = record_limits(monkeypatch)
-        _, trace = run(g, RunConfig(time_limit=0.02, seed=2), clock=FakeClock())
-        stagnated = iteration_stagnated(trace)
         p = RelinkParams()
-        assert calls[0] == p.start
-        restarts = 0
-        for limits, nxt, stuck in zip(calls, calls[1:], stagnated):
-            assert nxt == (p.tightened(limits) if stuck else p.start)
-            restarts += not stuck and limits != p.start
-        assert restarts == 2
+        most = 0
+        calls = record_limits(monkeypatch)
+        for seed in range(20):
+            calls.clear()
+            _, trace = run(g, RunConfig(time_limit=0.02, seed=seed), clock=FakeClock())
+            stagnated = iteration_stagnated(trace)
+            assert calls[0] == p.start and len(calls) == len(stagnated)
+            restarts = 0
+            for limits, nxt, stuck in zip(calls, calls[1:], stagnated):
+                assert nxt == (p.tightened(limits) if stuck else p.start), f"seed {seed}"
+                restarts += not stuck and limits != p.start
+            most = max(most, restarts)
+        assert most >= 2
 
     def test_initial_solution_respected(self, tmp_path):
         g = build_graph(3, [(0, 1), (1, 2)], [3.0, 5.0, 3.0])
@@ -203,7 +209,9 @@ class TestRun:
 
     def test_each_walk_is_guided_by_the_latest_best_local_optimum(self, monkeypatch):
         # the guide S* is the latest local optimum of the best weight found
-        # so far: the very object local_search returned, not a copy
+        # so far: the very object local_search returned, not a copy. Every
+        # walk of 20 runs is checked; some walk must follow a tie and some an
+        # improvement
         outputs, walks = [], []
         search, relink = driver.local_search, driver.path_relink
 
@@ -220,7 +228,7 @@ class TestRun:
         monkeypatch.setattr(driver, "path_relink", recorded_relink)
         rng = random.Random(23)
         replaced_on_tie = improved = 0
-        for seed in range(6):
+        for seed in range(20):
             outputs.clear()
             walks.clear()
             g = random_graph(rng, 80, 0.1, max_w=10)
@@ -294,6 +302,24 @@ class TestRun:
         with pytest.raises(ValueError):
             RunConfig(check_interstate_every=-1)
         RunConfig(check_interstate_every=0)
+
+    @pytest.mark.parametrize("cap", [1, 2, 7])
+    def test_max_iterations_stops_after_k_relinks(self, cap):
+        # a time limit the fake clock never reaches: only the cap stops the run
+        g = random_graph(random.Random(23), 40, 0.15)
+        cfg = RunConfig(time_limit=1e5, seed=4, max_iterations=cap)
+        best, trace = run(g, cfg, clock=FakeClock())
+        assert [ev.event for ev in trace].count("relink") == cap
+        assert trace[-1].event == "final" and trace[-1].elapsed < 1.0
+        assert trace[-1].best_weight == best.total_weight
+
+    def test_max_iterations_keeps_the_deadline(self):
+        # the cap stops a run no later than the time limit would
+        g = random_graph(random.Random(23), 40, 0.15)
+        capped = run(g, RunConfig(time_limit=0.004, seed=4, max_iterations=10**6),
+                     clock=FakeClock())[1]
+        plain = run(g, RunConfig(time_limit=0.004, seed=4), clock=FakeClock())[1]
+        assert trace_csv(capped) == trace_csv(plain)
 
 
 class TestCollectorPause:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mwis.graph import build_graph
-from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, _pair, \
-    add_member, build, make_maximal, remove_member, retarget, state_mismatches
+from mwis.interstate import IndexedSet, InterstateState, _one_tight_changed, add_member, \
+    build, make_maximal, remove_member, retarget, state_mismatches
 from mwis.local_search import LocalSearchParams, MoveEngine
 from mwis.solution import Solution
 
@@ -47,18 +47,15 @@ def reference_build(g, s):
             st.one_tight.setdefault(u, set()).add(v)
             st.link[v] = u
         elif r == 2:
-            a, b = (x for x in adj[v] if in_set[x])
-            key = _pair(a, b)
-            st.mates.setdefault(a, set()).add(b)
-            st.mates.setdefault(b, set()).add(a)
-            st.two_tight.setdefault(key, set()).add(v)
-            st.link[v] = key
+            a, b = sorted(x for x in adj[v] if in_set[x])
+            st.two_tight.setdefault(a, set()).add(v)
+            st.two_tight.setdefault(b, set()).add(v)
+            st.link[v] = (a, b)
+            st.s_two.add(a)  # each pair once, by its lower member
         if st.delta[v] > 0:
             st.s_plus.add(v)
     for u in st.one_tight:
         st.s_one.add(u)
-    for key in st.two_tight:
-        st.s_two.add(key)
     return st
 
 
@@ -68,17 +65,11 @@ def reference_remove_member(st, g, s, v):
     wv = g.w[v]
     in_set = s._in_set
     st.one_tight.pop(v, None)
+    st.two_tight.pop(v, None)
     st.s_one.discard(v)
-    for m in st.mates.pop(v, set()):
-        key = _pair(v, m)
-        st.two_tight.pop(key, None)
-        mm = st.mates.get(m)
-        if mm is not None:
-            mm.discard(v)
-            if not mm:
-                del st.mates[m]
-        st.s_two.discard(key)
+    st.s_two.discard(v)
     adj = g.adj
+    rearmed = set()
     for x in adj[v]:
         r = st.rho[x] - 1
         st.rho[x] = r
@@ -90,17 +81,18 @@ def reference_remove_member(st, g, s, v):
         elif r == 1:
             key = st.link[x]
             other = key[0] if key[1] == v else key[1]
+            discard_two_tight(st, other, x)
             st.one_tight.setdefault(other, set()).add(x)
             st.link[x] = other
-            _one_tight_changed(st, other, gained=True)
+            if other not in rearmed:
+                rearmed.add(other)
+                _one_tight_changed(st, other, gained=True)
         elif r == 2:
-            a, b = (y for y in adj[x] if in_set[y])
-            key = _pair(a, b)
-            st.mates.setdefault(a, set()).add(b)
-            st.mates.setdefault(b, set()).add(a)
-            st.two_tight.setdefault(key, set()).add(x)
-            st.link[x] = key
-            st.s_two.add(key)
+            a, b = sorted(y for y in adj[x] if in_set[y])
+            st.two_tight.setdefault(a, set()).add(x)
+            st.two_tight.setdefault(b, set()).add(x)
+            st.link[x] = (a, b)
+            st.s_two.add(a)
     st.delta[v] = wv
     if wv > 0:
         st.s_plus.add(v)
@@ -122,7 +114,9 @@ def reference_add_member(st, g, s, u):
             st.free.discard(x)
             st.one_tight.setdefault(u, set()).add(x)
             st.link[x] = u
-            _one_tight_changed(st, u, gained=True)
+            # u is new: each of its pairs forms in this call and queues its
+            # lower member then
+            st.s_one.add(u)
         elif r == 2:
             prev = st.link[x]
             po = st.one_tight.get(prev)
@@ -131,33 +125,28 @@ def reference_add_member(st, g, s, u):
                 if not po:
                     del st.one_tight[prev]
             _one_tight_changed(st, prev, gained=False)
-            key = _pair(u, prev)
-            st.mates.setdefault(u, set()).add(prev)
-            st.mates.setdefault(prev, set()).add(u)
-            st.two_tight.setdefault(key, set()).add(x)
-            st.link[x] = key
-            st.s_two.add(key)
+            a, b = sorted((u, prev))
+            st.two_tight.setdefault(u, set()).add(x)
+            st.two_tight.setdefault(prev, set()).add(x)
+            st.link[x] = (a, b)
+            st.s_two.add(a)
         elif r == 3:
-            key = st.link[x]
-            a, b = key
-            tt = st.two_tight.get(key)
-            if tt is not None:
-                tt.discard(x)
-                if not tt:
-                    del st.two_tight[key]
-                    st.s_two.discard(key)
-                    ma = st.mates.get(a)
-                    if ma is not None:
-                        ma.discard(b)
-                        if not ma:
-                            del st.mates[a]
-                    mb = st.mates.get(b)
-                    if mb is not None:
-                        mb.discard(a)
-                        if not mb:
-                            del st.mates[b]
-                else:
-                    st.s_two.add(key)
+            a, b = st.link[x]
+            discard_two_tight(st, a, x)
+            if a in st.two_tight:  # a pair left to try
+                st.s_two.add(a)
+            discard_two_tight(st, b, x)
+
+
+def discard_two_tight(st, member, x):
+    """Take x out of member's 2-tight set; an emptied set goes, with the
+    member's s_two entry."""
+    tt = st.two_tight.get(member)
+    if tt is not None:
+        tt.discard(x)
+        if not tt:
+            del st.two_tight[member]
+            st.s_two.discard(member)
 
 
 def ordered(st):
@@ -167,9 +156,8 @@ def ordered(st):
     def sets(d):
         return [(k, list(v)) for k, v in d.items()]
     links = [(v, st.link[v]) for v, r in enumerate(st.rho) if r in (1, 2)]
-    return (st.rho, links, sets(st.one_tight),
-            sets(st.mates), sets(st.two_tight), sorted(st.free), list(st.s_plus),
-            list(st.s_one), list(st.s_two))
+    return (st.rho, links, sets(st.one_tight), sets(st.two_tight), sorted(st.free),
+            list(st.s_plus), list(st.s_one), list(st.s_two))
 
 
 def random_independent(g, rng, tries):
@@ -229,7 +217,7 @@ class TestBuild:
         st = build(path3, s)
         assert st.rho == [1, 0, 1]
         assert st.one_tight == {1: {0, 2}}
-        assert st.mates == {} and st.two_tight == {}
+        assert st.two_tight == {}
         assert st.delta[0] == 3.0 - 5.0
         assert st.delta[2] == 3.0 - 5.0
         assert list(st.s_one) == [1]
@@ -238,17 +226,17 @@ class TestBuild:
     def test_cycle_mate_pair(self, cycle4):
         s = Solution(cycle4, [0, 2])
         st = build(cycle4, s)
-        assert st.mates == {0: {2}, 2: {0}}
-        assert st.two_tight == {(0, 2): {1, 3}}
+        assert st.two_tight == {0: {1, 3}, 2: {1, 3}}
+        assert st.link[1] == st.link[3] == (0, 2)
         assert st.one_tight == {}
-        assert list(st.s_two) == [(0, 2)]
+        assert list(st.s_two) == [0]  # the pair once, by its lower member
 
     def test_edgeless_full_membership(self):
         g = graph_from(4, [], [1.0] * 4)
         s = Solution(g, range(4))
         st = build(g, s)
         assert st.rho == [0] * 4
-        assert not st.one_tight and not st.mates and not st.two_tight
+        assert not st.one_tight and not st.two_tight
         assert len(st.free) == 0
 
     def test_rejects_dependent_set(self, path3):
@@ -304,7 +292,7 @@ class TestSingleUpdates:
         s = Solution(cycle4, [0, 2])
         st = build(cycle4, s)
         remove_member(st, 0)
-        assert st.mates == {} or all(not v for v in st.mates.values())
+        assert st.two_tight == {} and list(st.s_two) == []
         assert st.rho[1] == 1 and st.rho[3] == 1
         assert st.one_tight.get(2) == {1, 3}
         assert 2 in st.s_one
@@ -323,9 +311,8 @@ class TestSingleUpdates:
         s = Solution(cycle4, [0])
         st = build(cycle4, s)
         add_member(st, 2)
-        assert st.mates == {0: {2}, 2: {0}}
-        assert st.two_tight == {(0, 2): {1, 3}}
-        assert (0, 2) in st.s_two
+        assert st.two_tight == {0: {1, 3}, 2: {1, 3}}
+        assert list(st.s_two) == [0]
         assert not state_mismatches(st)
 
     def test_add_isolated_only_membership(self):
@@ -420,7 +407,7 @@ class TestVerification:
 
     def test_wrong_pair_link_detected(self):
         st = self.path7()
-        st.link[2] = (3, 5)  # a mate pair, but node 4's
+        st.link[2] = (3, 5)  # a member pair, but node 4's
         assert state_mismatches(st) == ["link[2]=(3, 5) expected (1, 3)"]
 
     def test_member_with_finite_delta_detected(self):
@@ -434,9 +421,17 @@ class TestVerification:
         st = build(cycle4, Solution(cycle4, [0, 2]))
         assert not state_mismatches(st)
         st.s_one.add(1)  # a non-member
-        st.s_two.add((0, 1))  # not a mate pair, not a key of two_tight
+        st.s_two.add(3)  # a non-member
         assert state_mismatches(st) == ["s_one holds a node with no 1-tight pool",
-                                        "s_two holds a pair with no 2-tight node"]
+                                        "s_two holds a node with no 2-tight neighbor"]
+
+    def test_unreachable_pair_detected_only_with_check_pruning(self, cycle4):
+        st = build(cycle4, Solution(cycle4, [0, 2]))
+        st.s_two.discard(0)  # as a failed (2,*) pop leaves it
+        assert not state_mismatches(st)
+        assert state_mismatches(st, check_pruning=True) == ["s_two reaches no member of a pair"]
+        st.s_two.add(2)  # the higher member reaches the pair too
+        assert not state_mismatches(st, check_pruning=True)
 
     def test_churn_small(self):
         # with neighbour lists, then with bitset rows and the member bitset
@@ -520,6 +515,33 @@ class TestExactDelta:
                 if fresh.rho[v] <= 1:
                     assert st.delta[v] == fresh.delta[v], f"step {step}, node {v}"
 
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_delta_exact_at_every_rho_below_two_to_53(self, rows):
+        # integer weights up to 2^40 on at most 80 nodes total below 2^53, so
+        # every running sum is an exact integer: delta equals a rebuild's
+        # bit for bit at every rho, which makes the 1e-9 tolerance exact
+        rng = random.Random(12)
+        checked = 0
+        with rows_forced(rows):
+            for i in range(12):
+                n = rng.randint(10, 80)
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < rng.choice([0.1, 0.3])]
+                g = graph_from(n, edges, [rng.randint(0, 2 ** 40) for _ in range(n)])
+                assert sum(g.w) < 2 ** 53
+                st = build(g, Solution(g))
+                for step in range(200):
+                    members = st.s.member_list()
+                    free = list(st.free)
+                    if members and (not free or rng.random() < 0.45):
+                        remove_member(st, members[rng.randrange(len(members))])
+                    else:
+                        add_member(st, free[rng.randrange(len(free))])
+                    fresh = build(g, st.s)
+                    assert st.delta == fresh.delta, f"instance {i} step {step}"
+                    checked += sum(r >= 2 for r in st.rho)
+        assert checked > 10000, checked
+
     def test_star_one_takes_no_loss_on_a_drifted_delta(self):
         # after 20 updates the centre's running delta reads 1.0 at rho 2,
         # where swapping it in for members 1 and 2 loses 1
@@ -532,11 +554,38 @@ class TestExactDelta:
         assert [(out.nodes_added, out.nodes_removed) for out in moves] == [([3], [])]
 
 
+def pairs_of(st, member=None):
+    """Each member pair (of `member`, else of all members) that shares a
+    2-tight node, with the nodes it shares, grouped by link."""
+    nodes = range(st.g.n) if member is None else st.two_tight.get(member, ())
+    shared = {}
+    for x in nodes:
+        if st.rho[x] == 2:
+            shared.setdefault(st.link[x], set()).add(x)
+    return shared
+
+
 def pool_parts(st, key):
-    """The three parts of a mate pair's (2,*) pool."""
+    """The three parts of a member pair's (2,*) pool."""
     u, v = key
     return (set(st.one_tight.get(u, ())), set(st.one_tight.get(v, ())),
-            set(st.two_tight.get(key, ())))
+            pairs_of(st, u).get(key, set()))
+
+
+def prune_two(st, rng, share, pruned):
+    """Pop s_two entries as failed (2,*) evaluations do, each with
+    probability `share`; record in `pruned` the pool each of the popped
+    members' pairs failed on."""
+    for m in list(st.s_two):
+        if rng.random() < share:
+            st.s_two.discard(m)
+            for key in pairs_of(st, m):
+                pruned[key] = pool_parts(st, key)
+
+
+def unreachable_pairs(st):
+    """The pairs sharing a 2-tight node with neither member in s_two."""
+    return [key for key in pairs_of(st) if key[0] not in st.s_two and key[1] not in st.s_two]
 
 
 def nearby(g, s, rng, flips):
@@ -559,12 +608,13 @@ class TestRetarget:
     @pytest.mark.parametrize("rows", [False, True])
     def test_retarget_matches_a_rebuild(self, rows):
         """After retarget, a member with a pool is out of s_one only if that
-        pool is a subset of the one it was pruned on, and a mate pair is out
-        of s_two only if its pool parts are those it was pruned on."""
+        pool is a subset of the one it was pruned on, and a member pair has
+        neither member in s_two only if its pool parts are those it was
+        pruned on."""
         rng = random.Random(9)
         checks = 0
         with rows_forced(rows):
-            for i in range(60):
+            for i in range(70):
                 n = rng.randint(1, 100)
                 edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                          if rng.random() < rng.choice([0.05, 0.15, 0.3])]
@@ -588,10 +638,7 @@ class TestRetarget:
                         if rng.random() < share:
                             st.s_one.discard(v)
                             pruned_one[v] = set(st.one_tight.get(v, ()))
-                    for key in list(st.s_two):
-                        if rng.random() < share:
-                            st.s_two.discard(key)
-                            pruned_two[key] = pool_parts(st, key)
+                    prune_two(st, rng, share, pruned_two)
                     retarget(st, target)
                     assert s._in_set == target._in_set, f"instance {i}"
                     assert (s.size, s.total_weight) == (target.size, target.total_weight)
@@ -600,12 +647,11 @@ class TestRetarget:
                         if pool and v not in st.s_one:
                             checks += 1
                             assert pool <= pruned_one.get(v, set()), f"instance {i}, member {v}"
-                    for key in st.two_tight:
-                        if key not in st.s_two:
-                            checks += 1
-                            assert pool_parts(st, key) == pruned_two.get(key), \
-                                f"instance {i}, pair {key}"
-        assert checks > 800
+                    for key in unreachable_pairs(st):
+                        checks += 1
+                        assert pool_parts(st, key) == pruned_two.get(key), \
+                            f"instance {i}, pair {key}"
+        assert checks > 800, checks
 
 
 class Recorded(Solution):
@@ -673,27 +719,82 @@ class TestMakeMaximal:
 
 
 class TestS2Completeness:
+    """s_two holds members, and a pop tries every pair of the member: a
+    1-tight change queues the member, a shared-pool change the pair's lower
+    member. The (2,*) pop trusts this queue, so these run without asserts."""
+
     def test_pair_reenters_after_neighborhood_change(self, cycle4):
         s = Solution(cycle4, [0, 2])
         st = build(cycle4, s)
-        st.s_two.discard((0, 2))  # simulate a failed (2,*) evaluation
-        # 2-tight neighborhood of {0,2} changes: node 1 leaves it
+        st.s_two.discard(0)  # simulate a failed (2,*) evaluation of 0's pairs
+        # 2-tight neighborhood of {0,2} changes: the pair dissolves and reforms
         remove_member(st, 0)
         add_member(st, 0)
-        assert (0, 2) in st.s_two
+        # 0 for the pair it forms, 2 for the shrinking of its 1-tight pool
+        assert list(st.s_two) == [0, 2]
 
     def test_pair_reenters_after_one_tight_change_of_endpoint(self):
-        # 5-node: pair {0,2} shares 2-tight node 1; node 4 hangs off 0 only
-        g = graph_from(5, [(0, 1), (1, 2), (0, 4), (0, 3), (3, 4)])
-        s = Solution(g, [0, 2])
-        st = build(g, s)
-        assert st.two_tight.get((0, 2)) == {1}
-        assert st.one_tight.get(0) == {3, 4}
-        st.s_two.discard((0, 2))  # pretend it was evaluated and failed
-        # removing node 3's other blocker changes nothing for 0; instead force a
-        # 1-tight gain on endpoint 0 by removing+re-adding member 2's influence:
-        # remove member 2 -> node 1 becomes 1-tight to 0 (gain on one_tight(0))
-        remove_member(st, 2)
-        assert 1 in st.one_tight[0]
-        add_member(st, 2)  # pair {0,2} reforms and re-enters S2
-        assert (0, 2) in st.s_two
+        # pair {0,2} shares node 1; node 3 is 2-tight to {2,4}. Removing 4
+        # makes 3 1-tight to 2, the pair's higher member, which is queued
+        g = graph_from(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        st = build(g, Solution(g, [0, 2, 4]))
+        assert st.two_tight == {0: {1}, 2: {1, 3}, 4: {3}}
+        assert list(st.s_two) == [0, 2]
+        st.s_two.discard(0)  # pretend both pops failed
+        st.s_two.discard(2)
+        remove_member(st, 4)
+        assert st.one_tight[2] == {3}
+        assert list(st.s_two) == [2]
+        assert not state_mismatches(st, check_pruning=True)
+
+    def test_shared_pool_change_queues_lower_member(self):
+        # cycle 0-1-2-3 with members 0 and 2 and node 4 hanging off 3: adding
+        # 4 takes 3 out of the pair's shared pool, removing it puts 3 back
+        g = graph_from(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+        st = build(g, Solution(g, [0, 2]))
+        for step in (lambda: add_member(st, 4), lambda: remove_member(st, 4)):
+            st.s_two.discard(0)
+            step()
+            assert list(st.s_two) == [0]
+            assert not state_mismatches(st, check_pruning=True)
+
+    def test_dead_pair_queues_nothing(self, cycle4):
+        # cycle4 plus node 4 on 1 and 3: adding 4 empties the only pair's pool
+        g = graph_from(5, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (3, 4)])
+        st = build(g, Solution(g, [0, 2]))
+        st.s_two.discard(0)
+        add_member(st, 4)
+        assert st.two_tight == {} and list(st.s_two) == []
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_churn_keeps_every_pair_reachable(self, rows):
+        """Under add/remove churn a member of every pair stays queued; with
+        entries popped as failed evaluations pop them, a pair out of reach
+        has the pool it failed on. Neighbour lists, then bitset rows."""
+        rng = random.Random(10)
+        checks = 0
+        with rows_forced(rows):
+            for i in range(16):
+                g = random_graph(rng, rng.randint(10, 60), rng.choice([0.05, 0.15, 0.3]))
+                s = Solution(g)
+                st = build(g, s)
+                assert (st.rows is not None) is rows
+                pruned = {}
+                for step in range(150):
+                    members = s.member_list()
+                    free = list(st.free)
+                    if members and (not free or rng.random() < 0.45):
+                        remove_member(st, members[rng.randrange(len(members))])
+                    else:
+                        add_member(st, free[rng.randrange(len(free))])
+                    if i % 2 == 0:  # pure churn: nothing pruned
+                        assert not state_mismatches(st, check_pruning=True), \
+                            f"instance {i} step {step}"
+                        continue
+                    prune_two(st, rng, rng.choice([0.3, 1.0]), pruned)
+                    for key in unreachable_pairs(st):
+                        checks += 1
+                        assert pool_parts(st, key) == pruned.get(key), \
+                            f"instance {i} step {step} pair {key}"
+                assert not state_mismatches(st)
+        assert checks > 1000

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from mwis.graph import is_edge
-from mwis.interstate import _pair, build, state_mismatches
+from mwis.interstate import build, state_mismatches
 from mwis.local_search import _SUM_SLACK, LocalSearchParams, MoveEngine, _pool_cannot_win, \
     local_search
 from mwis.oracle import exact_mwis, max_weight_subset
@@ -475,47 +475,52 @@ class ReferenceOneStar(CountingEngine):
 
 
 class ReferenceTwoStar(MoveEngine):
-    """(2,*) with the pool built as a set from its three parts, and the same
-    weight bound as the shipped move, which skips trials that cannot win."""
+    """(2,*) with each pair found from the graph, its pool built as a set from
+    its three parts, and the same weight bound as the shipped move, which
+    skips trials that cannot win."""
 
     def two_star_moves(self):
         st, s, g = self.state, self.s, self.g
         w = self.w
         in_set = s._in_set
         while len(st.s_two):
-            key = st.s_two.pop_random(self.rng)
-            u, v = key
-            if not (in_set[u] and in_set[v]):
+            m = st.s_two.pop_random(self.rng)
+            if not in_set[m]:
                 continue
-            if v not in st.mates.get(u, ()):
-                continue
-            pool = set(st.one_tight.get(u, ()))
-            pool.update(st.one_tight.get(v, ()))
-            pool.update(st.two_tight.get(key, ()))
-            if not pool:
-                continue
-            if sum(w[x] for x in pool) * (1.0 + _SUM_SLACK * len(pool)) <= w[u] + w[v]:
-                continue
-            added = []
-            gained = 0.0
-            open_now = sorted(pool)
-            while open_now:
-                c = open_now[self.rng.randrange(len(open_now))]
-                added.append(c)
-                gained += w[c]
-                open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
-            if gained > w[u] + w[v]:
-                self._apply("two_star", [u, v], added)
-                return True
+            # m's pairs, in the order of their first node in m's 2-tight set
+            pairs = {}
+            for x in st.two_tight.get(m, ()):
+                members = tuple(y for y in self.adj[x] if in_set[y])
+                if len(members) == 2 and m in members:
+                    pairs.setdefault(tuple(sorted(members)), set()).add(x)
+            for (u, v), shared in pairs.items():
+                pool = set(st.one_tight.get(u, ()))
+                pool.update(st.one_tight.get(v, ()))
+                pool.update(shared)
+                if sum(w[x] for x in pool) * (1.0 + _SUM_SLACK * len(pool)) <= w[u] + w[v]:
+                    continue
+                added = []
+                gained = 0.0
+                open_now = sorted(pool)
+                while open_now:
+                    c = open_now[self.rng.randrange(len(open_now))]
+                    added.append(c)
+                    gained += w[c]
+                    open_now = [x for x in open_now if x != c and not is_edge(g, c, x)]
+                if gained > w[u] + w[v]:
+                    self._apply("two_star", [u, v], added)
+                    return True
         return False
 
 
 class ReferenceAap(MoveEngine):
-    """AAP that tests each candidate against every path_out node."""
+    """AAP that finds each candidate's mate from the graph and tests the
+    candidate against every path_out node."""
 
     def _aap_from(self, v):
         st, g = self.state, self.g
         w = self.w
+        in_set = self.s._in_set
         rng = self.rng
         delta = self.params.aap_delta
         seed = None
@@ -536,19 +541,16 @@ class ReferenceAap(MoveEngine):
                 and gain >= self.aap_gain_floor:
             best_step = None
             best_score = float("-inf")
-            for mate in st.mates.get(u, ()):
-                if mate in on_path:
+            for x in st.two_tight.get(u, ()):
+                [mate] = [y for y in self.adj[x] if in_set[y] and y != u]
+                if mate in on_path or x in on_path:
                     continue
-                step_base = -w[mate]
-                for x in st.two_tight[_pair(u, mate)]:
-                    if x in on_path:
-                        continue
-                    if any(is_edge(g, x, o) for o in path_out):
-                        continue
-                    score = gain + step_base + w[x] + rng.uniform(-delta, delta)
-                    if score > best_score:
-                        best_score = score
-                        best_step = (x, mate)
+                if any(is_edge(g, x, o) for o in path_out):
+                    continue
+                score = gain - w[mate] + w[x] + rng.uniform(-delta, delta)
+                if score > best_score:
+                    best_score = score
+                    best_step = (x, mate)
             if best_step is None:
                 break
             x, mate = best_step
@@ -655,8 +657,8 @@ class TestShortcutsMatchReference:
             assert_same_run(ReferenceTwoStar, g, start, rng.random())
 
     def test_two_star_bound_skips_only_pools_that_cannot_win(self):
-        # every mate pair of random states, on integer weights with zeros and
-        # on weights k/10: a pool the bound skips holds no independent
+        # every member pair of random states, on integer weights with zeros
+        # and on weights k/10: a pool the bound skips holds no independent
         # subset heavier than the pair
         rng = random.Random(25)
         skipped = tried = ties = 0
@@ -670,7 +672,11 @@ class TestShortcutsMatchReference:
             for _ in range(3):
                 s = maximal(g, Solution(g), rng)
                 st = build(g, s)
-                for (u, v), shared in st.two_tight.items():
+                pairs = {}
+                for x in range(n):
+                    if st.rho[x] == 2:
+                        pairs.setdefault(st.link[x], []).append(x)
+                for (u, v), shared in pairs.items():
                     pool = sorted({*st.one_tight.get(u, ()), *st.one_tight.get(v, ()), *shared})
                     target = w[u] + w[v]
                     if not _pool_cannot_win(w, pool, target):

@@ -30,6 +30,12 @@ REJECTED = {
     "time_limit=inf": lambda: RunConfig(time_limit=INF),
     "check_interstate_every=nan": lambda: RunConfig(check_interstate_every=NAN),
     "check_interstate_every=0.5": lambda: RunConfig(check_interstate_every=0.5),
+    "max_iterations=nan": lambda: RunConfig(max_iterations=NAN),
+    "max_iterations=inf": lambda: RunConfig(max_iterations=INF),
+    "max_iterations=2.5": lambda: RunConfig(max_iterations=2.5),
+    "max_iterations=0": lambda: RunConfig(max_iterations=0),
+    "max_iterations=-1": lambda: RunConfig(max_iterations=-1),
+    "max_iterations='3'": lambda: RunConfig(max_iterations="3"),
     # random.Random seeds a float from its hash, and a NaN's hash varies by object
     "seed=nan": lambda: RunConfig(seed=NAN),
     "spec_seed=nan": lambda: GenSpec(seed=NAN),
@@ -82,6 +88,7 @@ def test_finite_extremes_accepted():
     # and numpy integers count, size and weigh as plain ones
     assert LocalSearchParams(num_iterations=np.int64(4)).num_iterations == 4
     assert RunConfig(check_interstate_every=np.int32(2)).check_interstate_every == 2
+    assert RunConfig(max_iterations=np.int32(2)).max_iterations == 2
     grid = dict(model="grid", weight_rule="id-mod")
     assert graphs_equal(generate_graph(GenSpec(**grid, rows=np.int64(2), cols=np.int32(3),
                                                mod=np.uint8(5))),
